@@ -194,10 +194,13 @@ def leaf_prototypes(spec: CatalogSpec) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class GranularPositives:
     """Batch-restricted positive sets: positives[l][i] holds the batch
-    positions whose labels agree with item i on levels 1..l+1."""
+    positions whose labels agree with item i on levels 1..l+1, and
+    masks[l] is the same relation as an (n, n) boolean matrix with a
+    false diagonal."""
 
     ids: list[int]
     positives: list[list[np.ndarray]]  # [level][batch position] -> positions
+    masks: list[np.ndarray]            # [level] -> (n, n) bool
 
 
 def build_positive_sets(catalog: ItemCatalog,
@@ -210,17 +213,20 @@ def build_positive_sets(catalog: ItemCatalog,
             raise InputError(f"item id {i} not in catalog")
     labels = np.array([catalog.items[i].labels for i in batch], dtype=np.int64)
     n = len(batch)
-    positives = []
+    positives, masks = [], []
+    prev = np.ones((n, n), dtype=bool)
     for level in range(LEVELS):
-        agree = labels[:, level][:, None] == labels[:, level][None, :]
-        if level > 0:
-            # label-path consistency makes agreement at level l imply
-            # agreement at all coarser levels, but intersect explicitly
-            agree &= prev
+        # label-path consistency makes agreement at level l imply
+        # agreement at all coarser levels, but intersect explicitly
+        agree = (labels[:, level][:, None] == labels[:, level][None, :]) & prev
+        prev = agree.copy()
         np.fill_diagonal(agree, False)
-        positives.append([np.flatnonzero(agree[i]) for i in range(n)])
-        prev = agree | np.eye(n, dtype=bool)
-    return GranularPositives(ids=list(batch), positives=positives)
+        # one nonzero for the whole level, split into per-row slices
+        _, cols = np.nonzero(agree)
+        ends = np.cumsum(agree.sum(axis=1)).tolist()
+        positives.append([cols[a:b] for a, b in zip([0] + ends[:-1], ends)])
+        masks.append(agree)
+    return GranularPositives(ids=list(batch), positives=positives, masks=masks)
 
 
 # --- JSON persistence -------------------------------------------------------

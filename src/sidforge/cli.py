@@ -85,6 +85,9 @@ def config_digest(cfg: dict) -> str:
 
 
 def _threads() -> int:
+    """Validate SIDFORGE_THREADS.  The value pins nothing: NumPy fixes its
+    BLAS thread count at import, so OPENBLAS_NUM_THREADS / OMP_NUM_THREADS
+    must be set before the process starts."""
     raw = os.environ.get("SIDFORGE_THREADS", "1")
     try:
         n = int(raw)
@@ -248,7 +251,9 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str,
         n_test = max(1, len(seqs) // 5)
         train_seqs, test_seqs = seqs[:-n_test], seqs[-n_test:]
         ns = e["next_sid"]
-        nsc = NextSidConfig(L=cfg["train"]["L"], K=doc_k(cfg, scheme),
+        # each scheme has its own depth; the table's codes give it
+        nsc = NextSidConfig(L=len(next(iter(table.values()))),
+                            K=doc_k(cfg, scheme),
                             d_s=ns["d_s"], hidden=ns["hidden"],
                             history=ns["history"], epochs=ns["epochs"],
                             batch_size=ns["batch_size"], lr=ns["lr"],

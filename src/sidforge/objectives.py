@@ -51,20 +51,18 @@ def make_contrast_batch(catalog: ItemCatalog, batch_ids: list[int],
     with its lowest-id same-leaf mate."""
     gp = build_positive_sets(catalog, batch_ids)
     n_lv = len(gp.positives)
-    level_pos = [gp.positives[min(lvl + 1, n_lv - 1)] for lvl in range(n_lv)]
+    finer = [min(lvl + 1, n_lv - 1) for lvl in range(n_lv)]
+    level_pos = [gp.positives[f] for f in finer]
     # positives must nest: anything positive at level l+1 is positive at l
-    for lvl in range(n_lv - 1):
-        for i in range(len(batch_ids)):
-            finer = set(level_pos[lvl + 1][i].tolist())
-            if not finer <= set(level_pos[lvl][i].tolist()):
-                raise InputError("positive sets do not nest")
-    n = len(batch_ids)
-    emb_pos = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        mates = gp.positives[-1][i]  # same-leaf batch mates
-        if len(mates):
-            # deterministic pairing: the mate with the lowest item id
-            emb_pos[i] = mates[int(np.argmin([batch_ids[m] for m in mates]))]
+    masks = np.stack([gp.masks[f] for f in finer])
+    if np.any(masks[1:] & ~masks[:-1]):
+        raise InputError("positive sets do not nest")
+    # deterministic pairing: the same-leaf mate with the lowest item id
+    mates = gp.masks[-1]
+    ids = np.asarray(batch_ids, dtype=np.int64)
+    lowest = np.argmin(np.where(mates, ids[None, :], np.iinfo(np.int64).max),
+                       axis=1)
+    emb_pos = np.where(mates.any(axis=1), lowest, -1)
     return ContrastBatch(ids=list(batch_ids), level_pos=level_pos,
                          emb_pos=emb_pos, tau=tau)
 
@@ -85,32 +83,42 @@ def _cosine_backprop(g_sim: np.ndarray, zh: np.ndarray,
     return (u - radial * zh) / norms[:, None]
 
 
-def _infonce(sim: np.ndarray, tau: float, pos_sets: list[np.ndarray],
-             cand_sets: list[np.ndarray] | None = None):
-    """Supervised InfoNCE over one similarity matrix.
+def _positive_mask(pos_sets: list[np.ndarray], n: int) -> np.ndarray:
+    """Per-query positive index arrays -> (n, n) boolean mask."""
+    mask = np.zeros((n, n), dtype=bool)
+    counts = [len(p) for p in pos_sets]
+    if sum(counts):
+        mask[np.repeat(np.arange(n), counts), np.concatenate(pos_sets)] = True
+    return mask
 
-    Per query i with positives P and candidates A (default: everyone but
-    i): loss_i = logsumexp_A(s/tau) - mean_P(s/tau).  Queries with empty
-    P are skipped.  Returns (sum of query losses, gradient w.r.t. sim,
-    number of contributing queries).
+
+def _infonce(sim: np.ndarray, tau: float, pos_mask: np.ndarray):
+    """Supervised InfoNCE over one similarity matrix (Khosla et al.,
+    Supervised Contrastive Learning, NeurIPS 2020).
+
+    Per query i with positives P (row i of the boolean mask, diagonal
+    false) and candidates everyone but i:
+    loss_i = logsumexp_{j != i}(s_ij/tau) - mean_P(s_ij/tau).  Queries
+    with empty P are skipped.  Returns (sum of query losses, gradient
+    w.r.t. sim, number of contributing queries).
     """
-    n = sim.shape[0]
+    n_pos = pos_mask.sum(axis=1)
+    valid = n_pos > 0
+    n_valid = int(valid.sum())
+    if n_valid == 0:
+        return 0.0, np.zeros_like(sim), 0
+    logits = sim[valid] / tau
+    rows = np.flatnonzero(valid)
+    logits[np.arange(n_valid), rows] = -np.inf   # a query is no candidate
+    m = logits.max(axis=1, keepdims=True)
+    soft = np.exp(logits - m)
+    z = soft.sum(axis=1, keepdims=True)
+    pos = pos_mask[valid]
+    k = n_pos[valid]
+    pos_mean = np.where(pos, logits, 0.0).sum(axis=1) / k
+    total = float(np.sum(m[:, 0] + np.log(z[:, 0]) - pos_mean))
     g = np.zeros_like(sim)
-    total = 0.0
-    n_valid = 0
-    everyone = np.arange(n)
-    for i in range(n):
-        pos = pos_sets[i]
-        if len(pos) == 0:
-            continue
-        cand = cand_sets[i] if cand_sets is not None else everyone[everyone != i]
-        logits = sim[i, cand] / tau
-        m = logits.max()
-        lse = m + np.log(np.exp(logits - m).sum())
-        total += lse - float(np.mean(sim[i, pos])) / tau
-        g[i, cand] += np.exp(logits - lse) / tau
-        g[i, pos] -= 1.0 / (len(pos) * tau)
-        n_valid += 1
+    g[valid] = (soft / z - pos / k[:, None]) / tau
     return total, g, n_valid
 
 
@@ -132,7 +140,8 @@ def mg_contrastive_loss(level_logits: np.ndarray,
         z = level_logits[:, lvl, :]
         zh, norms = _normalize_rows(z)
         sim = zh @ zh.T
-        lsum, g_sim, n_valid = _infonce(sim, batch.tau, batch.level_pos[lvl])
+        lsum, g_sim, n_valid = _infonce(
+            sim, batch.tau, _positive_mask(batch.level_pos[lvl], n))
         if n_valid == 0:
             continue
         loss += lsum / (n_valid * L)
@@ -173,13 +182,15 @@ def emb_contrastive_loss(embeddings: np.ndarray,
     positive.  Queries without a mate are skipped; an all-skipped batch
     is an error."""
     z = np.asarray(embeddings, dtype=np.float64)
-    pos_sets = [np.array([j]) if j >= 0 else np.empty(0, dtype=np.int64)
-                for j in batch.emb_pos]
-    if all(len(p) == 0 for p in pos_sets):
+    n = z.shape[0]
+    has_mate = batch.emb_pos >= 0
+    if not has_mate.any():
         raise InputError("no query has a same-leaf mate in this batch")
+    pos_mask = np.zeros((n, n), dtype=bool)
+    pos_mask[has_mate, batch.emb_pos[has_mate]] = True
     zh, norms = _normalize_rows(z)
     sim = zh @ zh.T
-    lsum, g_sim, n_valid = _infonce(sim, batch.tau, pos_sets)
+    lsum, g_sim, n_valid = _infonce(sim, batch.tau, pos_mask)
     return lsum / n_valid, _cosine_backprop(g_sim / n_valid, zh, norms)
 
 
@@ -284,6 +295,7 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
     opt = numkit.adam_init(base_params, lr=config.lr)
     opt_dec = numkit.adam_init(pipeline.decoder.flat(), lr=config.lr)
 
+    features = catalog.features_matrix()
     rng = np.random.default_rng(config.seed)
     report = LossReport()
     n_lk = config.L * config.K
@@ -296,8 +308,7 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
             ids = order[start:start + config.batch_size]
             if len(ids) < 2:
                 continue
-            x = catalog.features_matrix(ids)
-            fp = unisid.forward_batch(model, x)
+            fp = unisid.forward_batch(model, features[ids])
             cb = make_contrast_batch(catalog, ids, config.tau)
 
             if config.use_sid:

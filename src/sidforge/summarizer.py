@@ -92,10 +92,14 @@ def summarize(item: Item, tree: CategoryTree,
 @dataclass
 class ReconPipeline:
     """recon_head: (L*K + d_e) -> d_r; decoder scores the next token from
-    the conditioning state plus a fixed-length one-hot prefix encoding."""
+    the conditioning state plus a fixed-length one-hot prefix encoding.
+
+    Only the decoder's first layer sees the prefix, and a one-hot input
+    picks one weight row per prefix token, so the first layer is applied
+    as a row gather (see _first_layer) rather than to a dense one-hot."""
 
     recon_head: MlpParams
-    decoder: MlpParams   # (d_r + SUMMARY_LEN * vocab) -> vocab
+    decoder: MlpParams   # (d_r + SUMMARY_LEN * vocab) -> hidden -> ... -> vocab
     vocab: SummaryVocab
     d_r: int
 
@@ -107,6 +111,8 @@ class ReconPipeline:
                 f"decoder input dim {self.decoder.in_dim} != {expect}")
         if self.decoder.out_dim != v:
             raise ShapeError("decoder output dim must equal vocab size")
+        if len(self.decoder.weights) < 2:
+            raise ShapeError("decoder needs at least one hidden layer")
 
 
 def init_pipeline(L: int, K: int, d_e: int, d_r: int, vocab: SummaryVocab,
@@ -130,22 +136,33 @@ def recon_state(logits: np.ndarray, emb: np.ndarray,
     return numkit.mlp_apply(pipeline.recon_head, x)
 
 
-def _prefix_encoding(prefix: np.ndarray, v: int) -> np.ndarray:
-    """(n, t) token prefix -> (n, SUMMARY_LEN * v) one-hots, later
-    positions zero."""
-    n, t = prefix.shape
-    out = np.zeros((n, SUMMARY_LEN * v), dtype=np.float64)
-    if t:
-        rows = np.repeat(np.arange(n), t)
-        cols = (np.arange(t) * v)[None, :] + prefix
-        out[rows, cols.reshape(-1)] = 1.0
-    return out
+def _first_layer(h_rec: np.ndarray, pipeline: ReconPipeline):
+    """Split the decoder's first layer.  Returns the pre-activation of the
+    empty prefix, h_rec @ W0[:d_r] + b0 (n, hidden); the prefix rows of
+    W0 as a (SUMMARY_LEN, vocab, hidden) view, where token k at position
+    s adds prefix_rows[s, k] to every later position's pre-activation; and
+    the remaining layers as one MLP."""
+    dec = pipeline.decoder
+    w0 = dec.weights[0]
+    base = h_rec @ w0[:pipeline.d_r] + dec.biases[0]
+    prefix_rows = w0[pipeline.d_r:].reshape(SUMMARY_LEN, len(pipeline.vocab),
+                                            w0.shape[1])
+    tail = MlpParams(dec.weights[1:], dec.biases[1:], dec.activations[1:])
+    return base, prefix_rows, tail
+
+
+def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
+    return np.maximum(pre, 0.0) if activation == numkit.RELU else pre
 
 
 def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
                pipeline: ReconPipeline):
     """Teacher-forced cross-entropy over all positions, averaged over the
-    batch.  Returns (loss, grad w.r.t. h_rec, flat decoder gradients)."""
+    batch.  Returns (loss, grad w.r.t. h_rec, flat decoder gradients).
+
+    Position t's first-layer pre-activation is the empty-prefix one plus
+    the exclusive cumulative sum of the prefix rows its targets pick; the
+    remaining layers run once over all n * SUMMARY_LEN positions."""
     h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
     v = len(pipeline.vocab)
@@ -154,42 +171,57 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     if targets.min() < 0 or targets.max() >= v:
         raise InputError("target token out of vocabulary")
     n = h_rec.shape[0]
-    loss = 0.0
-    g_h = np.zeros_like(h_rec)
-    dec_grads = [np.zeros_like(p) for p in pipeline.decoder.flat()]
-    for t in range(SUMMARY_LEN):
-        x = np.concatenate([h_rec, _prefix_encoding(targets[:, :t], v)], axis=1)
-        logits, cache = numkit.mlp_apply(pipeline.decoder, x)
-        m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-        tok = targets[:, t]
-        loss += float(np.mean(lse - logits[np.arange(n), tok]))
-        soft = np.exp(logits - m)
-        soft /= soft.sum(axis=1, keepdims=True)
-        soft[np.arange(n), tok] -= 1.0
-        grads, gx = numkit.mlp_grad(pipeline.decoder, cache, soft / n)
-        for i, g in enumerate(grads):
-            dec_grads[i] += g
-        g_h += gx[:, :pipeline.d_r]
-    return loss, g_h, dec_grads
+    act0 = pipeline.decoder.activations[0]
+    base, prefix_rows, tail = _first_layer(h_rec, pipeline)
+    # the last target is never part of a prefix
+    pos = np.arange(SUMMARY_LEN - 1)
+    picked = prefix_rows[pos, targets[:, :-1]]            # (n, S-1, hidden)
+    pre = np.repeat(base[:, None, :], SUMMARY_LEN, axis=1)
+    pre[:, 1:] += np.cumsum(picked, axis=1)
+    logits, cache = numkit.mlp_apply(
+        tail, _activate(pre, act0).reshape(n * SUMMARY_LEN, -1))
+    tok = targets.reshape(-1)
+    rows = np.arange(n * SUMMARY_LEN)
+    m = logits.max(axis=1, keepdims=True)
+    soft = np.exp(logits - m)
+    z = soft.sum(axis=1)
+    loss = float(np.sum(m[:, 0] + np.log(z) - logits[rows, tok])) / n
+    soft /= z[:, None]
+    soft[rows, tok] -= 1.0
+    tail_grads, g_act = numkit.mlp_grad(tail, cache, soft / n)
+    g_pre = g_act.reshape(pre.shape)
+    if act0 == numkit.RELU:
+        g_pre *= pre > 0.0
+    g_base = g_pre.sum(axis=1)
+    # prefix row (s, targets[:, s]) feeds every position after s
+    g_picked = np.cumsum(g_pre[:, :0:-1], axis=1)[:, ::-1]
+    g_rows = np.zeros_like(prefix_rows)
+    np.add.at(g_rows, (pos, targets[:, :-1]), g_picked)
+    w0 = pipeline.decoder.weights[0]
+    g_w0 = np.concatenate([h_rec.T @ g_base,
+                           g_rows.reshape(-1, w0.shape[1])])
+    g_h = g_base @ w0[:pipeline.d_r].T
+    return loss, g_h, [g_w0, g_base.sum(axis=0)] + tail_grads
 
 
 def decode_summary(h_rec: np.ndarray, pipeline: ReconPipeline) -> np.ndarray:
     """Greedy teacher-free decoding; stops at the end marker or
-    SUMMARY_LEN tokens."""
+    SUMMARY_LEN tokens.  Each step adds its token's prefix row to a
+    running first-layer pre-activation."""
     h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
     n = h_rec.shape[0]
-    v = len(pipeline.vocab)
-    prefix = np.zeros((n, 0), dtype=np.int64)
+    act0 = pipeline.decoder.activations[0]
+    pre, prefix_rows, tail = _first_layer(h_rec, pipeline)
+    out = np.empty((n, SUMMARY_LEN), dtype=np.int64)
     done = np.zeros(n, dtype=bool)
-    for _ in range(SUMMARY_LEN):
-        x = np.concatenate([h_rec, _prefix_encoding(prefix, v)], axis=1)
-        logits, _ = numkit.mlp_apply(pipeline.decoder, x)
+    for t in range(SUMMARY_LEN):
+        logits, _ = numkit.mlp_apply(tail, _activate(pre, act0))
         tok = np.argmax(logits, axis=1)
         tok[done] = EOS_ID
-        prefix = np.concatenate([prefix, tok[:, None]], axis=1)
+        out[:, t] = tok
+        pre = pre + prefix_rows[t, tok]
         done |= tok == EOS_ID
-    return prefix
+    return out
 
 
 def summary_text(tokens: np.ndarray, vocab: SummaryVocab) -> str:

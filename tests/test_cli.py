@@ -185,3 +185,23 @@ def test_ablate_joint(tmp_path):
         doc = json.load(open(os.path.join(out, "ablate", name,
                                           "eval_unisid.json")))
         assert doc["extra"]["variant"] == name
+
+
+def test_eval_with_shallower_baselines(tmp_path):
+    # each scheme's next-SID model takes its depth from that scheme's
+    # SID table, not from train.L
+    cfg = json.loads(json.dumps(SMALL))
+    cfg["rq"]["L"] = 2
+    cfg["rqvae"]["L"] = 2
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "run")
+    for command in ("gen-data", "train-unisid", "fit-rqkmeans",
+                    "train-rqvae", "assign", "eval"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", out]) == 0, command
+    for scheme, L in (("unisid", 3), ("rqkmeans", 2), ("rqvae", 2)):
+        doc = json.load(open(os.path.join(out, f"sids_{scheme}.json")))
+        assert doc["L"] == L
+        eval_doc = json.load(open(os.path.join(out, f"eval_{scheme}.json")))
+        assert eval_doc["hr"], scheme

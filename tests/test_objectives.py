@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidforge.catalog import build_positive_sets
 from sidforge.errors import ConfigurationError, InputError, NumericError
@@ -78,6 +79,13 @@ def test_emb_pos_is_lowest_id_same_leaf_mate(small_catalog):
     for i, item_id in enumerate(ids):
         mate = ids.index(item_id + 8 if item_id < 8 else item_id - 8)
         assert cb.emb_pos[i] == mate
+
+
+def test_emb_pos_picks_lowest_id_among_several_mates(small_catalog):
+    # ids 16, 8 and 0 share leaf 0; the pairing goes by item id, not by
+    # batch position
+    cb = _batch(small_catalog, [16, 8, 0, 1])
+    assert cb.emb_pos.tolist() == [2, 2, 1, -1]
 
 
 def test_emb_pos_missing_mate(small_catalog):
@@ -242,6 +250,102 @@ def test_loss_report_csv(tmp_path):
     assert lines[0] == "step,L_sid,L_emb,L_rec,L_total,L_use"
     assert lines[1] == "0,1,2,3,6,0.25"
     assert r.epoch_means(2) == [4.0 - 0.25]
+
+
+def _assert_rows_permute(got, want):
+    # the summation order changes with the batch order; atol covers
+    # entries that cancel to round-off
+    scale = max(float(np.abs(want).max()), 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13 * scale)
+
+
+_batches = st.lists(st.integers(min_value=0, max_value=63), min_size=2,
+                    max_size=24, unique=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_batches, seed=st.integers(0, 2**32 - 1))
+def test_mg_loss_permutation_invariant(small_catalog, batch, seed):
+    rng = np.random.default_rng(seed)
+    n = len(batch)
+    logits = rng.normal(size=(n, 3, 16))
+    perm = rng.permutation(n)
+    loss, grad = mg_contrastive_loss(logits, _batch(small_catalog, batch))
+    loss_p, grad_p = mg_contrastive_loss(
+        logits[perm], _batch(small_catalog, [batch[i] for i in perm]))
+    assert np.isclose(loss_p, loss, rtol=1e-12, atol=1e-15)
+    _assert_rows_permute(grad_p, grad[perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_batches, seed=st.integers(0, 2**32 - 1))
+def test_emb_loss_permutation_invariant(small_catalog, batch, seed):
+    rng = np.random.default_rng(seed)
+    n = len(batch)
+    emb = rng.normal(size=(n, 8))
+    perm = rng.permutation(n)
+    cb = _batch(small_catalog, batch)
+    cb_p = _batch(small_catalog, [batch[i] for i in perm])
+    if not np.any(cb.emb_pos >= 0):
+        for b, e in ((cb, emb), (cb_p, emb[perm])):
+            with pytest.raises(InputError):
+                emb_contrastive_loss(e, b)
+        return
+    # the pairing goes by item id, so it moves with the batch
+    np.testing.assert_array_equal(
+        cb_p.emb_pos, np.where(cb.emb_pos[perm] >= 0,
+                               np.argsort(perm)[cb.emb_pos[perm]], -1))
+    loss, grad = emb_contrastive_loss(emb, cb)
+    loss_p, grad_p = emb_contrastive_loss(emb[perm], cb_p)
+    assert np.isclose(loss_p, loss, rtol=1e-12, atol=1e-15)
+    _assert_rows_permute(grad_p, grad[perm])
+
+
+def _fd_check(loss_fn, x, rng, n_coords=30, h=1e-5):
+    _, grad = loss_fn(x)
+    for _ in range(n_coords):
+        idx = tuple(rng.integers(s) for s in x.shape)
+        up, dn = x.copy(), x.copy()
+        up[idx] += h
+        dn[idx] -= h
+        fd = (loss_fn(up)[0] - loss_fn(dn)[0]) / (2 * h)
+        assert abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1.0) < 1e-5
+
+
+def test_mg_loss_level_without_positives(rng):
+    # level 0 has positives for some queries, levels 1 and 2 for none
+    empty = [np.empty(0, dtype=np.int64)] * 5
+    pos0 = [np.array([3]), np.empty(0, dtype=np.int64), np.array([4]),
+            np.array([0]), np.array([2])]
+    cb = ContrastBatch(ids=list(range(5)), level_pos=[pos0, empty, empty],
+                       emb_pos=np.full(5, -1), tau=0.07)
+    logits = rng.normal(size=(5, 3, 8))
+    loss, grad = mg_contrastive_loss(logits, cb)
+    assert np.isclose(loss, _oracle_mg(logits, cb), rtol=1e-12)
+    assert np.all(grad[:, 1:, :] == 0.0)
+    # query 1 has no positive but is still a negative for the others
+    assert np.any(grad[1, 0, :] != 0.0)
+    _fd_check(lambda x: mg_contrastive_loss(x, cb), logits, rng)
+
+    none = ContrastBatch(ids=list(range(5)), level_pos=[empty] * 3,
+                         emb_pos=np.full(5, -1), tau=0.07)
+    loss, grad = mg_contrastive_loss(logits, none)
+    assert loss == 0.0
+    assert np.all(grad == 0.0)
+
+
+def test_mg_loss_partial_positives_match_oracle(small_catalog, rng):
+    # leaf = id % 8 on the (2,2,2) tree: only some queries share a leaf
+    # or a level-2 node with another batch item
+    ids = [0, 8, 1, 2, 10, 5, 7, 4]
+    cb = _batch(small_catalog, ids)
+    for pos in cb.level_pos:
+        has = [len(p) > 0 for p in pos]
+        assert any(has) and not all(has)
+    logits = rng.normal(size=(len(ids), 3, 16))
+    loss, _ = mg_contrastive_loss(logits, cb)
+    assert np.isclose(loss, _oracle_mg(logits, cb), rtol=1e-12)
+    _fd_check(lambda x: mg_contrastive_loss(x, cb), logits, rng)
 
 
 def test_positive_sets_nest_on_real_batches(medium_catalog):

@@ -74,6 +74,60 @@ def test_summarize_rejects_bad_labels(small_catalog):
         summarize(bad, small_catalog.tree)
 
 
+def _oracle_prefix_encoding(prefix, v):
+    """(n, t) token prefix -> (n, SUMMARY_LEN * v) one-hots, later
+    positions zero."""
+    n, t = prefix.shape
+    out = np.zeros((n, SUMMARY_LEN * v), dtype=np.float64)
+    for i in range(n):
+        for s in range(t):
+            out[i, s * v + prefix[i, s]] = 1.0
+    return out
+
+
+def _oracle_recon(h_rec, targets, pipeline):
+    """Per-position teacher-forced loss over dense one-hot prefix inputs,
+    running the whole decoder once per position."""
+    v = len(pipeline.vocab)
+    n = h_rec.shape[0]
+    loss = 0.0
+    g_h = np.zeros_like(h_rec)
+    dec_grads = [np.zeros_like(p) for p in pipeline.decoder.flat()]
+    for t in range(SUMMARY_LEN):
+        x = np.concatenate(
+            [h_rec, _oracle_prefix_encoding(targets[:, :t], v)], axis=1)
+        logits, cache = numkit.mlp_apply(pipeline.decoder, x)
+        m = logits.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+        tok = targets[:, t]
+        loss += float(np.mean(lse - logits[np.arange(n), tok]))
+        soft = np.exp(logits - m)
+        soft /= soft.sum(axis=1, keepdims=True)
+        soft[np.arange(n), tok] -= 1.0
+        grads, gx = numkit.mlp_grad(pipeline.decoder, cache, soft / n)
+        for i, g in enumerate(grads):
+            dec_grads[i] += g
+        g_h += gx[:, :pipeline.d_r]
+    return loss, g_h, dec_grads
+
+
+def _oracle_decode(h_rec, pipeline):
+    """Greedy decoding that re-encodes the whole prefix at every step."""
+    v = len(pipeline.vocab)
+    n = h_rec.shape[0]
+    prefix = np.zeros((n, 0), dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    for _ in range(SUMMARY_LEN):
+        x = np.concatenate([h_rec, _oracle_prefix_encoding(prefix, v)],
+                           axis=1)
+        logits, _ = numkit.mlp_apply(pipeline.decoder, x)
+        tok = np.argmax(logits, axis=1)
+        tok[done] = EOS_ID
+        prefix = np.concatenate([prefix, tok[:, None]], axis=1)
+        done |= tok == EOS_ID
+    return prefix
+
+
 def _pipeline(seed=0, d_r=6):
     vocab = build_vocab(build_tree((2, 2, 2)))
     return init_pipeline(L=2, K=4, d_e=5, d_r=d_r, vocab=vocab, seed=seed,
@@ -90,6 +144,59 @@ def test_pipeline_shape_validation(rng):
         ReconPipeline(recon_head=pipe.recon_head,
                       decoder=numkit.mlp_init(
                           [pipe.d_r + SUMMARY_LEN * len(vocab), 3], rng),
+                      vocab=vocab, d_r=pipe.d_r)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recon_loss_matches_loop_oracle(seed):
+    rng = np.random.default_rng(seed)
+    pipe, vocab = _pipeline(seed=seed, d_r=int(rng.integers(3, 9)))
+    if seed % 2:
+        pipe.decoder.activations[0] = numkit.IDENTITY
+    n = int(rng.integers(1, 12))
+    h = rng.normal(size=(n, pipe.d_r))
+    targets = rng.integers(0, len(vocab), size=(n, SUMMARY_LEN))
+    loss, g_h, dec = recon_loss(h, targets, pipe)
+    o_loss, o_g_h, o_dec = _oracle_recon(h, targets, pipe)
+    assert np.isclose(loss, o_loss, rtol=1e-12, atol=0.0)
+    # the summation order differs, so entries that cancel to ~1e-16 carry
+    # a large relative error; atol is ten float64 ulps at magnitude 1
+    np.testing.assert_allclose(g_h, o_g_h, rtol=1e-12, atol=1e-15)
+    assert len(dec) == len(o_dec)
+    for g, o in zip(dec, o_dec):
+        assert g.shape == o.shape
+        np.testing.assert_allclose(g, o, rtol=1e-12, atol=1e-15)
+
+
+def test_decode_summary_matches_loop_oracle():
+    ends = set()
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        pipe, _ = _pipeline(seed=seed)
+        h = rng.normal(scale=2.0, size=(32, pipe.d_r))
+        # larger prefix rows make each emitted token move the next scores,
+        # and an end-marker bias at the 10% quantile of its first-step gap
+        # makes some rows stop at the first step and others later
+        pipe.decoder.weights[0][pipe.d_r:] *= 8.0
+        x = np.concatenate(
+            [h, np.zeros((32, pipe.decoder.in_dim - pipe.d_r))], axis=1)
+        logits, _ = numkit.mlp_apply(pipe.decoder, x)
+        gap = (np.delete(logits, EOS_ID, axis=1).max(axis=1)
+               - logits[:, EOS_ID])
+        pipe.decoder.biases[-1][EOS_ID] += np.quantile(gap, 0.1)
+        got = decode_summary(h, pipe)
+        np.testing.assert_array_equal(got, _oracle_decode(h, pipe))
+        ends |= {int(np.argmax(r == EOS_ID)) for r in got if EOS_ID in r}
+    assert 0 in ends and len(ends) >= 3   # first-step and mid-sequence ends
+
+
+def test_pipeline_needs_hidden_decoder_layer(rng):
+    pipe, vocab = _pipeline()
+    with pytest.raises(ShapeError):
+        ReconPipeline(recon_head=pipe.recon_head,
+                      decoder=numkit.mlp_init(
+                          [pipe.d_r + SUMMARY_LEN * len(vocab), len(vocab)],
+                          rng),
                       vocab=vocab, d_r=pipe.d_r)
 
 
