@@ -239,8 +239,10 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str,
     include_hr = e["include_hr"] if include_hr is None else include_hr
     include_recall = (e["include_recall"] if include_recall is None
                       else include_recall)
+    # each scheme has its own depth; the table's codes give it
+    depth = len(next(iter(table.values())))
     vs = [evalsuite.sid_level_vmeasure(table, catalog, lvl)
-          for lvl in (1, 2, 3)]
+          for lvl in range(1, depth + 1)]
     coll, prefixes = evalsuite.collision_rate(table)
     report = EvalReport(scheme=scheme, seed=e["seed"],
                         config_digest=config_digest(cfg), v_measure=vs,
@@ -251,9 +253,7 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str,
         n_test = max(1, len(seqs) // 5)
         train_seqs, test_seqs = seqs[:-n_test], seqs[-n_test:]
         ns = e["next_sid"]
-        # each scheme has its own depth; the table's codes give it
-        nsc = NextSidConfig(L=len(next(iter(table.values()))),
-                            K=doc_k(cfg, scheme),
+        nsc = NextSidConfig(L=depth, K=doc_k(cfg, scheme),
                             d_s=ns["d_s"], hidden=ns["hidden"],
                             history=ns["history"], epochs=ns["epochs"],
                             batch_size=ns["batch_size"], lr=ns["lr"],
@@ -356,14 +356,18 @@ def cmd_report(cfg: dict, out: str) -> None:
     path = os.path.join(out, "report.csv")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        header = (["scheme"] + [f"v_measure_l{i}" for i in (1, 2, 3)]
+        # a shallower scheme leaves its missing levels empty
+        depth = max(len(r.v_measure or []) for r in rows)
+        header = (["scheme"]
+                  + [f"v_measure_l{i}" for i in range(1, depth + 1)]
                   + [f"hr@{k}" for k in cfg["eval"]["k_list"]]
                   + [f"recall@{k}" for k in cfg["eval"]["k_list"]]
                   + ["collision"])
         w.writerow(header)
         for r in rows:
             row = [r.scheme]
-            row += [f"{v:.4f}" for v in (r.v_measure or [])]
+            vs = r.v_measure or []
+            row += [f"{v:.4f}" for v in vs] + [""] * (depth - len(vs))
             row += [f"{r.hr[k]:.4f}" if r.hr else ""
                     for k in cfg["eval"]["k_list"]]
             row += [f"{r.recall[k]:.4f}" if r.recall else ""

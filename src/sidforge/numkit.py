@@ -241,8 +241,10 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     """Lloyd's algorithm with k-means++ seeding and `n_init` seeded
     restarts (best objective wins, first winner kept on ties).
 
-    Ties in the nearest-centroid assignment go to the lowest centroid
-    index; empty clusters are re-seeded to the farthest point.
+    Each assignment is exactly `argmin(np.sum((x - c) ** 2, axis=-1))`,
+    ties to the lowest centroid index (see `nearest_centroid`); each
+    centroid is the mean of its points summed in row order.  Empty
+    clusters are re-seeded to the farthest point.
     Returns (centroids (k, d), assignments (n,)).
     """
     points = np.asarray(points, dtype=np.float64)
@@ -251,39 +253,92 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
             f"K={k} exceeds number of points {points.shape[0]}")
     if k <= 0:
         raise ConfigurationError("K must be positive")
+    sq_norms = np.sum(points ** 2, axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(1, n_init)):
-        centroids, assign = _kmeans_single(points, k, iterations, rng)
+        centroids, assign = _kmeans_single(points, sq_norms, k, iterations,
+                                           rng)
         obj = kmeans_objective(points, centroids, assign)
         if best is None or obj < best[0] - 1e-12:
             best = (obj, centroids, assign)
     return best[1], best[2]
 
 
-def _kmeans_single(points: np.ndarray, k: int, iterations: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    n = points.shape[0]
+def nearest_centroid(points: np.ndarray, sq_norms: np.ndarray,
+                     centroids: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid for each row of `points`, exactly as
+    `argmin(np.sum((x - c) ** 2, axis=-1))` gives it: lowest index on ties.
+
+    `sq_norms` holds `np.sum(points ** 2, axis=1)`.  The GEMM form
+    ||x||^2 - 2 x.c + ||c||^2 (Johnson, Douze & Jegou, "Billion-scale
+    similarity search with GPUs") screens all pairs.  In float64 with
+    unit roundoff u, it and the broadcast form each stay within
+    (d + 2) u (||x|| + ||c||)^2 of the true squared distance, to first
+    order.  So the broadcast argmin, and every column tied with it, lies
+    within the errors of both forms at it and at the screened argmin,
+    4 (d + 2) u (||x|| + max ||c||)^2 in all, of the screened minimum.  The tolerance below is twice that with
+    d + 4 for d + 2 (eps = 2u), which covers the second-order terms and
+    the rounding of the comparison.  A row with one column inside it has
+    that column as its answer; the others, rare outside exact ties, are
+    recomputed in the broadcast form.
+    """
+    c_sq = np.sum(centroids ** 2, axis=1)
+    screen = sq_norms[:, None] - 2.0 * (points @ centroids.T) + c_sq
+    nearest = np.argmin(screen, axis=1)
+    lowest = screen[np.arange(points.shape[0]), nearest]
+    span = (np.sqrt(sq_norms) + np.sqrt(c_sq.max())) ** 2
+    tol = 2.0 * (points.shape[1] + 4) * np.finfo(np.float64).eps * span
+    close = np.count_nonzero(screen <= (lowest + tol)[:, None], axis=1)
+    rows = np.flatnonzero(close > 1)
+    if rows.size:
+        d2 = np.sum((points[rows, None, :] - centroids[None, :, :]) ** 2,
+                    axis=2)
+        nearest[rows] = np.argmin(d2, axis=1)
+    return nearest
+
+
+def _kmeans_single(points: np.ndarray, sq_norms: np.ndarray, k: int,
+                   iterations: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray]:
     centroids = _kmeans_pp_init(points, k, rng)
-    assign = np.zeros(n, dtype=np.int64)
+    assign = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(iterations):
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        new_assign = np.argmin(d2, axis=1)  # argmin takes the lowest index
-        for j in range(k):
-            mask = new_assign == j
-            if mask.any():
-                centroids[j] = points[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(d2[np.arange(n), new_assign]))
-                centroids[j] = points[far]
-                new_assign[far] = j
+        new_assign = nearest_centroid(points, sq_norms, centroids)
+        counts = np.bincount(new_assign, minlength=k)
+        if counts.all():
+            # each cluster's rows, contiguous and in row order, sum as
+            # points[new_assign == j].sum(axis=0) does
+            grouped = points[np.argsort(new_assign, kind="stable")]
+            ends = np.cumsum(counts)
+            sums = np.stack([grouped[e - c:e].sum(axis=0)
+                             for c, e in zip(counts, ends)])
+            centroids = sums / counts[:, None]
+        else:
+            _reseed_update(points, centroids, new_assign)
         if np.array_equal(new_assign, assign):
             assign = new_assign
             break
         assign = new_assign
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    assign = np.argmin(d2, axis=1)
-    return centroids, assign
+    return centroids, nearest_centroid(points, sq_norms, centroids)
+
+
+def _reseed_update(points: np.ndarray, centroids: np.ndarray,
+                   assign: np.ndarray) -> None:
+    """Centroid update when some cluster is empty, in place and in
+    cluster order: an empty cluster takes the point farthest from its
+    centroid before this update, and that point leaves its cluster for
+    the clusters not yet updated."""
+    before = centroids.copy()
+    for j in range(centroids.shape[0]):
+        mask = assign == j
+        if mask.any():
+            centroids[j] = points[mask].mean(axis=0)
+        else:
+            far = int(np.argmax(np.sum((points - before[assign]) ** 2,
+                                       axis=1)))
+            centroids[j] = points[far]
+            assign[far] = j
 
 
 def kmeans_objective(points: np.ndarray, centroids: np.ndarray,

@@ -58,37 +58,22 @@ def rq_kmeans_fit(embeddings: np.ndarray, L: int, K: int, seed: int,
     return Codebook(levels=levels)
 
 
-def rq_assign(codebook: Codebook,
-              v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy per-level nearest-codeword assignment with residual update.
-
-    Returns (tokens (L,), residual norms (L+1,) starting at ||v||).
-    Nearest-codeword ties go to the lowest index.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (codebook.dim,):
-        raise ShapeError(f"vector dim {v.shape} != ({codebook.dim},)")
-    tokens = np.empty(codebook.L, dtype=np.int64)
-    norms = np.empty(codebook.L + 1, dtype=np.float64)
-    r = v
-    for lvl in range(codebook.L):
-        norms[lvl] = np.linalg.norm(r)
-        d2 = np.sum((codebook.levels[lvl] - r) ** 2, axis=1)
-        tokens[lvl] = int(np.argmin(d2))
-        r = r - codebook.levels[lvl, tokens[lvl]]
-    norms[codebook.L] = np.linalg.norm(r)
-    return tokens, norms
-
-
 def rq_assign_batch(codebook: Codebook, x: np.ndarray) -> np.ndarray:
-    """(n, d) -> (n, L) token matrix."""
+    """(n, d) -> (n, L) token matrix: greedy per-level nearest-codeword
+    assignment with residual update.
+
+    Each token is exactly the index `argmin(np.sum((r - c) ** 2, axis=-1))`
+    gives for the level's residual r, lowest index on ties (see
+    `numkit.nearest_centroid`).
+    """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != codebook.dim:
+        raise ShapeError(f"input shape {x.shape} != (n, {codebook.dim})")
     tokens = np.empty((x.shape[0], codebook.L), dtype=np.int64)
     r = x.copy()
     for lvl in range(codebook.L):
-        d2 = np.sum((r[:, None, :] - codebook.levels[lvl][None, :, :]) ** 2,
-                    axis=2)
-        tokens[:, lvl] = np.argmin(d2, axis=1)
+        tokens[:, lvl] = numkit.nearest_centroid(r, np.sum(r ** 2, axis=1),
+                                                 codebook.levels[lvl])
         r -= codebook.levels[lvl][tokens[:, lvl]]
     return tokens
 
@@ -165,17 +150,21 @@ def rq_vae_loss_grads(model: RqVaeModel, x: np.ndarray):
 def _ema_update(codebook: Codebook, z: np.ndarray, tokens: np.ndarray,
                 counts: np.ndarray, sums: np.ndarray, decay: float) -> None:
     """EMA codeword update, level by level over the level's residual
-    inputs."""
+    inputs.  A codeword whose decayed count is 1e-8 or less keeps its
+    value."""
     r = z.copy()
     for lvl in range(codebook.L):
-        for k in range(codebook.K):
-            mask = tokens[:, lvl] == k
-            counts[lvl, k] = decay * counts[lvl, k] + (1 - decay) * mask.sum()
-            sums[lvl, k] = (decay * sums[lvl, k]
-                            + (1 - decay) * r[mask].sum(axis=0))
-            if counts[lvl, k] > 1e-8:
-                codebook.levels[lvl, k] = sums[lvl, k] / counts[lvl, k]
-        r = r - codebook.levels[lvl][tokens[:, lvl]]
+        tok = tokens[:, lvl]
+        batch_sums = np.zeros((codebook.K, codebook.dim))
+        # rows added in row order per code, as r[tok == k].sum(axis=0)
+        # does for d >= 2 (NumPy sums a single column pairwise)
+        np.add.at(batch_sums, tok, r)
+        counts[lvl] = (decay * counts[lvl]
+                       + (1 - decay) * np.bincount(tok, minlength=codebook.K))
+        sums[lvl] = decay * sums[lvl] + (1 - decay) * batch_sums
+        live = counts[lvl] > 1e-8
+        codebook.levels[lvl, live] = sums[lvl, live] / counts[lvl, live, None]
+        r = r - codebook.levels[lvl][tok]
 
 
 def rq_vae_fit(features: np.ndarray, config: RqVaeConfig

@@ -259,8 +259,7 @@ def test_criterion_2_rq_exactness():
     cb = rq.Codebook(levels=rng.normal(size=(3, 16, 8)))
     x = rng.normal(size=(10_000, 8))
     mismatches = 0
-    for v in x:
-        tokens, _ = rq.rq_assign(cb, v)
+    for v, tokens in zip(x, rq.rq_assign_batch(cb, x)):
         r = v.copy()
         for lvl in range(3):
             d2 = np.sum((cb.levels[lvl] - r) ** 2, axis=1)
@@ -270,7 +269,7 @@ def test_criterion_2_rq_exactness():
             r = r - cb.levels[lvl, tokens[lvl]]
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 10
-    record(2, ok, f"rq_assign vs brute-force scan on 10,000 vectors: "
+    record(2, ok, f"rq_assign_batch vs brute-force scan on 10,000 vectors: "
                   f"{mismatches} mismatches, {elapsed:.1f}s (< 10s)")
     assert ok
 

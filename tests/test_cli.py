@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
 import os
 
@@ -197,7 +198,7 @@ def test_eval_with_shallower_baselines(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     out = str(tmp_path / "run")
     for command in ("gen-data", "train-unisid", "fit-rqkmeans",
-                    "train-rqvae", "assign", "eval"):
+                    "train-rqvae", "assign", "eval", "report"):
         assert main([command, "--config", str(cfg_path),
                      "--out", out]) == 0, command
     for scheme, L in (("unisid", 3), ("rqkmeans", 2), ("rqvae", 2)):
@@ -205,3 +206,19 @@ def test_eval_with_shallower_baselines(tmp_path):
         assert doc["L"] == L
         eval_doc = json.load(open(os.path.join(out, f"eval_{scheme}.json")))
         assert eval_doc["hr"], scheme
+        # V-measure at levels 1..L of the scheme, not beyond its depth
+        assert len(eval_doc["v_measure"]) == L, scheme
+    # report.csv: V columns up to the deepest scheme, a shallower scheme's
+    # missing level left empty so its later columns stay aligned
+    with open(os.path.join(out, "report.csv"), newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0])[:4] == ["scheme", "v_measure_l1", "v_measure_l2",
+                                 "v_measure_l3"]
+    for row in rows:
+        eval_doc = json.load(open(os.path.join(
+            out, f"eval_{row['scheme']}.json")))
+        deep = row["scheme"] == "unisid"
+        assert (row["v_measure_l3"] != "") == deep, row
+        assert float(row["hr@1"]) == pytest.approx(eval_doc["hr"]["1"],
+                                                   abs=5e-5), row
+        assert row["collision"] != "", row

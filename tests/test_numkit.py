@@ -190,6 +190,105 @@ def test_kmeans_objective_monotone(rng):
         assert cur <= prev + 1e-9
 
 
+def _oracle_kmeans_single(points, k, iterations, rng, reseeds):
+    """The (n, k, d) broadcast Lloyd loop that `kmeans_fit` replaced;
+    appends to `reseeds` each time an empty cluster is re-seeded."""
+    n = points.shape[0]
+    centroids = numkit._kmeans_pp_init(points, k, rng)
+    assign = np.zeros(n, dtype=np.int64)
+    for _ in range(iterations):
+        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        for j in range(k):
+            mask = new_assign == j
+            if mask.any():
+                centroids[j] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(d2[np.arange(n), new_assign]))
+                centroids[j] = points[far]
+                new_assign[far] = j
+                reseeds.append(j)
+        if np.array_equal(new_assign, assign):
+            assign = new_assign
+            break
+        assign = new_assign
+    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return centroids, np.argmin(d2, axis=1)
+
+
+def _oracle_kmeans_fit(points, k, seed, reseeds, iterations=50, n_init=8):
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        centroids, assign = _oracle_kmeans_single(points, k, iterations, rng,
+                                                  reseeds)
+        obj = kmeans_objective(points, centroids, assign)
+        if best is None or obj < best[0] - 1e-12:
+            best = (obj, centroids, assign)
+    return best[1], best[2]
+
+
+def _clustered(rng, n, d, n_centers, offset=0.0):
+    centers = 3.0 * rng.normal(size=(n_centers, d))
+    return (centers[rng.integers(0, n_centers, size=n)]
+            + 0.5 * rng.normal(size=(n, d)) + offset)
+
+
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("data", ["clustered", "grid", "offset"])
+def test_kmeans_matches_broadcast_oracle(data, k):
+    rng = np.random.default_rng(k)
+    if data == "clustered":
+        x = _clustered(rng, 600, 32, 24)
+    elif data == "grid":
+        # few distinct integer points, many repeated: exact distance ties
+        x = rng.integers(0, 4, size=(500, 3)).astype(np.float64)
+    else:
+        # far from the origin, where the GEMM form cancels worst
+        x = _clustered(rng, 400, 16, 12, offset=1e3)
+    centroids, assign = kmeans_fit(x, k, seed=5)
+    want_c, want_a = _oracle_kmeans_fit(x, k, 5, [])
+    assert np.array_equal(centroids, want_c)
+    assert np.array_equal(assign, want_a)
+
+
+def test_kmeans_reseed_matches_broadcast_oracle():
+    # 8 distinct points, each repeated, for 11 clusters: k-means++ repeats
+    # centroids, so empty clusters are re-seeded, in cluster order, to the
+    # point farthest from its centroid before the update
+    reseeds = []
+    for seed in range(5):
+        r = np.random.default_rng(seed)
+        x = np.repeat(r.normal(size=(8, 2)), r.integers(1, 6, size=8), axis=0)
+        want_c, want_a = _oracle_kmeans_fit(x, 11, 0, reseeds)
+        centroids, assign = kmeans_fit(x, 11, seed=0)
+        assert np.array_equal(centroids, want_c), seed
+        assert np.array_equal(assign, want_a), seed
+    assert reseeds
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0, 1e3])
+def test_nearest_centroid_matches_broadcast_on_near_ties(offset):
+    # points near the bisector of a centroid pair: the two distances agree
+    # to rounding, so the GEMM screen alone often picks the other one
+    r = np.random.default_rng(1)
+    c = r.normal(size=(8, 16)) + offset
+    a, b = r.integers(0, 8, size=400), r.integers(0, 8, size=400)
+    u = c[a] - c[b]
+    w = r.normal(size=(400, 16))
+    w -= (np.sum(w * u, axis=1)
+          / np.maximum(np.sum(u * u, axis=1), 1e-300))[:, None] * u
+    x = (c[a] + c[b]) / 2 + 0.1 * w
+    sq_norms = np.sum(x ** 2, axis=1)
+    want = np.argmin(np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=2),
+                     axis=1)
+    screen_only = np.argmin(sq_norms[:, None] - 2.0 * (x @ c.T)
+                            + np.sum(c ** 2, axis=1), axis=1)
+    assert np.any(screen_only != want)  # the data does exercise the bound
+    np.testing.assert_array_equal(
+        numkit.nearest_centroid(x, sq_norms, c), want)
+
+
 def test_kmeans_k_too_large():
     with pytest.raises(ConfigurationError):
         kmeans_fit(np.zeros((3, 2)), k=4)

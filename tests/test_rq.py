@@ -2,28 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidforge import numkit
 from sidforge.errors import ConfigurationError, NumericError, ShapeError
 from sidforge.rq import (Codebook, RqVaeConfig, RqVaeModel, _ema_update,
-                         quantize, rq_assign, rq_assign_batch, rq_kmeans_fit,
-                         rq_vae_fit, rq_vae_loss_grads)
+                         quantize, rq_assign_batch, rq_kmeans_fit, rq_vae_fit,
+                         rq_vae_loss_grads)
 
 
 def _oracle_assign(levels, v):
-    """Naive per-level nearest-codeword loop."""
-    tokens, norms, r = [], [], v.astype(np.float64).copy()
+    """Naive per-level nearest-codeword loop: strict improvement only, so
+    ties keep the lowest index."""
+    tokens, r = [], v.astype(np.float64).copy()
     for lvl in range(levels.shape[0]):
-        norms.append(np.linalg.norm(r))
         best, best_d = 0, np.inf
         for k in range(levels.shape[1]):
             d = np.sum((r - levels[lvl, k]) ** 2)
-            if d < best_d - 1e-15:
+            if d < best_d:
                 best, best_d = k, d
         tokens.append(best)
         r = r - levels[lvl, best]
-    norms.append(np.linalg.norm(r))
-    return np.array(tokens), np.array(norms)
+    return np.array(tokens)
+
+
+def _oracle_ema_update(codebook, z, tokens, counts, sums, decay):
+    """The per-code loop that `_ema_update` replaced."""
+    r = z.copy()
+    for lvl in range(codebook.L):
+        for k in range(codebook.K):
+            mask = tokens[:, lvl] == k
+            counts[lvl, k] = decay * counts[lvl, k] + (1 - decay) * mask.sum()
+            sums[lvl, k] = (decay * sums[lvl, k]
+                            + (1 - decay) * r[mask].sum(axis=0))
+            if counts[lvl, k] > 1e-8:
+                codebook.levels[lvl, k] = sums[lvl, k] / counts[lvl, k]
+        r = r - codebook.levels[lvl][tokens[:, lvl]]
 
 
 def test_codebook_validation():
@@ -56,35 +71,56 @@ def test_rq_kmeans_k_too_large_names_level():
 
 def test_rq_assign_matches_oracle(rng):
     levels = rng.normal(size=(3, 7, 5))
-    cb = Codebook(levels=levels)
-    for _ in range(50):
-        v = rng.normal(size=5)
-        tokens, norms = rq_assign(cb, v)
-        otok, onorm = _oracle_assign(levels, v)
-        np.testing.assert_array_equal(tokens, otok)
-        np.testing.assert_allclose(norms, onorm)
+    x = rng.normal(size=(50, 5))
+    tokens = rq_assign_batch(Codebook(levels=levels), x)
+    for i in range(50):
+        np.testing.assert_array_equal(tokens[i], _oracle_assign(levels, x[i]))
 
 
 def test_rq_assign_tie_lowest_index():
     levels = np.zeros((1, 3, 2))
     levels[0, 1] = [1.0, 0.0]
     levels[0, 2] = [1.0, 0.0]  # duplicate of index 1
-    tokens, _ = rq_assign(Codebook(levels=levels), np.array([1.0, 0.0]))
-    assert tokens[0] == 1
+    tokens = rq_assign_batch(Codebook(levels=levels), np.array([[1.0, 0.0]]))
+    assert tokens[0, 0] == 1
 
 
 def test_rq_assign_shape_error():
     cb = Codebook(levels=np.zeros((1, 2, 3)))
     with pytest.raises(ShapeError):
-        rq_assign(cb, np.zeros(4))
+        rq_assign_batch(cb, np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        rq_assign_batch(cb, np.zeros(3))
 
 
 def test_rq_assign_batch_matches_single(rng):
+    # a row's tokens do not depend on the other rows of the batch
     cb = Codebook(levels=rng.normal(size=(2, 4, 3)))
     x = rng.normal(size=(20, 3))
     batch = rq_assign_batch(cb, x)
     for i in range(20):
-        np.testing.assert_array_equal(batch[i], rq_assign(cb, x[i])[0])
+        np.testing.assert_array_equal(batch[i],
+                                      rq_assign_batch(cb, x[i:i + 1])[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       K=st.integers(1, 9), offset=st.sampled_from([0.0, 1.0, 1e3]))
+def test_rq_assign_matches_bruteforce_with_ties(seed, dim, K, offset):
+    # small-integer grids make exact distance ties common: duplicated
+    # codewords, points equidistant from several codewords, and points
+    # that repeat; the offset adds cancellation to the GEMM screen
+    r = np.random.default_rng(seed)
+    levels = r.integers(-2, 3, size=(2, K, dim)).astype(np.float64)
+    dup = r.integers(0, K, size=K)
+    levels[1] = levels[1, dup]  # level 2 repeats codewords
+    levels[0] += offset
+    x = r.integers(-3, 4, size=(40, dim)).astype(np.float64) + offset
+    x[20:] = x[r.integers(0, 20, size=20)]
+    x[::7] = levels[0, r.integers(0, K, size=6)]
+    tokens = rq_assign_batch(Codebook(levels=levels), x)
+    for i in range(x.shape[0]):
+        np.testing.assert_array_equal(tokens[i], _oracle_assign(levels, x[i]))
 
 
 def test_quantize_sums_codewords(rng):
@@ -94,8 +130,8 @@ def test_quantize_sums_codewords(rng):
     for i in range(10):
         want = cb.levels[0][tokens[i, 0]] + cb.levels[1][tokens[i, 1]]
         np.testing.assert_allclose(q[i], want)
-        _, norms = rq_assign(cb, x[i])
-        assert np.isclose(np.linalg.norm(x[i] - q[i]), norms[-1])
+        r = x[i] - cb.levels[0][tokens[i, 0]] - cb.levels[1][tokens[i, 1]]
+        assert np.isclose(np.linalg.norm(x[i] - q[i]), np.linalg.norm(r))
 
 
 def test_rqvae_config_validation():
@@ -174,6 +210,29 @@ def test_ema_update_moves_codeword_toward_points():
     assert np.all(cb.levels[0, 0] < 1.0)
     # untouched codeword 1 stays put (count decays but sum/count is fixed)
     np.testing.assert_allclose(cb.levels[0, 1], [10.0, 10.0])
+
+
+def test_ema_update_matches_loop_oracle():
+    for seed in range(30):
+        r = np.random.default_rng(seed)
+        L, K = int(r.integers(1, 4)), int(r.integers(1, 12))
+        d, n = int(r.integers(2, 9)), int(r.integers(1, 60))
+        levels = r.normal(size=(L, K, d))
+        z = r.normal(size=(n, d))
+        # only the lower half of the codes is used; one count is below 1e-8
+        tokens = r.integers(0, max(1, K // 2), size=(n, L))
+        counts = r.uniform(0.0, 2.0, size=(L, K))
+        counts[0, -1] = 1e-12
+        sums = r.normal(size=(L, K, d))
+        cb, cb_want = Codebook(levels=levels.copy()), Codebook(levels=levels)
+        counts_want, sums_want = counts.copy(), sums.copy()
+        for _ in range(3):
+            _ema_update(cb, z, tokens, counts, sums, decay=0.9)
+            _oracle_ema_update(cb_want, z, tokens, counts_want, sums_want,
+                               decay=0.9)
+        assert np.array_equal(cb.levels, cb_want.levels), seed
+        assert np.array_equal(counts, counts_want), seed
+        assert np.array_equal(sums, sums_want), seed
 
 
 def test_rqvae_fit_deterministic_and_decreasing(rng):
