@@ -230,10 +230,9 @@ def _embed_fn(scheme: str, bundle):
     return lambda x: numkit.mlp_apply(bundle.model.encoder, x)[0]
 
 
-def evaluate_scheme(cfg: dict, out: str, scheme: str,
+def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
                     include_hr: bool | None = None,
                     include_recall: bool | None = None) -> EvalReport:
-    catalog = _load_catalog(out)
     table = load_sid_table(os.path.join(out, f"sids_{scheme}.json"))
     e = cfg["eval"]
     include_hr = e["include_hr"] if include_hr is None else include_hr
@@ -279,8 +278,9 @@ def cmd_eval(cfg: dict, out: str) -> None:
                if os.path.exists(os.path.join(out, f"sids_{s}.json"))]
     if not schemes:
         raise SidforgeError("no SID tables found; run assign first")
+    catalog = _load_catalog(out)
     for scheme in schemes:
-        report = evaluate_scheme(cfg, out, scheme)
+        report = evaluate_scheme(cfg, out, scheme, catalog)
         report.save_json(os.path.join(out, f"eval_{scheme}.json"))
         report.save_csv(os.path.join(out, f"eval_{scheme}.csv"))
         print(f"wrote eval_{scheme}.json")
@@ -298,7 +298,8 @@ def cmd_sweep_lambda(cfg: dict, out: str) -> None:
                          digest=config_digest(cfg))
         cmd_train_unisid(cfg, sub, lam=lam)
         cmd_assign(cfg, sub, schemes=["unisid"])
-        report = evaluate_scheme(cfg, sub, "unisid", include_hr=include_hr)
+        report = evaluate_scheme(cfg, sub, "unisid", _load_catalog(sub),
+                                 include_hr=include_hr)
         report.extra["lam"] = lam
         report.save_json(os.path.join(sub, "eval_unisid.json"))
         report.save_csv(os.path.join(sub, "eval_unisid.csv"))
@@ -322,7 +323,8 @@ def cmd_ablate_joint(cfg: dict, out: str) -> None:
                          digest=config_digest(cfg))
         cmd_train_unisid(cfg, sub, **overrides)
         cmd_assign(cfg, sub, schemes=["unisid"])
-        report = evaluate_scheme(cfg, sub, "unisid", include_hr=False)
+        report = evaluate_scheme(cfg, sub, "unisid", _load_catalog(sub),
+                                 include_hr=False)
         report.extra["variant"] = name
         report.save_json(os.path.join(sub, "eval_unisid.json"))
         print(f"{name}: v_measure={report.v_measure}")

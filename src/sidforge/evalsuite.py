@@ -182,24 +182,25 @@ def init_next_sid(config: NextSidConfig) -> NextSidModel:
 def _history_vectors(model: NextSidModel, sequences: list[UserSequence],
                      sid_table: dict[int, tuple]):
     """Mean over the last H history items of their summed level-token
-    embeddings.  Also returns the per-item token index lists for the
-    embedding-table gradient."""
+    embeddings.  Also returns, for the embedding-table gradient, the
+    (m, L) table rows of all m tail items in sequence order and the
+    number of tail items per sequence."""
     c = model.config
-    offsets = np.arange(c.L) * c.K
-    hist_vecs = np.empty((len(sequences), c.d_s))
-    used_rows = []
-    for i, seq in enumerate(sequences):
-        tail = seq.history[-c.history:]
-        rows = []
-        for item in tail:
-            if item not in sid_table:
-                raise InputError(f"item {item} has no SID")
-            rows.append(offsets + np.asarray(sid_table[item], dtype=np.int64))
-        rows = np.stack(rows)  # (h, L)
-        hist_vecs[i] = model.table[rows.reshape(-1)].reshape(
-            len(tail), c.L, c.d_s).sum(axis=1).mean(axis=0)
-        used_rows.append(rows)
-    return hist_vecs, used_rows
+    tails = [seq.history[-c.history:] for seq in sequences]
+    if not all(tails):
+        raise InputError("a sequence has an empty history")
+    items = [item for t in tails for item in t]
+    try:
+        sids = [sid_table[item] for item in items]
+    except KeyError as e:
+        raise InputError(f"item {e.args[0]} has no SID") from None
+    rows = (np.array(sids, dtype=np.int64).reshape(len(items), c.L)
+            + np.arange(c.L) * c.K)
+    counts = np.array([len(t) for t in tails], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    hist_vecs = np.add.reduceat(model.table[rows].sum(axis=1), starts,
+                                axis=0) / counts[:, None]
+    return hist_vecs, (rows, counts)
 
 
 def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
@@ -208,7 +209,7 @@ def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
     averaged over sequences.  Returns (loss, table grad, scorer grads)."""
     c = model.config
     n = len(sequences)
-    hist, used_rows = _history_vectors(model, sequences, sid_table)
+    hist, (rows, counts) = _history_vectors(model, sequences, sid_table)
     targets = np.array([sid_table[s.target] for s in sequences],
                        dtype=np.int64)
     loss = 0.0
@@ -230,11 +231,11 @@ def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
         grads, gx = numkit.mlp_grad(model.scorers[lvl], cache, soft / n)
         scorer_grads.append(grads)
         g_hist += gx[:, :c.d_s]
+    # each row a sequence used gets its share of the mean, added in
+    # (sequence, item, level) order
     g_table = np.zeros_like(model.table)
-    for i, rows in enumerate(used_rows):
-        np.add.at(g_table, rows.reshape(-1),
-                  np.repeat(g_hist[i][None, :] / rows.shape[0],
-                            rows.size, axis=0))
+    np.add.at(g_table, rows.reshape(-1),
+              np.repeat(g_hist / counts[:, None], counts * c.L, axis=0))
     return loss, g_table, scorer_grads
 
 
@@ -274,20 +275,30 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
                 beam_width: int) -> list[tuple[float, tuple[int, ...]]]:
     """Level-by-level beam search; returns up to beam_width full SID
-    sequences sorted by total log-probability (ties by token order)."""
+    sequences sorted by total log-probability (ties by token order).
+
+    Each level scores all surviving beams in one scorer call.  Between
+    levels the beams are kept in lexicographic token order, so the flat
+    (beam, token) candidate index runs in that order too, and a stable
+    sort on the score alone breaks ties lexicographically."""
     c = model.config
-    beams: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+    scores = np.zeros(1)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    # scorer input per beam: the history vector, then its one-hot prefix
+    x = np.asarray(hist_vec, dtype=np.float64)[None, :]
     for lvl in range(c.L):
-        expanded = []
-        for score, prefix in beams:
-            x = np.concatenate([hist_vec,
-                                _prefix_onehot(prefix, lvl, c.K)])[None, :]
-            logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
-            for k in range(c.K):
-                expanded.append((score + float(logp[k]), prefix + (k,)))
-        expanded.sort(key=lambda t: (-t[0], t[1]))
-        beams = expanded[:beam_width]
-    return beams
+        logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0])
+        total = (scores[:, None] + logp).reshape(-1)
+        keep = np.argsort(-total, kind="stable")[:beam_width]
+        if lvl + 1 < c.L:
+            keep.sort()  # back to lexicographic order for the next level
+        parent, tok = np.divmod(keep, c.K)
+        scores = total[keep]
+        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
+        onehot = np.zeros((len(keep), c.K))
+        onehot[np.arange(len(keep)), tok] = 1.0
+        x = np.concatenate([x[parent], onehot], axis=1)
+    return [(s, tuple(p)) for s, p in zip(scores.tolist(), tokens.tolist())]
 
 
 def _prefix_onehot(prefix: tuple[int, ...], lvl: int, K: int) -> np.ndarray:
@@ -349,20 +360,18 @@ def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
                                                    keepdims=True), 1e-12)
     q_norm = q_emb / np.maximum(np.linalg.norm(q_emb, axis=1, keepdims=True),
                                 1e-12)
-    hits = {k: 0 for k in k_list}
+    ranks = np.empty(len(query_ids), dtype=np.int64)
     for qi, item_id in enumerate(query_ids):
         # one full permutation per query, truncated to n_neg: pools for
         # smaller n_neg on the same seed are nested within larger ones
         perm = rng.permutation(n_items)
-        negs = [int(j) for j in perm if j != item_id][:n_neg]
-        pool = [item_id] + negs
+        pool = np.concatenate(([item_id], perm[perm != item_id][:n_neg]))
         sims = all_norm[pool] @ q_norm[qi]
-        order = sorted(range(len(pool)), key=lambda j: (-sims[j], pool[j]))
-        rank = order.index(0) + 1
-        for k in k_list:
-            if rank <= k:
-                hits[k] += 1
-    return {k: hits[k] / len(query_ids) for k in k_list}
+        # the item's place in the (-cosine, item id) order; ids are distinct
+        ranks[qi] = 1 + np.count_nonzero(
+            (sims > sims[0]) | ((sims == sims[0]) & (pool < item_id)))
+    return {k: int(np.count_nonzero(ranks <= k)) / len(query_ids)
+            for k in k_list}
 
 
 # --- report -----------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for the evaluation suite: V-measure, sequences, beam search,
-hit rate, retrieval recall, and report serialization."""
+hit rate, retrieval recall, and report serialization.
+
+The per-sequence, per-beam and per-query loops that the batched kernels
+replaced are kept here as oracles (`_oracle_*`)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,13 +12,12 @@ import pytest
 from sidforge import numkit
 from sidforge.errors import ConfigurationError, InputError
 from sidforge.evalsuite import (EvalReport, NextSidConfig, UserSequence,
-                                _history_vectors, beam_decode,
+                                _history_vectors, _log_softmax,
+                                _prefix_onehot, beam_decode,
                                 gen_user_sequences, hr_at_k, init_next_sid,
                                 load_report, make_contingency,
                                 next_sid_loss_grads, retrieval_recall,
                                 sid_level_vmeasure, train_next_sid, v_measure)
-
-sklearn_metrics = pytest.importorskip("sklearn.metrics")
 
 
 def test_v_measure_identities():
@@ -28,6 +32,7 @@ def test_v_measure_identities():
 
 
 def test_v_measure_matches_sklearn(rng):
+    sklearn_metrics = pytest.importorskip("sklearn.metrics")
     for _ in range(25):
         n = int(rng.integers(5, 60))
         cl = rng.integers(0, int(rng.integers(2, 8)), size=n)
@@ -97,6 +102,87 @@ def _toy_setup(rng):
     return table, seqs
 
 
+def _oracle_history_vectors(model, sequences, sid_table):
+    c = model.config
+    offsets = np.arange(c.L) * c.K
+    hist_vecs = np.empty((len(sequences), c.d_s))
+    used_rows = []
+    for i, seq in enumerate(sequences):
+        tail = seq.history[-c.history:]
+        rows = []
+        for item in tail:
+            if item not in sid_table:
+                raise InputError(f"item {item} has no SID")
+            rows.append(offsets + np.asarray(sid_table[item], dtype=np.int64))
+        rows = np.stack(rows)  # (h, L)
+        hist_vecs[i] = model.table[rows.reshape(-1)].reshape(
+            len(tail), c.L, c.d_s).sum(axis=1).mean(axis=0)
+        used_rows.append(rows)
+    return hist_vecs, used_rows
+
+
+def _oracle_next_sid_loss_grads(model, sequences, sid_table):
+    c = model.config
+    n = len(sequences)
+    hist, used_rows = _oracle_history_vectors(model, sequences, sid_table)
+    targets = np.array([sid_table[s.target] for s in sequences],
+                       dtype=np.int64)
+    loss = 0.0
+    g_hist = np.zeros_like(hist)
+    scorer_grads = []
+    for lvl in range(c.L):
+        prefix = np.zeros((n, lvl * c.K))
+        for j in range(lvl):
+            prefix[np.arange(n), j * c.K + targets[:, j]] = 1.0
+        x = np.concatenate([hist, prefix], axis=1)
+        logits, cache = numkit.mlp_apply(model.scorers[lvl], x)
+        m = logits.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+        tok = targets[:, lvl]
+        loss += float(np.mean(lse - logits[np.arange(n), tok]))
+        soft = np.exp(logits - m)
+        soft /= soft.sum(axis=1, keepdims=True)
+        soft[np.arange(n), tok] -= 1.0
+        grads, gx = numkit.mlp_grad(model.scorers[lvl], cache, soft / n)
+        scorer_grads.append(grads)
+        g_hist += gx[:, :c.d_s]
+    g_table = np.zeros_like(model.table)
+    for i, rows in enumerate(used_rows):
+        np.add.at(g_table, rows.reshape(-1),
+                  np.repeat(g_hist[i][None, :] / rows.shape[0],
+                            rows.size, axis=0))
+    return loss, g_table, scorer_grads
+
+
+def _oracle_beam_decode(model, hist_vec, beam_width):
+    c = model.config
+    beams = [(0.0, ())]
+    for lvl in range(c.L):
+        expanded = []
+        for score, prefix in beams:
+            x = np.concatenate([hist_vec,
+                                _prefix_onehot(prefix, lvl, c.K)])[None, :]
+            logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
+            for k in range(c.K):
+                expanded.append((score + float(logp[k]), prefix + (k,)))
+        expanded.sort(key=lambda t: (-t[0], t[1]))
+        beams = expanded[:beam_width]
+    return beams
+
+
+def _ragged_setup(seed, L, K, n_items=30, n_seqs=40):
+    """A random SID table and sequences whose histories are shorter than,
+    equal to and longer than the model's history window."""
+    r = np.random.default_rng(seed)
+    table = {i: tuple(int(t) for t in r.integers(K, size=L))
+             for i in range(n_items)}
+    seqs = [UserSequence(history=[int(v) for v in
+                                  r.integers(n_items, size=r.integers(1, 8))],
+                         target=int(r.integers(n_items)))
+            for _ in range(n_seqs)]
+    return table, seqs
+
+
 def test_untrained_next_sid_loss_is_log_k(rng):
     sid_table, seqs = _toy_setup(rng)
     model = init_next_sid(CFG)
@@ -114,6 +200,9 @@ def test_history_vectors_mean_of_sums(rng):
     np.testing.assert_allclose(hist[0], want)
     with pytest.raises(InputError):
         _history_vectors(model, [UserSequence(history=[99], target=0)],
+                         sid_table)
+    with pytest.raises(InputError):
+        _history_vectors(model, [UserSequence(history=[], target=0)],
                          sid_table)
 
 
@@ -153,7 +242,6 @@ def test_beam_decode_matches_exhaustive(rng):
     beams = beam_decode(model, hist[0], beam_width=16)
     # independent exhaustive scorer over all K^L sequences
     from itertools import product
-    from sidforge.evalsuite import _log_softmax, _prefix_onehot
     scored = []
     for seq in product(range(4), repeat=2):
         total = 0.0
@@ -175,6 +263,70 @@ def test_beam_ties_lexicographic(rng):
     hist, _ = _history_vectors(model, seqs, sid_table)
     beams = beam_decode(model, hist[0], beam_width=5)
     assert [s for _, s in beams] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
+
+
+def test_history_vectors_and_grads_match_loop():
+    for seed in range(3):
+        cfg = NextSidConfig(L=3, K=5, d_s=6, hidden=8, history=4, seed=seed)
+        sid_table, seqs = _ragged_setup(seed, cfg.L, cfg.K)
+        model = init_next_sid(cfg)
+        r = np.random.default_rng(seed)
+        for s in model.scorers:  # generic, nonzero gradients
+            s.weights[-1] = 0.1 * r.normal(size=s.weights[-1].shape)
+        hist, _ = _history_vectors(model, seqs, sid_table)
+        want_hist, _ = _oracle_history_vectors(model, seqs, sid_table)
+        assert np.array_equal(hist, want_hist)
+        loss, g_table, scorer_grads = next_sid_loss_grads(model, seqs,
+                                                          sid_table)
+        want = _oracle_next_sid_loss_grads(model, seqs, sid_table)
+        assert loss == want[0]
+        assert np.array_equal(g_table, want[1])
+        for got_g, want_g in zip(scorer_grads, want[2]):
+            assert all(np.array_equal(a, b) for a, b in zip(got_g, want_g))
+
+
+def test_beam_decode_matches_loop():
+    # widths 1, < K, K, between K and K^2, and K^L
+    for L, K, widths in ((3, 4, (1, 3, 4, 10, 64)),
+                         (3, 16, (1, 5, 16, 20, 4096))):
+        cfg = NextSidConfig(L=L, K=K, d_s=8, hidden=16, history=3,
+                            epochs=3, batch_size=16)
+        for seed in range(3):
+            sid_table, seqs = _ragged_setup(seed, L, K)
+            models = [init_next_sid(cfg),  # untrained: every score ties
+                      train_next_sid(seqs, sid_table,
+                                     dataclasses.replace(cfg, seed=seed))]
+            for model in models:
+                hist, _ = _history_vectors(model, seqs[:6], sid_table)
+                for h in hist:
+                    for width in widths:
+                        got = beam_decode(model, h, width)
+                        want = _oracle_beam_decode(model, h, width)
+                        assert [t for _, t in got] == [t for _, t in want]
+                        np.testing.assert_allclose(
+                            [v for v, _ in got], [v for v, _ in want],
+                            rtol=1e-12, atol=1e-12)
+                        assert all(type(v) is float and
+                                   all(type(x) is int for x in t)
+                                   for v, t in got)
+
+
+def test_beam_ties_across_beams_lexicographic():
+    # level 1 ranks token 1 first; level 2 mirrors the level-1 log-probs
+    # per prefix, so (0, 0) and (1, 0) tie exactly although their prefixes
+    # ranked differently: lexicographic order must still decide
+    c = 1.0
+    model = init_next_sid(NextSidConfig(L=2, K=2, d_s=1, hidden=2))
+    model.scorers[0].biases[-1] = np.array([0.0, c])
+    s1 = model.scorers[1]
+    s1.weights[0] = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    s1.biases[0] = np.zeros(2)
+    s1.weights[1] = np.array([[c, 0.0], [0.0, c]])
+    hist = np.zeros(1)
+    beams = beam_decode(model, hist, beam_width=4)
+    assert [t for _, t in beams] == [(1, 1), (0, 0), (1, 0), (0, 1)]
+    assert beams[1][0] == beams[2][0]
+    assert beams == _oracle_beam_decode(model, hist, 4)
 
 
 def test_hr_at_k_degenerate_table(rng):
@@ -218,6 +370,51 @@ def test_retrieval_recall_monotonicity(small_catalog, rng):
     assert r_large[5] <= r_small[5]
     with pytest.raises(ConfigurationError):
         retrieval_recall(embed, small_catalog, [1], n_neg=64)
+
+
+def _oracle_retrieval_recall(embed_fn, catalog, k_list, n_neg=99, seed=0):
+    n_items = len(catalog.items)
+    query_ids = catalog.test_ids
+    rng = np.random.default_rng(seed)
+    spec = catalog.spec
+    queries = catalog.features_matrix(query_ids).copy()
+    dv, dt = spec.dv, spec.dt
+    queries[:, dv:dv + dt] += spec.noise_std * rng.normal(
+        size=(len(query_ids), dt))
+    queries[:, dv + dt:] = 0.0
+    q_emb = embed_fn(queries)
+    all_emb = embed_fn(catalog.features_matrix())
+    all_norm = all_emb / np.maximum(np.linalg.norm(all_emb, axis=1,
+                                                   keepdims=True), 1e-12)
+    q_norm = q_emb / np.maximum(np.linalg.norm(q_emb, axis=1, keepdims=True),
+                                1e-12)
+    hits = {k: 0 for k in k_list}
+    for qi, item_id in enumerate(query_ids):
+        perm = rng.permutation(n_items)
+        negs = [int(j) for j in perm if j != item_id][:n_neg]
+        pool = [item_id] + negs
+        sims = all_norm[pool] @ q_norm[qi]
+        order = sorted(range(len(pool)), key=lambda j: (-sims[j], pool[j]))
+        rank = order.index(0) + 1
+        for k in k_list:
+            if rank <= k:
+                hits[k] += 1
+    return {k: hits[k] / len(query_ids) for k in k_list}
+
+
+def test_retrieval_recall_matches_loop(medium_catalog):
+    w = np.random.default_rng(5).normal(
+        size=(medium_catalog.spec.feature_dim, 3))
+    k_list = [1, 5, 10, 50]
+    for embed in (lambda x: x @ w,
+                  lambda x: np.ones((len(x), 3))):  # every cosine ties
+        for n_neg, seed in ((20, 0), (99, 3)):
+            got = retrieval_recall(embed, medium_catalog, k_list,
+                                   n_neg=n_neg, seed=seed)
+            want = _oracle_retrieval_recall(embed, medium_catalog, k_list,
+                                            n_neg=n_neg, seed=seed)
+            assert got == want
+            assert all(type(v) is float for v in got.values())
 
 
 def test_eval_report_roundtrip(tmp_path):
