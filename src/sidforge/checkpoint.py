@@ -2,9 +2,12 @@
 
 Layout: magic "SIDF", u32 format version, u32 kind tag, u32 metadata
 length, UTF-8 JSON metadata (dims, array shapes, vocabulary, config
-digest), then the parameter arrays in declared order as little-endian
-float32.  Loading is bit-exact because trained parameters are kept on
-the float32 grid.
+digest), then the kind's parts in `LAYOUT` order, every array as
+little-endian float32.  MLP parameters round-trip bit-exactly, because
+training keeps them on the float32 grid.  RQ-KMeans and RQ-VAE codebooks
+are float64 and are rounded to float32 on save; every CLI stage after
+training reads the models back from the file, so all of them see the
+rounded codebooks.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import CheckpointCorruptionError, CheckpointFormatError
+from .errors import (CheckpointCorruptionError, CheckpointFormatError,
+                     SidforgeError)
 from .numkit import MlpParams
 from .rq import Codebook, RqVaeModel
 from .summarizer import ReconPipeline, SummaryVocab
@@ -29,11 +34,45 @@ KIND_TAGS = {"unisid": 1, "rqkmeans": 2, "rqvae": 3}
 TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
 
+def _dim(value) -> int:
+    if type(value) is not int or value <= 0:
+        raise CheckpointCorruptionError(f"bad dimension {value!r}")
+    return value
+
+
+def _config_meta(model: UniSidModel) -> dict:
+    return {**asdict(model.config), "feature_dim": model.encoder.in_dim}
+
+
+def _unisid_model(meta: dict, parts: dict) -> UniSidModel:
+    config = UniSidConfig(**{f: _dim(meta["config"][f])
+                             for f in ("L", "K", "d_h", "d_e")})
+    return UniSidModel(encoder=parts["encoder"], sid_head=parts["sid_head"],
+                       emb_head=parts["emb_head"], config=config)
+
+
 @dataclass
 class UniSidBundle:
     model: UniSidModel
     pipeline: ReconPipeline
     digest: str = ""
+
+    def meta(self) -> dict:
+        return {"config": _config_meta(self.model), "d_r": self.pipeline.d_r,
+                "vocab": self.pipeline.vocab.tokens}
+
+    @classmethod
+    def from_parts(cls, meta: dict, parts: dict, digest: str):
+        tokens = meta["vocab"]
+        if not (isinstance(tokens, list)
+                and all(isinstance(t, str) for t in tokens)):
+            raise CheckpointCorruptionError("vocab is not a list of strings")
+        vocab = SummaryVocab(tokens=tokens,
+                             index={t: i for i, t in enumerate(tokens)})
+        return cls(model=_unisid_model(meta, parts), digest=digest,
+                   pipeline=ReconPipeline(recon_head=parts["recon_head"],
+                                          decoder=parts["decoder"],
+                                          vocab=vocab, d_r=_dim(meta["d_r"])))
 
 
 @dataclass
@@ -42,100 +81,81 @@ class RqKmeansBundle:
     codebook: Codebook
     digest: str = ""
 
+    def meta(self) -> dict:
+        return {"config": _config_meta(self.embed_model)}
+
+    @classmethod
+    def from_parts(cls, meta: dict, parts: dict, digest: str):
+        return cls(embed_model=_unisid_model(meta, parts),
+                   codebook=parts["codebook"], digest=digest)
+
 
 @dataclass
 class RqVaeBundle:
     model: RqVaeModel
     digest: str = ""
 
+    def meta(self) -> dict:
+        return {"beta": self.model.beta}
 
-def _mlp_meta(m: MlpParams) -> dict:
-    return {"shapes": [list(w.shape) for w in m.weights],
-            "activations": m.activations}
-
-
-def _mlp_from_meta(meta: dict, arrays: list[np.ndarray]) -> MlpParams:
-    n = len(meta["shapes"])
-    weights = arrays[0:2 * n:2]
-    biases = arrays[1:2 * n:2]
-    return MlpParams(weights=list(weights), biases=list(biases),
-                     activations=list(meta["activations"]))
-
-
-def _unisid_parts(model: UniSidModel) -> tuple[dict, list[np.ndarray]]:
-    c = model.config
-    meta = {
-        "config": {"L": c.L, "K": c.K, "d_h": c.d_h, "d_e": c.d_e,
-                   "feature_dim": model.encoder.in_dim},
-        "mlps": {"encoder": _mlp_meta(model.encoder),
-                 "sid_head": _mlp_meta(model.sid_head),
-                 "emb_head": _mlp_meta(model.emb_head)},
-    }
-    arrays = (model.encoder.flat() + model.sid_head.flat()
-              + model.emb_head.flat())
-    return meta, arrays
+    @classmethod
+    def from_parts(cls, meta: dict, parts: dict, digest: str):
+        if type(meta["beta"]) not in (int, float):
+            raise CheckpointCorruptionError(f"bad beta {meta['beta']!r}")
+        return cls(model=RqVaeModel(encoder=parts["encoder"],
+                                    decoder=parts["decoder"],
+                                    codebook=parts["codebook"],
+                                    beta=meta["beta"]), digest=digest)
 
 
-def _unisid_from_parts(meta: dict, arrays: list[np.ndarray]) -> UniSidModel:
-    c = meta["config"]
-    mlps = {}
-    k = 0
-    for name in ("encoder", "sid_head", "emb_head"):
-        cnt = 2 * len(meta["mlps"][name]["shapes"])
-        mlps[name] = _mlp_from_meta(meta["mlps"][name], arrays[k:k + cnt])
-        k += cnt
-    return UniSidModel(encoder=mlps["encoder"], sid_head=mlps["sid_head"],
-                       emb_head=mlps["emb_head"],
-                       config=UniSidConfig(L=c["L"], K=c["K"],
-                                           d_h=c["d_h"], d_e=c["d_e"]))
+# Each kind's bundle type and its parts in payload order, as attribute
+# paths into the bundle; a part is named by its last path component.  An
+# MLP part stores its layers in meta["mlps"][name], the (L, K, d)
+# codebook its shape in meta["codebook_shape"].
+LAYOUT = {
+    "unisid": (UniSidBundle, ("model.encoder", "model.sid_head",
+                              "model.emb_head", "pipeline.recon_head",
+                              "pipeline.decoder")),
+    "rqkmeans": (RqKmeansBundle, ("embed_model.encoder",
+                                  "embed_model.sid_head",
+                                  "embed_model.emb_head", "codebook")),
+    "rqvae": (RqVaeBundle, ("model.encoder", "model.decoder",
+                            "model.codebook")),
+}
 
 
-def _to_parts(bundle) -> tuple[str, dict, list[np.ndarray]]:
-    if isinstance(bundle, UniSidBundle):
-        meta, arrays = _unisid_parts(bundle.model)
-        p = bundle.pipeline
-        meta["d_r"] = p.d_r
-        meta["vocab"] = p.vocab.tokens
-        meta["mlps"]["recon_head"] = _mlp_meta(p.recon_head)
-        meta["mlps"]["decoder"] = _mlp_meta(p.decoder)
-        arrays = arrays + p.recon_head.flat() + p.decoder.flat()
-        return "unisid", meta, arrays
-    if isinstance(bundle, RqKmeansBundle):
-        meta, arrays = _unisid_parts(bundle.embed_model)
-        meta["codebook_shape"] = list(bundle.codebook.levels.shape)
-        return "rqkmeans", meta, arrays + [bundle.codebook.levels]
-    if isinstance(bundle, RqVaeBundle):
-        m = bundle.model
-        meta = {"beta": m.beta,
-                "codebook_shape": list(m.codebook.levels.shape),
-                "mlps": {"encoder": _mlp_meta(m.encoder),
-                         "decoder": _mlp_meta(m.decoder)}}
-        arrays = m.encoder.flat() + m.decoder.flat() + [m.codebook.levels]
-        return "rqvae", meta, arrays
-    raise CheckpointFormatError(f"unknown bundle type {type(bundle)!r}")
+def _name(where: str) -> str:
+    return where.rsplit(".", 1)[-1]
 
 
-def _array_shapes(meta: dict, kind: str) -> list[tuple[int, ...]]:
-    shapes: list[tuple[int, ...]] = []
-    if kind == "unisid":
-        order = ("encoder", "sid_head", "emb_head", "recon_head", "decoder")
-    elif kind == "rqkmeans":
-        order = ("encoder", "sid_head", "emb_head")
-    else:
-        order = ("encoder", "decoder")
-    for name in order:
-        for (din, dout) in meta["mlps"][name]["shapes"]:
-            shapes.append((din, dout))
-            shapes.append((dout,))
-    if kind in ("rqkmeans", "rqvae"):
-        shapes.append(tuple(meta["codebook_shape"]))
+def _part_shapes(meta: dict, name: str) -> list[tuple[int, ...]]:
+    """Shapes of the arrays one named part stores, in payload order."""
+    if name == "codebook":
+        return [tuple(_dim(d) for d in meta["codebook_shape"])]
+    shapes = []
+    for din, dout in meta["mlps"][name]["shapes"]:
+        shapes += [(_dim(din), _dim(dout)), (_dim(dout),)]
     return shapes
 
 
 def save_checkpoint(bundle, path: str) -> None:
     """Atomic write (temp file + rename)."""
-    kind, meta, arrays = _to_parts(bundle)
-    meta["digest"] = getattr(bundle, "digest", "")
+    kind = next((k for k, (cls, _) in LAYOUT.items()
+                 if isinstance(bundle, cls)), None)
+    if kind is None:
+        raise CheckpointFormatError(f"unknown bundle type {type(bundle)!r}")
+    meta = {**bundle.meta(), "digest": bundle.digest, "mlps": {}}
+    arrays = []
+    for where in LAYOUT[kind][1]:
+        part = attrgetter(where)(bundle)
+        if isinstance(part, Codebook):
+            meta["codebook_shape"] = list(part.levels.shape)
+            arrays.append(part.levels)
+        else:
+            meta["mlps"][_name(where)] = {
+                "shapes": [list(w.shape) for w in part.weights],
+                "activations": part.activations}
+            arrays += part.flat()
     blob = json.dumps(meta, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     header = MAGIC + struct.pack("<III", VERSION, KIND_TAGS[kind], len(blob))
@@ -171,47 +191,33 @@ def load_checkpoint(path: str):
         meta = json.loads(raw[16:16 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointCorruptionError(f"unreadable metadata: {e}") from e
-    shapes = _array_shapes(meta, kind)
+    if not isinstance(meta, dict):
+        raise CheckpointCorruptionError("metadata is not a JSON object")
+    cls, paths = LAYOUT[kind]
+    try:
+        shapes = {_name(w): _part_shapes(meta, _name(w)) for w in paths}
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointCorruptionError(
+            f"malformed metadata ({type(e).__name__}: {e})") from e
     body = raw[16 + meta_len:]
-    expected = 4 * sum(int(np.prod(s)) for s in shapes)
+    sizes = [int(np.prod(s)) for ss in shapes.values() for s in ss]
+    expected = 4 * sum(sizes)
     if len(body) != expected:
         raise CheckpointCorruptionError(
             f"payload is {len(body)} bytes, expected {expected}")
-    arrays = []
-    off = 0
-    for s in shapes:
-        cnt = int(np.prod(s))
-        arrays.append(np.frombuffer(body, dtype="<f4", count=cnt,
-                                    offset=off).astype(np.float64).reshape(s))
-        off += 4 * cnt
-    digest = meta.get("digest", "")
-    if kind == "unisid":
-        n_model = sum(2 * len(meta["mlps"][m]["shapes"])
-                      for m in ("encoder", "sid_head", "emb_head"))
-        model = _unisid_from_parts(meta, arrays[:n_model])
-        k = n_model
-        heads = {}
-        for name in ("recon_head", "decoder"):
-            cnt = 2 * len(meta["mlps"][name]["shapes"])
-            heads[name] = _mlp_from_meta(meta["mlps"][name],
-                                         arrays[k:k + cnt])
-            k += cnt
-        vocab = SummaryVocab(tokens=list(meta["vocab"]),
-                             index={t: i for i, t in enumerate(meta["vocab"])})
-        pipeline = ReconPipeline(recon_head=heads["recon_head"],
-                                 decoder=heads["decoder"], vocab=vocab,
-                                 d_r=meta["d_r"])
-        return UniSidBundle(model=model, pipeline=pipeline, digest=digest)
-    if kind == "rqkmeans":
-        model = _unisid_from_parts(meta, arrays[:-1])
-        return RqKmeansBundle(embed_model=model,
-                              codebook=Codebook(levels=arrays[-1]),
-                              digest=digest)
-    model = RqVaeModel(
-        encoder=_mlp_from_meta(meta["mlps"]["encoder"],
-                               arrays[:2 * len(meta["mlps"]["encoder"]["shapes"])]),
-        decoder=_mlp_from_meta(
-            meta["mlps"]["decoder"],
-            arrays[2 * len(meta["mlps"]["encoder"]["shapes"]):-1]),
-        codebook=Codebook(levels=arrays[-1]), beta=meta["beta"])
-    return RqVaeBundle(model=model, digest=digest)
+    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise CheckpointCorruptionError("non-finite value in the payload")
+    flat, parts = iter(np.split(values, np.cumsum(sizes)[:-1])), {}
+    try:
+        for name, ss in shapes.items():
+            arrays = [next(flat).reshape(s) for s in ss]
+            if name == "codebook":
+                parts[name] = Codebook(levels=arrays[0])
+            else:
+                parts[name] = MlpParams(arrays[0::2], arrays[1::2], list(
+                    meta["mlps"][name]["activations"]))
+        return cls.from_parts(meta, parts, meta.get("digest", ""))
+    except (KeyError, TypeError, ValueError, SidforgeError) as e:
+        raise CheckpointCorruptionError(
+            f"inconsistent metadata ({type(e).__name__}: {e})") from e

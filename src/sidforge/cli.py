@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import evalsuite, numkit, objectives, rq, summarizer, unisid
 from .catalog import (CatalogSpec, ItemCatalog, generate_catalog,
                       load_catalog, save_catalog)
@@ -25,7 +23,33 @@ from .errors import ConfigurationError, SidforgeError
 from .evalsuite import EvalReport, NextSidConfig
 from .objectives import TrainConfig
 
-SCHEMES = ("unisid", "rqkmeans", "rqvae")
+
+def _token_table(catalog: ItemCatalog, tokens) -> dict[int, tuple]:
+    return {it.id: tuple(int(t) for t in tokens[i])
+            for i, it in enumerate(catalog.items)}
+
+
+def _rqvae_embed(bundle, x):
+    return numkit.mlp_apply(bundle.model.encoder, x)[0]
+
+
+# scheme -> (SID table of a catalog, embeddings of a feature matrix,
+# codebook size K), each from the scheme's loaded checkpoint bundle
+SCHEME_TABLE = {
+    "unisid": (lambda b, cat: unisid.assign_catalog(b.model, cat)[0],
+               lambda b, x: unisid.embed_batch(b.model, x),
+               lambda b: b.model.config.K),
+    "rqkmeans": (lambda b, cat: _token_table(cat, rq.rq_assign_batch(
+                     b.codebook, unisid.embed_batch(b.embed_model,
+                                                    cat.features_matrix()))),
+                 lambda b, x: unisid.embed_batch(b.embed_model, x),
+                 lambda b: b.codebook.K),
+    "rqvae": (lambda b, cat: _token_table(cat, rq.rq_assign_batch(
+                  b.model.codebook, _rqvae_embed(b, cat.features_matrix()))),
+              _rqvae_embed,
+              lambda b: b.model.codebook.K),
+}
+SCHEMES = tuple(SCHEME_TABLE)
 
 DEFAULT_CONFIG = {
     "catalog": {"branching": [4, 4, 4], "n_items": 2048, "dv": 16, "dt": 16,
@@ -177,21 +201,6 @@ def cmd_train_rqvae(cfg: dict, out: str) -> None:
     print("wrote rqvae.ckpt")
 
 
-def _sid_table_for(scheme: str, bundle, catalog: ItemCatalog) -> dict:
-    if scheme == "unisid":
-        table, _ = unisid.assign_catalog(bundle.model, catalog)
-        return table
-    x = catalog.features_matrix()
-    if scheme == "rqkmeans":
-        emb = unisid.embed_batch(bundle.embed_model, x)
-        tokens = rq.rq_assign_batch(bundle.codebook, emb)
-    else:
-        z, _ = numkit.mlp_apply(bundle.model.encoder, x)
-        tokens = rq.rq_assign_batch(bundle.model.codebook, z)
-    return {it.id: tuple(int(t) for t in tokens[i])
-            for i, it in enumerate(catalog.items)}
-
-
 def _present_schemes(out: str, suffix: str = ".ckpt") -> list[str]:
     return [s for s in SCHEMES
             if os.path.exists(os.path.join(out, f"{s}{suffix}"))]
@@ -204,10 +213,10 @@ def cmd_assign(cfg: dict, out: str, schemes=None) -> None:
         raise SidforgeError("no checkpoints found; train a model first")
     for scheme in schemes:
         bundle = load_checkpoint(os.path.join(out, f"{scheme}.ckpt"))
-        table = _sid_table_for(scheme, bundle, catalog)
+        sid_table, _, k_of = SCHEME_TABLE[scheme]
+        table = sid_table(bundle, catalog)
         L = len(next(iter(table.values())))
-        doc = {"L": L, "K": cfg["train"]["K"] if scheme == "unisid"
-               else cfg["rq" if scheme == "rqkmeans" else "rqvae"]["K"],
+        doc = {"L": L, "K": k_of(bundle),
                "config_digest": config_digest(cfg),
                "sids": {str(i): list(t) for i, t in sorted(table.items())}}
         path = os.path.join(out, f"sids_{scheme}.json")
@@ -216,24 +225,21 @@ def cmd_assign(cfg: dict, out: str, schemes=None) -> None:
         print(f"wrote {path}")
 
 
-def load_sid_table(path: str) -> dict[int, tuple]:
+def _load_sid_doc(path: str) -> tuple[dict[int, tuple], int]:
+    """The SID table of a sids_*.json file and its codebook size K."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    return {int(i): tuple(t) for i, t in doc["sids"].items()}
+    return {int(i): tuple(t) for i, t in doc["sids"].items()}, doc["K"]
 
 
-def _embed_fn(scheme: str, bundle):
-    if scheme == "unisid":
-        return lambda x: unisid.embed_batch(bundle.model, x)
-    if scheme == "rqkmeans":
-        return lambda x: unisid.embed_batch(bundle.embed_model, x)
-    return lambda x: numkit.mlp_apply(bundle.model.encoder, x)[0]
+def load_sid_table(path: str) -> dict[int, tuple]:
+    return _load_sid_doc(path)[0]
 
 
 def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
                     include_hr: bool | None = None,
                     include_recall: bool | None = None) -> EvalReport:
-    table = load_sid_table(os.path.join(out, f"sids_{scheme}.json"))
+    table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"))
     e = cfg["eval"]
     include_hr = e["include_hr"] if include_hr is None else include_hr
     include_recall = (e["include_recall"] if include_recall is None
@@ -242,18 +248,18 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
     depth = len(next(iter(table.values())))
     vs = [evalsuite.sid_level_vmeasure(table, catalog, lvl)
           for lvl in range(1, depth + 1)]
-    coll, prefixes = evalsuite.collision_rate(table)
+    stats = unisid.collision_stats(table)
     report = EvalReport(scheme=scheme, seed=e["seed"],
                         config_digest=config_digest(cfg), v_measure=vs,
-                        collision=coll, distinct_prefixes=prefixes)
+                        collision=stats["collision_rate"],
+                        distinct_prefixes=stats["distinct_prefixes"])
     if include_hr:
         seqs = evalsuite.gen_user_sequences(catalog, e["n_users"], e["T"],
                                             seed=e["seq_seed"])
         n_test = max(1, len(seqs) // 5)
         train_seqs, test_seqs = seqs[:-n_test], seqs[-n_test:]
         ns = e["next_sid"]
-        nsc = NextSidConfig(L=depth, K=doc_k(cfg, scheme),
-                            d_s=ns["d_s"], hidden=ns["hidden"],
+        nsc = NextSidConfig(L=depth, K=K, d_s=ns["d_s"], hidden=ns["hidden"],
                             history=ns["history"], epochs=ns["epochs"],
                             batch_size=ns["batch_size"], lr=ns["lr"],
                             seed=ns["seed"])
@@ -261,16 +267,11 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
         report.hr = evalsuite.hr_at_k(model, test_seqs, table, e["k_list"])
     if include_recall:
         bundle = load_checkpoint(os.path.join(out, f"{scheme}.ckpt"))
+        _, embed, _ = SCHEME_TABLE[scheme]
         report.recall = evalsuite.retrieval_recall(
-            _embed_fn(scheme, bundle), catalog, e["k_list"],
+            lambda x: embed(bundle, x), catalog, e["k_list"],
             n_neg=e["n_neg"], seed=e["seed"])
     return report
-
-
-def doc_k(cfg: dict, scheme: str) -> int:
-    if scheme == "unisid":
-        return cfg["train"]["K"]
-    return cfg["rq" if scheme == "rqkmeans" else "rqvae"]["K"]
 
 
 def cmd_eval(cfg: dict, out: str) -> None:

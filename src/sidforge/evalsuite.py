@@ -1,6 +1,6 @@
 """Evaluation suite: entropy-based V-measure over SID prefixes, a compact
-next-SID sequence model with beam-search Hit-Rate, sampled-negative
-embedding retrieval recall, and SID collision statistics.
+next-SID sequence model with beam-search Hit-Rate, and sampled-negative
+embedding retrieval recall.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from . import numkit
 from .catalog import ItemCatalog
 from .errors import ConfigurationError, InputError
 from .numkit import MlpParams
-from .unisid import UniSidModel, collision_stats, forward_batch
 
 
 # --- V-measure --------------------------------------------------------------
@@ -94,11 +93,6 @@ def sid_level_vmeasure(sid_table: dict[int, tuple], catalog: ItemCatalog,
     clusters = [tuple(sid_table[i][:level]) for i in ids]
     labels = [catalog.items[i].labels[2] for i in ids]
     return v_measure(clusters, labels)[2]
-
-
-def collision_rate(sid_table: dict[int, tuple]) -> tuple[float, list[int]]:
-    stats = collision_stats(sid_table)
-    return stats["collision_rate"], stats["distinct_prefixes"]
 
 
 # --- synthetic user sequences ----------------------------------------------
@@ -244,8 +238,8 @@ def train_next_sid(sequences: list[UserSequence],
                    config: NextSidConfig) -> NextSidModel:
     """Adam training of the next-SID predictor; deterministic per seed."""
     model = init_next_sid(config)
-    flat = [model.table] + [p for s in model.scorers for p in s.flat()]
-    opt = numkit.adam_init(flat, lr=config.lr)
+    store = numkit.ParamStore(model.scorers, config.lr, extra=[model.table])
+    model.table = store.extra[0]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
         perm = rng.permutation(len(sequences))
@@ -255,15 +249,7 @@ def train_next_sid(sequences: list[UserSequence],
                 continue
             _, g_table, scorer_grads = next_sid_loss_grads(model, batch,
                                                            sid_table)
-            grads = [g_table] + [g for gs in scorer_grads for g in gs]
-            flat = [numkit.quantize_f32(p)
-                    for p in numkit.adam_step(opt, flat, grads)]
-            model.table = flat[0]
-            k = 1
-            for s in model.scorers:
-                cnt = len(s.flat())
-                s.set_flat(flat[k:k + cnt])
-                k += cnt
+            store.step([g_table] + [g for gs in scorer_grads for g in gs])
     return model
 
 

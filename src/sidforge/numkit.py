@@ -1,6 +1,6 @@
 """Minimal deterministic numeric kernel: dense MLPs with hand-written
-gradients, a bias-corrected adaptive-moment optimizer, a finite-difference
-gradient checker, and k-means with k-means++ seeding.
+gradients, a bias-corrected adaptive-moment optimizer over flat parameter
+stores, a finite-difference gradient checker, and k-means++-seeded k-means.
 
 All functions are pure with respect to (inputs, seed); ties in argmax /
 nearest-centroid are always broken toward the lowest index.
@@ -8,7 +8,7 @@ nearest-centroid are always broken toward the lowest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,6 +167,37 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         vhat = state.v[i] / (1 - state.beta2 ** t)
         out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
     return out
+
+
+class ParamStore:
+    """One optimizer group in one contiguous float64 vector `vec`: the
+    `extra` arrays (such as an embedding table), then each MLP's arrays in
+    `flat()` order.  Each MLP weight and bias is rebound as a view into
+    `vec`, and `extra` holds the views of the extra arrays.  Adam and the
+    float32 rounding are elementwise, so one update of the whole vector
+    gives the same bits as one update per array."""
+
+    def __init__(self, mlps: list[MlpParams], lr: float,
+                 extra: list[np.ndarray] = ()):
+        arrays = list(extra) + [p for m in mlps for p in m.flat()]
+        self.shapes = [a.shape for a in arrays]
+        self.vec = np.concatenate([np.ravel(a) for a in arrays])
+        ends = np.cumsum([a.size for a in arrays])[:-1]
+        views = [v.reshape(a.shape)
+                 for v, a in zip(np.split(self.vec, ends), arrays)]
+        self.extra = views[:len(extra)]
+        rest = iter(views[len(extra):])
+        for m in mlps:
+            m.set_flat([next(rest) for _ in m.flat()])
+        self.opt = adam_init([self.vec], lr=lr)
+
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One Adam update from per-array gradients in storage order,
+        rounded to the float32 grid in place."""
+        if [g.shape for g in grads] != self.shapes:
+            raise ShapeError("gradients do not match the stored arrays")
+        g = np.concatenate([np.ravel(g) for g in grads])
+        self.vec[:] = quantize_f32(adam_step(self.opt, [self.vec], [g])[0])
 
 
 @dataclass

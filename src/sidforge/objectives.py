@@ -289,11 +289,9 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
     targets = np.stack([summarizer.summarize(it, catalog.tree, vocab)
                         for it in catalog.items])
 
-    base_mlps = [model.encoder, model.sid_head, model.emb_head,
-                 pipeline.recon_head]
-    base_params = [p for m in base_mlps for p in m.flat()]
-    opt = numkit.adam_init(base_params, lr=config.lr)
-    opt_dec = numkit.adam_init(pipeline.decoder.flat(), lr=config.lr)
+    base = numkit.ParamStore([model.encoder, model.sid_head, model.emb_head,
+                              pipeline.recon_head], config.lr)
+    dec = numkit.ParamStore([pipeline.decoder], config.lr)
 
     features = catalog.features_matrix()
     rng = np.random.default_rng(config.seed)
@@ -344,21 +342,9 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
             enc_grads, _ = numkit.mlp_grad(model.encoder, fp.enc_cache,
                                            g_hidden)
 
-            grads = enc_grads + sid_grads + emb_grads + rec_grads
-            base_params = numkit.adam_step(opt, base_params, grads)
-            base_params = [numkit.quantize_f32(p) for p in base_params]
-            k = 0
-            for m in base_mlps:
-                cnt = len(m.flat())
-                m.set_flat(base_params[k:k + cnt])
-                k += cnt
-
+            base.step(enc_grads + sid_grads + emb_grads + rec_grads)
             if train_decoder:
-                dec_params = numkit.adam_step(
-                    opt_dec, pipeline.decoder.flat(),
-                    [config.lam * g for g in dec_grads])
-                pipeline.decoder.set_flat(
-                    [numkit.quantize_f32(p) for p in dec_params])
+                dec.step([config.lam * g for g in dec_grads])
 
             report.record(l_sid, l_emb, l_rec, l_total, l_use)
     return model, pipeline, report

@@ -5,7 +5,7 @@ exponential-moving-average codebook updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,12 +182,10 @@ def rq_vae_fit(features: np.ndarray, config: RqVaeConfig
     model = RqVaeModel(encoder=encoder, decoder=decoder,
                        codebook=codebook, beta=config.beta)
 
-    params = encoder.flat() + decoder.flat()
-    opt = numkit.adam_init(params, lr=config.lr)
+    store = numkit.ParamStore([encoder, decoder], config.lr)
     counts = np.ones((config.L, config.K), dtype=np.float64)
     sums = codebook.levels.copy()
     losses = []
-    n_enc = len(encoder.flat())
     for epoch in range(config.epochs):
         perm = rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], config.batch_size):
@@ -199,10 +197,7 @@ def rq_vae_fit(features: np.ndarray, config: RqVaeConfig
                 raise NumericError(
                     f"non-finite RQ-VAE loss at epoch {epoch}, step "
                     f"{start // config.batch_size}")
-            params = numkit.adam_step(opt, params, enc_g + dec_g)
-            params = [numkit.quantize_f32(p) for p in params]
-            encoder.set_flat(params[:n_enc])
-            decoder.set_flat(params[n_enc:])
+            store.step(enc_g + dec_g)
             _ema_update(model.codebook, z, tokens, counts, sums,
                         config.ema_decay)
             losses.append(float(loss))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .catalog import ItemCatalog, Item
+from .catalog import ItemCatalog
 from .errors import NumericError, ShapeError
 from .numkit import MlpParams
 
@@ -91,13 +91,6 @@ def forward_batch(model: UniSidModel, x: np.ndarray) -> ForwardPass:
     return ForwardPass(hidden=hidden, logits=logits, tokens=tokens,
                        embedding=emb, enc_cache=enc_cache,
                        sid_cache=sid_cache, emb_cache=emb_cache)
-
-
-def forward(model: UniSidModel, item: Item):
-    """Single-item convenience wrapper.  Returns (hidden, logits (L, K),
-    tokens (L,), embedding)."""
-    fp = forward_batch(model, item.features()[None, :])
-    return fp.hidden[0], fp.logits[0], fp.tokens[0], fp.embedding[0]
 
 
 def embed_batch(model: UniSidModel, x: np.ndarray) -> np.ndarray:

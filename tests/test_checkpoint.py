@@ -1,5 +1,9 @@
 """Tests for the binary checkpoint format."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,36 @@ def _unisid_bundle(seed=0):
     for m in (pipe.recon_head, pipe.decoder):
         m.set_flat([numkit.quantize_f32(p) for p in m.flat()])
     return UniSidBundle(model=model, pipeline=pipe, digest="d1" * 8)
+
+
+def _rqkmeans_bundle():
+    model = _f32(init_model(10, UniSidConfig(L=2, K=4, d_h=8, d_e=6), 1))
+    # a fitted codebook is float64, off the float32 grid
+    levels = np.random.default_rng(5).normal(size=(2, 4, 6))
+    return RqKmeansBundle(embed_model=model, codebook=Codebook(levels=levels),
+                          digest="abc")
+
+
+def _rqvae_bundle():
+    r = np.random.default_rng(0)
+    enc = numkit.mlp_init([6, 8, 4], r)
+    dec = numkit.mlp_init([4, 8, 6], r)
+    cb = Codebook(levels=r.normal(size=(2, 3, 4)))
+    return RqVaeBundle(model=RqVaeModel(encoder=enc, decoder=dec,
+                                        codebook=cb, beta=0.25),
+                       digest="xyz")
+
+
+BUNDLES = {"unisid": _unisid_bundle, "rqkmeans": _rqkmeans_bundle,
+           "rqvae": _rqvae_bundle}
+
+# SHA-256 of each fixed-seed bundle's file in the version-1 layout; a
+# layout change must bump VERSION and update these on purpose
+GOLDEN_SHA256 = {
+    "unisid": "19273225814ac824f13be0587c9ecaefb0194023d73fbfad6c6a6e7deb4395ea",
+    "rqkmeans": "a9dfd707d3beec93249d78ec106a16798d03be6656d3fe970cda7495ab32b713",
+    "rqvae": "f165ea9c13f705679a6cbbfdc74eea95c83683a6a354b4752f6bdece3ec5a60b",
+}
 
 
 def _assert_mlp_equal(a, b):
@@ -137,3 +171,47 @@ def test_atomic_save_leaves_no_temp_files(tmp_path):
     save_checkpoint(bundle, str(tmp_path / "m.ckpt"))
     leftovers = [f for f in tmp_path.iterdir() if f.name.startswith(".ckpt-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("kind", sorted(BUNDLES))
+def test_layout_matches_golden_digest(tmp_path, kind):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(BUNDLES[kind](), str(p))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]
+
+
+def _rewrite(tmp_path, edit_meta, edit_body) -> str:
+    """Saves the unisid bundle, applies the edits to its parsed metadata
+    and to its payload bytes, and writes the result back with a
+    matching metadata length."""
+    p = str(tmp_path / "m.ckpt")
+    save_checkpoint(_unisid_bundle(), p)
+    raw = open(p, "rb").read()
+    (meta_len,) = struct.unpack("<I", raw[12:16])
+    blob = json.dumps(edit_meta(json.loads(raw[16:16 + meta_len])))
+    body = edit_body(bytearray(raw[16 + meta_len:]))
+    bad = str(tmp_path / "bad.ckpt")
+    open(bad, "wb").write(raw[:12] + struct.pack("<I", len(blob))
+                          + blob.encode("utf-8") + bytes(body))
+    return bad
+
+
+def _nan_in_payload(body):
+    body[4:8] = np.array([np.nan], dtype="<f4").tobytes()
+    return body
+
+
+def _keep(x):
+    return x
+
+
+@pytest.mark.parametrize("edit_meta, edit_body", [
+    (lambda m: {k: v for k, v in m.items() if k != "mlps"}, _keep),
+    (lambda m: {**m, "vocab": 5}, _keep),
+    (lambda m: [m], _keep),
+    (_keep, _nan_in_payload),
+], ids=["mlps_missing", "vocab_not_a_list", "metadata_a_list",
+        "nan_in_payload"])
+def test_malformed_checkpoint_rejected(tmp_path, edit_meta, edit_body):
+    with pytest.raises(CheckpointCorruptionError):
+        load_checkpoint(_rewrite(tmp_path, edit_meta, edit_body))

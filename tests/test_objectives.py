@@ -10,6 +10,8 @@ from sidforge.objectives import (ContrastBatch, LossReport, TrainConfig,
                                  code_usage_loss, emb_contrastive_loss,
                                  make_contrast_batch, mg_contrastive_loss,
                                  total_loss, train_unisid)
+from sidforge.summarizer import build_vocab, init_pipeline
+from sidforge.unisid import UniSidConfig, init_model
 
 
 def _batch(catalog, ids, tau=0.07):
@@ -229,6 +231,26 @@ def test_train_unisid_deterministic(small_catalog):
                     + m2.emb_head.flat() + p2.decoder.flat()):
         np.testing.assert_array_equal(a, b)
     assert r1.steps == r2.steps
+
+
+@pytest.mark.parametrize("overrides", [{"decoder_warmup_epochs": 0},
+                                       {"lam": 0.0}],
+                         ids=["no_warmup", "lam_0"])
+def test_train_unisid_leaves_frozen_decoder_alone(small_catalog, overrides):
+    tc = _tiny_config(epochs=2, **overrides)
+    # fresh copies of the initial parameters: training updates in place
+    init = init_model(small_catalog.spec.feature_dim,
+                      UniSidConfig(tc.L, tc.K, tc.d_h, tc.d_e), tc.seed)
+    pipe0 = init_pipeline(tc.L, tc.K, tc.d_e, tc.d_r,
+                          build_vocab(small_catalog.tree), tc.seed + 1)
+    model, pipe, _ = train_unisid(small_catalog, tc)
+    for a, b in zip(pipe.decoder.flat(), pipe0.decoder.flat()):
+        np.testing.assert_array_equal(a, b)
+    # the base group still trains
+    for name in ("encoder", "sid_head", "emb_head"):
+        for a, b in zip(getattr(model, name).flat(),
+                        getattr(init, name).flat()):
+            assert not np.array_equal(a, b), name
 
 
 def test_train_unisid_ablation_flags(small_catalog):

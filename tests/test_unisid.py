@@ -7,8 +7,7 @@ from sidforge.errors import NumericError, ShapeError
 from sidforge.numkit import mlp_init
 from sidforge.unisid import (UniSidConfig, UniSidModel, assign_catalog,
                              assign_sid, collision_stats, embed_batch,
-                             forward, forward_batch, init_model,
-                             tokens_onehot)
+                             forward_batch, init_model, tokens_onehot)
 
 CFG = UniSidConfig(L=3, K=16, d_h=16, d_e=8)
 
@@ -65,11 +64,6 @@ def test_forward_batch_consistency(small_catalog):
     assert fp.logits.shape == (10, CFG.L, CFG.K)
     np.testing.assert_array_equal(fp.tokens, assign_sid(fp.logits))
     np.testing.assert_array_equal(fp.embedding, embed_batch(model, x))
-    # single-item wrapper agrees with the batched row
-    h, lg, tk, em = forward(model, small_catalog.items[0])
-    np.testing.assert_allclose(lg, fp.logits[0])
-    np.testing.assert_array_equal(tk, fp.tokens[0])
-    np.testing.assert_allclose(em, fp.embedding[0])
 
 
 def test_embedding_depends_on_tokens(small_catalog):
