@@ -1,21 +1,23 @@
 """Synthetic hierarchical ad catalogs.
 
 Items carry three feature blocks (visual-like, text-like, attribute
-one-hots) plus a 3-level category path.  With the ambiguity flag on,
-sibling leaves under one mid-level node share their visual and text
-prototypes, so only the attribute block separates them at the finest
-level.  Also builds the per-level positive sets used by the
-multi-granularity contrastive objective.
+one-hots) plus a 3-level category path.  The catalog keeps them as
+columns: one feature matrix and one label array, indexed by item id.
+With the ambiguity flag on, sibling leaves under one mid-level node share
+their visual and text prototypes, so only the attribute block separates
+them at the finest level.  Also builds the per-level positive sets used
+by the multi-granularity contrastive objective, and reads and writes the
+validated JSON catalog file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import CatalogError, ConfigurationError, InputError
 
 LEVELS = 3
 
@@ -82,11 +84,6 @@ class CategoryTree:
         c2 = self.parent_l2(leaf)
         return (self.parent_l1(c2), c2, leaf)
 
-    @property
-    def n_leaves(self) -> int:
-        b1, b2, b3 = self.branching
-        return b1 * b2 * b3
-
 
 def build_tree(branching: tuple[int, int, int]) -> CategoryTree:
     b1, b2, b3 = branching
@@ -99,96 +96,75 @@ def build_tree(branching: tuple[int, int, int]) -> CategoryTree:
 
 
 @dataclass
-class Item:
-    id: int
-    visual: np.ndarray
-    text: np.ndarray
-    attr: np.ndarray
-    labels: tuple[int, int, int]
-    summary: np.ndarray | None = None  # filled by the summarizer module
-
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.visual, self.text, self.attr])
-
-
-@dataclass
 class ItemCatalog:
+    """The catalog as columns; an item's id is its row index.  The
+    generator and the loader make both arrays read-only."""
+
     spec: CatalogSpec
     tree: CategoryTree
-    items: list[Item]
+    features: np.ndarray  # (n, feature_dim) float64: visual | text | attr
+    labels: np.ndarray    # (n, 3) int64 category paths
     train_ids: list[int]
     test_ids: list[int]
 
+    @property
+    def items(self) -> range:
+        return range(len(self.labels))
+
     def features_matrix(self, ids=None) -> np.ndarray:
-        if ids is None:
-            ids = range(len(self.items))
-        return np.stack([self.items[i].features() for i in ids])
-
-    def labels_array(self) -> np.ndarray:
-        return np.array([it.labels for it in self.items], dtype=np.int64)
+        """The rows of `ids` as a copy, or the whole read-only matrix."""
+        return self.features if ids is None else self.features[ids]
 
 
-def _attr_onehot(spec: CatalogSpec, path: tuple[int, int, int]) -> np.ndarray:
+def _attr_onehot(spec: CatalogSpec, labels: np.ndarray) -> np.ndarray:
+    """(n, 3) category paths -> (n, attr_dim) one-hots, one per level."""
     b1, b2, _ = spec.branching
-    c1, c2, c3 = path
-    v = np.zeros(spec.attr_dim, dtype=np.float64)
-    v[c1] = 1.0
-    v[b1 + c2] = 1.0
-    v[b1 + b1 * b2 + c3] = 1.0
-    return v
+    attr = np.zeros((len(labels), spec.attr_dim), dtype=np.float64)
+    rows = np.arange(len(labels))[:, None]
+    attr[rows, labels + np.array([0, b1, b1 + b1 * b2])] = 1.0
+    return attr
+
+
+def _assemble(spec: CatalogSpec, leaf: np.ndarray, visual: np.ndarray,
+              text: np.ndarray, train_ids: list[int],
+              test_ids: list[int]) -> ItemCatalog:
+    tree = build_tree(spec.branching)
+    labels = np.stack(tree.path(leaf), axis=1)
+    features = np.concatenate([visual, text, _attr_onehot(spec, labels)],
+                              axis=1)
+    features.flags.writeable = labels.flags.writeable = False
+    return ItemCatalog(spec=spec, tree=tree, features=features,
+                       labels=labels, train_ids=train_ids, test_ids=test_ids)
 
 
 def generate_catalog(spec: CatalogSpec) -> ItemCatalog:
     """Deterministic catalog generation; bit-identical for equal specs."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    tree = build_tree(spec.branching)
-    n_leaves = spec.n_leaves
+    b1, b2, b3 = spec.branching
+    n, dv = spec.n_items, spec.dv
 
     # one visual / text prototype per leaf, drawn once from the seed;
     # with ambiguity on, all leaves of a level-2 node share prototypes
     if spec.ambiguity:
-        n_l2 = spec.branching[0] * spec.branching[1]
-        proto_v_l2 = rng.normal(size=(n_l2, spec.dv))
-        proto_t_l2 = rng.normal(size=(n_l2, spec.dt))
-        proto_v = np.stack([proto_v_l2[tree.parent_l2(c3)] for c3 in range(n_leaves)])
-        proto_t = np.stack([proto_t_l2[tree.parent_l2(c3)] for c3 in range(n_leaves)])
+        n_proto, proto_of_leaf = b1 * b2, np.arange(spec.n_leaves) // b3
     else:
-        proto_v = rng.normal(size=(n_leaves, spec.dv))
-        proto_t = rng.normal(size=(n_leaves, spec.dt))
+        n_proto, proto_of_leaf = spec.n_leaves, np.arange(spec.n_leaves)
+    proto_v = rng.normal(size=(n_proto, dv))[proto_of_leaf]
+    proto_t = rng.normal(size=(n_proto, spec.dt))[proto_of_leaf]
 
-    items = []
-    for i in range(spec.n_items):
-        leaf = i % n_leaves
-        path = tree.path(leaf)
-        visual = proto_v[leaf] + spec.noise_std * rng.normal(size=spec.dv)
-        text = proto_t[leaf] + spec.noise_std * rng.normal(size=spec.dt)
-        items.append(Item(id=i, visual=visual, text=text,
-                          attr=_attr_onehot(spec, path), labels=path))
+    # item i sits in leaf i mod n_leaves and draws its visual, then its
+    # text noise, after item i - 1
+    leaf = np.arange(n) % spec.n_leaves
+    noise = spec.noise_std * rng.normal(size=(n, dv + spec.dt))
+    visual = proto_v[leaf] + noise[:, :dv]
+    text = proto_t[leaf] + noise[:, dv:]
 
-    perm = rng.permutation(spec.n_items)
-    n_train = int(round(spec.train_fraction * spec.n_items))
-    train_ids = sorted(int(i) for i in perm[:n_train])
-    test_ids = sorted(int(i) for i in perm[n_train:])
-    return ItemCatalog(spec=spec, tree=tree, items=items,
-                       train_ids=train_ids, test_ids=test_ids)
-
-
-def leaf_prototypes(spec: CatalogSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Re-derive the per-leaf prototypes a generation run drew (same rng
-    consumption order as generate_catalog); used by tests."""
-    rng = np.random.default_rng(spec.seed)
-    tree = build_tree(spec.branching)
-    n_leaves = spec.n_leaves
-    if spec.ambiguity:
-        n_l2 = spec.branching[0] * spec.branching[1]
-        pv2 = rng.normal(size=(n_l2, spec.dv))
-        pt2 = rng.normal(size=(n_l2, spec.dt))
-        pv = np.stack([pv2[tree.parent_l2(c)] for c in range(n_leaves)])
-        pt = np.stack([pt2[tree.parent_l2(c)] for c in range(n_leaves)])
-        return pv, pt
-    return (rng.normal(size=(n_leaves, spec.dv)),
-            rng.normal(size=(n_leaves, spec.dt)))
+    perm = rng.permutation(n)
+    n_train = int(round(spec.train_fraction * n))
+    return _assemble(spec, leaf, visual, text,
+                     np.sort(perm[:n_train]).tolist(),
+                     np.sort(perm[n_train:]).tolist())
 
 
 @dataclass
@@ -207,19 +183,16 @@ def build_positive_sets(catalog: ItemCatalog,
                         batch: list[int]) -> GranularPositives:
     if len(set(batch)) != len(batch):
         raise InputError("duplicate ids in batch")
-    n_items = len(catalog.items)
-    for i in batch:
-        if not 0 <= i < n_items:
-            raise InputError(f"item id {i} not in catalog")
-    labels = np.array([catalog.items[i].labels for i in batch], dtype=np.int64)
-    n = len(batch)
+    ids = np.asarray(batch, dtype=np.int64)
+    outside = ids[(ids < 0) | (ids >= len(catalog.labels))]
+    if outside.size:
+        raise InputError(f"item id {outside[0]} not in catalog")
+    labels = catalog.labels[ids]
     positives, masks = [], []
-    prev = np.ones((n, n), dtype=bool)
     for level in range(LEVELS):
-        # label-path consistency makes agreement at level l imply
-        # agreement at all coarser levels, but intersect explicitly
-        agree = (labels[:, level][:, None] == labels[:, level][None, :]) & prev
-        prev = agree.copy()
+        # the paths come from the tree, so agreement at a level implies
+        # agreement at every coarser level
+        agree = labels[:, level][:, None] == labels[:, level][None, :]
         np.fill_diagonal(agree, False)
         # one nonzero for the whole level, split into per-row slices
         _, cols = np.nonzero(agree)
@@ -231,58 +204,97 @@ def build_positive_sets(catalog: ItemCatalog,
 
 # --- JSON persistence -------------------------------------------------------
 
-def _round9(x: float) -> float:
-    return float(f"{x:.9g}")
+CATALOG_FORMAT = 2
+
+# the spec fields a catalog file must hold, with their JSON types
+_SPEC_TYPES = {"branching": list, "n_items": int, "dv": int, "dt": int,
+               "noise_std": (int, float), "ambiguity": bool,
+               "train_fraction": (int, float), "seed": int}
 
 
-def _block(v: np.ndarray) -> list[float]:
-    return [_round9(x) for x in v]
+def _floats9(block: np.ndarray) -> str:
+    """A JSON array of the block's values, row by row, at 9 digits."""
+    return "[" + ",".join(map("{:.9g}".format, block.ravel().tolist())) + "]"
 
 
 def save_catalog(catalog: ItemCatalog, path: str, digest: str = "") -> None:
-    """One UTF-8 JSON document; float blocks at 9 significant digits."""
-    spec = catalog.spec
-    doc = {
-        "config_digest": digest,
-        "spec": {
-            "branching": list(spec.branching), "n_items": spec.n_items,
-            "dv": spec.dv, "dt": spec.dt, "noise_std": spec.noise_std,
-            "ambiguity": spec.ambiguity,
-            "train_fraction": spec.train_fraction, "seed": spec.seed,
-        },
-        "tree": {str(k): v for k, v in catalog.tree.names.items()},
-        "split": {"train": catalog.train_ids, "test": catalog.test_ids},
-        "items": [
-            {
-                "id": it.id, "labels": list(it.labels),
-                "visual": _block(it.visual), "text": _block(it.text),
-                "attr": [int(x) for x in it.attr],
-            }
-            for it in catalog.items
-        ],
-    }
+    """One UTF-8 JSON document holding the spec, the train and test ids,
+    each item's leaf and the flattened visual and text blocks.  The tree,
+    the label paths and the attribute block follow from the spec and the
+    leaves."""
+    dv, dt = catalog.spec.dv, catalog.spec.dt
+    head = json.dumps({
+        "format": CATALOG_FORMAT, "config_digest": digest,
+        "spec": asdict(catalog.spec),
+        "train": catalog.train_ids, "test": catalog.test_ids,
+        "leaf": catalog.labels[:, 2].tolist(),
+    }, separators=(",", ":"))
+    x = catalog.features
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, separators=(",", ":"))
+        f.write(f'{head[:-1]},"visual":{_floats9(x[:, :dv])},'
+                f'"text":{_floats9(x[:, dv:dv + dt])}}}')
+
+
+def _spec_of(s) -> CatalogSpec:
+    if not (isinstance(s, dict) and set(s) == set(_SPEC_TYPES)
+            and all(isinstance(s[k], t) for k, t in _SPEC_TYPES.items())
+            and len(s["branching"]) == 3
+            and all(type(b) is int for b in s["branching"])):
+        raise CatalogError(f"malformed catalog spec {s!r}")
+    spec = CatalogSpec(**{**s, "branching": tuple(s["branching"])})
+    try:
+        spec.validate()
+    except ConfigurationError as e:
+        raise CatalogError(f"invalid catalog spec: {e}") from e
+    return spec
+
+
+def _ints(values, field: str) -> np.ndarray:
+    try:
+        a = np.array(values)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise CatalogError(f"{field} is not a list of integers") from e
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise CatalogError(f"{field} is not a list of integers")
+    return a.astype(np.int64)
 
 
 def load_catalog(path: str) -> ItemCatalog:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    s = doc["spec"]
-    spec = CatalogSpec(branching=tuple(s["branching"]), n_items=s["n_items"],
-                       dv=s["dv"], dt=s["dt"], noise_std=s["noise_std"],
-                       ambiguity=s["ambiguity"],
-                       train_fraction=s["train_fraction"], seed=s["seed"])
-    tree = CategoryTree(branching=spec.branching,
-                        names={int(k): v for k, v in doc["tree"].items()})
-    items = [
-        Item(id=d["id"],
-             visual=np.array(d["visual"], dtype=np.float64),
-             text=np.array(d["text"], dtype=np.float64),
-             attr=np.array(d["attr"], dtype=np.float64),
-             labels=tuple(d["labels"]))
-        for d in doc["items"]
-    ]
-    return ItemCatalog(spec=spec, tree=tree, items=items,
-                       train_ids=doc["split"]["train"],
-                       test_ids=doc["split"]["test"])
+    """Reads a save_catalog file; CatalogError if it does not parse or
+    does not describe a valid catalog."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as e:  # malformed JSON or UTF-8
+        raise CatalogError(f"{path} is not a JSON document: {e}") from e
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != CATALOG_FORMAT:
+        raise CatalogError(f"{path} has catalog format {found!r}, expected "
+                           f"{CATALOG_FORMAT}; rerun gen-data")
+    missing = [k for k in ("spec", "train", "test", "leaf", "visual", "text")
+               if k not in doc]
+    if missing:
+        raise CatalogError(f"{path} lacks {', '.join(missing)}")
+    spec = _spec_of(doc["spec"])
+    leaf, train, test = (_ints(doc[k], k) for k in ("leaf", "train", "test"))
+    n = spec.n_items
+    if len(leaf) != n:
+        raise CatalogError(f"n_items is {n} but {len(leaf)} items are stored")
+    if leaf.min() < 0 or leaf.max() >= spec.n_leaves:
+        raise CatalogError(f"a leaf id lies outside [0, {spec.n_leaves})")
+    if not np.array_equal(np.sort(np.concatenate([train, test])),
+                          np.arange(n)):
+        raise CatalogError("split is not a disjoint cover of the items")
+    blocks = []
+    for name, width in (("visual", spec.dv), ("text", spec.dt)):
+        try:
+            block = np.array(doc[name], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise CatalogError(f"{name} is not a list of numbers") from e
+        if block.shape != (n * width,):
+            raise CatalogError(f"{name} holds {block.size} values, "
+                               f"expected {n * width}")
+        if not np.isfinite(block).all():
+            raise CatalogError(f"non-finite value in {name}")
+        blocks.append(block.reshape(n, width))
+    return _assemble(spec, leaf, *blocks, train.tolist(), test.tolist())

@@ -100,7 +100,7 @@ class RqVaeBundle:
 
     @classmethod
     def from_parts(cls, meta: dict, parts: dict, digest: str):
-        if type(meta["beta"]) not in (int, float):
+        if type(meta["beta"]) not in (int, float) or not meta["beta"] >= 0:
             raise CheckpointCorruptionError(f"bad beta {meta['beta']!r}")
         return cls(model=RqVaeModel(encoder=parts["encoder"],
                                     decoder=parts["decoder"],

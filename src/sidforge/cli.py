@@ -24,11 +24,6 @@ from .evalsuite import EvalReport, NextSidConfig
 from .objectives import TrainConfig
 
 
-def _token_table(catalog: ItemCatalog, tokens) -> dict[int, tuple]:
-    return {it.id: tuple(int(t) for t in tokens[i])
-            for i, it in enumerate(catalog.items)}
-
-
 def _rqvae_embed(bundle, x):
     return numkit.mlp_apply(bundle.model.encoder, x)[0]
 
@@ -39,12 +34,12 @@ SCHEME_TABLE = {
     "unisid": (lambda b, cat: unisid.assign_catalog(b.model, cat)[0],
                lambda b, x: unisid.embed_batch(b.model, x),
                lambda b: b.model.config.K),
-    "rqkmeans": (lambda b, cat: _token_table(cat, rq.rq_assign_batch(
+    "rqkmeans": (lambda b, cat: unisid.token_table(rq.rq_assign_batch(
                      b.codebook, unisid.embed_batch(b.embed_model,
                                                     cat.features_matrix()))),
                  lambda b, x: unisid.embed_batch(b.embed_model, x),
                  lambda b: b.codebook.K),
-    "rqvae": (lambda b, cat: _token_table(cat, rq.rq_assign_batch(
+    "rqvae": (lambda b, cat: unisid.token_table(rq.rq_assign_batch(
                   b.model.codebook, _rqvae_embed(b, cat.features_matrix()))),
               _rqvae_embed,
               lambda b: b.model.codebook.K),
@@ -108,26 +103,9 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _threads() -> int:
-    """Validate SIDFORGE_THREADS.  The value pins nothing: NumPy fixes its
-    BLAS thread count at import, so OPENBLAS_NUM_THREADS / OMP_NUM_THREADS
-    must be set before the process starts."""
-    raw = os.environ.get("SIDFORGE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"SIDFORGE_THREADS={raw!r} is not an integer")
-    if n < 1:
-        raise ConfigurationError("SIDFORGE_THREADS must be >= 1")
-    return n
-
-
 def _catalog_spec(cfg: dict) -> CatalogSpec:
     c = cfg["catalog"]
-    return CatalogSpec(branching=tuple(c["branching"]), n_items=c["n_items"],
-                       dv=c["dv"], dt=c["dt"], noise_std=c["noise_std"],
-                       ambiguity=c["ambiguity"],
-                       train_fraction=c["train_fraction"], seed=c["seed"])
+    return CatalogSpec(**{**c, "branching": tuple(c["branching"])})
 
 
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
@@ -147,12 +125,13 @@ def _load_catalog(out: str) -> ItemCatalog:
     return load_catalog(path)
 
 
-def cmd_gen_data(cfg: dict, out: str) -> None:
+def cmd_gen_data(cfg: dict, out: str) -> ItemCatalog:
     catalog = generate_catalog(_catalog_spec(cfg))
     os.makedirs(out, exist_ok=True)
     save_catalog(catalog, _catalog_path(out), digest=config_digest(cfg))
     print(f"wrote {_catalog_path(out)} "
           f"({len(catalog.items)} items, {catalog.spec.n_leaves} leaves)")
+    return catalog
 
 
 def cmd_train_unisid(cfg: dict, out: str, suffix: str = "unisid",
@@ -201,14 +180,15 @@ def cmd_train_rqvae(cfg: dict, out: str) -> None:
     print("wrote rqvae.ckpt")
 
 
-def _present_schemes(out: str, suffix: str = ".ckpt") -> list[str]:
+def _present_schemes(out: str, pattern: str) -> list[str]:
+    """The schemes whose file `pattern.format(scheme)` exists in `out`."""
     return [s for s in SCHEMES
-            if os.path.exists(os.path.join(out, f"{s}{suffix}"))]
+            if os.path.exists(os.path.join(out, pattern.format(s)))]
 
 
 def cmd_assign(cfg: dict, out: str, schemes=None) -> None:
     catalog = _load_catalog(out)
-    schemes = schemes or _present_schemes(out)
+    schemes = schemes or _present_schemes(out, "{}.ckpt")
     if not schemes:
         raise SidforgeError("no checkpoints found; train a model first")
     for scheme in schemes:
@@ -275,8 +255,7 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
 
 
 def cmd_eval(cfg: dict, out: str) -> None:
-    schemes = [s for s in SCHEMES
-               if os.path.exists(os.path.join(out, f"sids_{s}.json"))]
+    schemes = _present_schemes(out, "sids_{}.json")
     if not schemes:
         raise SidforgeError("no SID tables found; run assign first")
     catalog = _load_catalog(out)
@@ -287,22 +266,29 @@ def cmd_eval(cfg: dict, out: str) -> None:
         print(f"wrote eval_{scheme}.json")
 
 
+def _unisid_sub_run(cfg: dict, sub: str, catalog: ItemCatalog,
+                    include_hr: bool, extra: dict, **overrides) -> EvalReport:
+    """train-unisid -> assign -> eval in the sub-directory `sub`, whose
+    catalog is written from `catalog` unless it holds one already."""
+    os.makedirs(sub, exist_ok=True)
+    if not os.path.exists(_catalog_path(sub)):
+        save_catalog(catalog, _catalog_path(sub), digest=config_digest(cfg))
+    cmd_train_unisid(cfg, sub, **overrides)
+    cmd_assign(cfg, sub, schemes=["unisid"])
+    report = evaluate_scheme(cfg, sub, "unisid", _load_catalog(sub),
+                             include_hr=include_hr)
+    report.extra.update(extra)
+    report.save_json(os.path.join(sub, "eval_unisid.json"))
+    return report
+
+
 def cmd_sweep_lambda(cfg: dict, out: str) -> None:
-    lambdas = cfg["sweep"]["lambdas"]
-    include_hr = cfg["sweep"]["include_hr"]
-    for lam in lambdas:
+    catalog = generate_catalog(_catalog_spec(cfg))
+    for lam in cfg["sweep"]["lambdas"]:
         sub = os.path.join(out, "sweep", f"lambda_{lam:g}")
-        os.makedirs(sub, exist_ok=True)
-        if not os.path.exists(_catalog_path(sub)):
-            catalog = generate_catalog(_catalog_spec(cfg))
-            save_catalog(catalog, _catalog_path(sub),
-                         digest=config_digest(cfg))
-        cmd_train_unisid(cfg, sub, lam=lam)
-        cmd_assign(cfg, sub, schemes=["unisid"])
-        report = evaluate_scheme(cfg, sub, "unisid", _load_catalog(sub),
-                                 include_hr=include_hr)
-        report.extra["lam"] = lam
-        report.save_json(os.path.join(sub, "eval_unisid.json"))
+        report = _unisid_sub_run(cfg, sub, catalog,
+                                 cfg["sweep"]["include_hr"], {"lam": lam},
+                                 lam=lam)
         report.save_csv(os.path.join(sub, "eval_unisid.csv"))
         print(f"lambda={lam:g}: v_measure={report.v_measure}")
 
@@ -313,21 +299,14 @@ def cmd_ablate_joint(cfg: dict, out: str) -> None:
         "sid_only": {"use_emb": False, "lam": 0.0},
         "emb_only": {"use_sid": False, "lam": 0.0},
     }
-    catalog_ready = os.path.exists(_catalog_path(out))
-    if not catalog_ready:
-        cmd_gen_data(cfg, out)
+    if os.path.exists(_catalog_path(out)):
+        catalog = load_catalog(_catalog_path(out))
+    else:
+        catalog = cmd_gen_data(cfg, out)
     for name, overrides in variants.items():
-        sub = os.path.join(out, "ablate", name)
-        os.makedirs(sub, exist_ok=True)
-        if not os.path.exists(_catalog_path(sub)):
-            save_catalog(_load_catalog(out), _catalog_path(sub),
-                         digest=config_digest(cfg))
-        cmd_train_unisid(cfg, sub, **overrides)
-        cmd_assign(cfg, sub, schemes=["unisid"])
-        report = evaluate_scheme(cfg, sub, "unisid", _load_catalog(sub),
-                                 include_hr=False)
-        report.extra["variant"] = name
-        report.save_json(os.path.join(sub, "eval_unisid.json"))
+        report = _unisid_sub_run(cfg, os.path.join(out, "ablate", name),
+                                 catalog, False, {"variant": name},
+                                 **overrides)
         print(f"{name}: v_measure={report.v_measure}")
 
 
@@ -348,12 +327,8 @@ def cmd_case_study(cfg: dict, out: str) -> None:
 
 
 def cmd_report(cfg: dict, out: str) -> None:
-    rows = []
-    for scheme in SCHEMES:
-        path = os.path.join(out, f"eval_{scheme}.json")
-        if not os.path.exists(path):
-            continue
-        rows.append(evalsuite.load_report(path))
+    rows = [evalsuite.load_report(os.path.join(out, f"eval_{s}.json"))
+            for s in _present_schemes(out, "eval_{}.json")]
     if not rows:
         raise SidforgeError("no eval reports found; run eval first")
     path = os.path.join(out, "report.csv")
@@ -423,7 +398,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _threads()
         if args.seed is not None:
             _apply_seed_override(cfg, args.seed)
         out = args.out or cfg["paths"]["out_dir"]

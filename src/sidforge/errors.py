@@ -22,7 +22,8 @@ class NumericError(SidforgeError):
 
 
 class CatalogError(SidforgeError):
-    """Item refers to labels that do not exist in the category tree."""
+    """Catalog data that does not describe a valid catalog: a catalog file
+    that does not parse or fails validation, or labels outside the tree."""
 
 
 class CheckpointFormatError(SidforgeError):

@@ -91,7 +91,7 @@ def sid_level_vmeasure(sid_table: dict[int, tuple], catalog: ItemCatalog,
         if i not in sid_table:
             raise InputError(f"item {i} missing from SID table")
     clusters = [tuple(sid_table[i][:level]) for i in ids]
-    labels = [catalog.items[i].labels[2] for i in ids]
+    labels = catalog.labels[ids, 2].tolist()
     return v_measure(clusters, labels)[2]
 
 
@@ -117,9 +117,8 @@ def gen_user_sequences(catalog: ItemCatalog, n_users: int, T: int = 20,
         raise ConfigurationError("T must be >= 2")
     b1, b2, _ = catalog.spec.branching
     n_l2 = b1 * b2
-    by_l2: list[list[int]] = [[] for _ in range(n_l2)]
-    for it in catalog.items:
-        by_l2[it.labels[1]].append(it.id)
+    by_l2 = [np.flatnonzero(catalog.labels[:, 1] == c).tolist()
+             for c in range(n_l2)]
     rng = np.random.default_rng(seed)
     n_items = len(catalog.items)
     out = []
@@ -335,7 +334,7 @@ def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
         query_ids = catalog.test_ids
     rng = np.random.default_rng(seed)
     spec = catalog.spec
-    queries = catalog.features_matrix(query_ids).copy()
+    queries = catalog.features_matrix(query_ids)
     dv, dt = spec.dv, spec.dt
     queries[:, dv:dv + dt] += spec.noise_std * rng.normal(
         size=(len(query_ids), dt))

@@ -286,8 +286,11 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
     vocab = summarizer.build_vocab(catalog.tree)
     pipeline = summarizer.init_pipeline(config.L, config.K, config.d_e,
                                         config.d_r, vocab, config.seed + 1)
-    targets = np.stack([summarizer.summarize(it, catalog.tree, vocab)
-                        for it in catalog.items])
+    # a summary depends on the leaf only: one target per leaf
+    leaf_targets = np.stack([
+        summarizer.summarize(catalog.tree.path(leaf), catalog.tree, vocab)
+        for leaf in range(catalog.spec.n_leaves)])
+    targets = leaf_targets[catalog.labels[:, 2]]
 
     base = numkit.ParamStore([model.encoder, model.sid_head, model.emb_head,
                               pipeline.recon_head], config.lr)

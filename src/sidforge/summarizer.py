@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .catalog import CategoryTree, Item
+from .catalog import CategoryTree
 from .errors import CatalogError, ConfigurationError, InputError, ShapeError
 from .numkit import MlpParams
 
@@ -66,16 +66,17 @@ def trait_b(l2: int) -> int:
     return (l2 * 7 + 1) % TRAIT_COUNT
 
 
-def summarize(item: Item, tree: CategoryTree,
+def summarize(labels, tree: CategoryTree,
               vocab: SummaryVocab | None = None) -> np.ndarray:
-    """Template: content(c3), industry, level-1 name(c1), trait-A(c3),
-    trait-B(c2), two glue tokens, end marker.  Length SUMMARY_LEN."""
+    """Template for the category path `labels` = (c1, c2, c3):
+    content(c3), industry, level-1 name(c1), trait-A(c3), trait-B(c2),
+    two glue tokens, end marker.  Length SUMMARY_LEN."""
     if vocab is None:
         vocab = build_vocab(tree)
-    c1, c2, c3 = item.labels
+    c1, c2, c3 = labels
     if not (0 <= c3 < len(tree.names[3]) and 0 <= c1 < len(tree.names[1])
             and 0 <= c2 < len(tree.names[2])):
-        raise CatalogError(f"labels {item.labels} not in tree")
+        raise CatalogError(f"labels {tuple(labels)} not in tree")
     seq = [
         vocab.id_of(f"content:{tree.names[3][c3]}"),
         vocab.id_of(_INDUSTRY),

@@ -38,6 +38,8 @@ class UniSidModel:
             raise ShapeError("sid_head output dim must be L*K")
         if self.emb_head.in_dim != c.d_h + c.L * c.K:
             raise ShapeError("emb_head input dim must be d_h + L*K")
+        if self.emb_head.out_dim != c.d_e:
+            raise ShapeError("emb_head output dim must be d_e")
 
 
 def init_model(feature_dim: int, config: UniSidConfig,
@@ -113,6 +115,11 @@ def collision_stats(sid_table: dict[int, tuple]) -> dict:
             "distinct_prefixes": distinct}
 
 
+def token_table(tokens: np.ndarray) -> dict[int, tuple]:
+    """(n, L) tokens of the catalog rows -> SID table keyed by item id."""
+    return dict(enumerate(map(tuple, tokens.tolist())))
+
+
 def assign_catalog(model: UniSidModel,
                    catalog: ItemCatalog) -> tuple[dict[int, tuple], dict]:
     """Full-catalog SID assignment plus collision statistics."""
@@ -121,7 +128,5 @@ def assign_catalog(model: UniSidModel,
         raise ShapeError(
             f"catalog feature dim {x.shape[1]} != encoder input "
             f"{model.encoder.in_dim}")
-    tokens = forward_batch(model, x).tokens
-    table = {it.id: tuple(int(t) for t in tokens[i])
-             for i, it in enumerate(catalog.items)}
+    table = token_table(forward_batch(model, x).tokens)
     return table, collision_stats(table)

@@ -78,8 +78,7 @@ def trained_schemes(desk_catalog):
                                rq.RqVaeConfig(epochs=15, seed=seed + 10))
         z, _ = numkit.mlp_apply(vae.encoder, cat.features_matrix())
         tok = rq.rq_assign_batch(vae.codebook, z)
-        vtable = {it.id: tuple(int(t) for t in tok[i])
-                  for i, it in enumerate(cat.items)}
+        vtable = unisid.token_table(tok)
         out["rqvae"].append({
             "v": [evalsuite.sid_level_vmeasure(vtable, cat, l)
                   for l in (1, 2, 3)],
@@ -390,8 +389,7 @@ def test_criterion_5_separable_recovery():
         # K = 64 codewords so level 1 can resolve all 64 leaves
         cb = rq.rq_kmeans_fit(emb, L=3, K=64, seed=seed + 100)
         tok = rq.rq_assign_batch(cb, emb)
-        table = {it.id: tuple(int(t) for t in tok[i])
-                 for i, it in enumerate(cat.items)}
+        table = unisid.token_table(tok)
         v1s.append(evalsuite.sid_level_vmeasure(table, cat, 1))
     elapsed = time.time() - t0
     med = median(v1s)
@@ -428,7 +426,7 @@ def _content_accuracy(cat, model, pipe):
     fp = unisid.forward_batch(model, cat.features_matrix(ids))
     h, _ = summarizer.recon_state(fp.logits, fp.embedding, pipe)
     decoded = summarizer.decode_summary(h, pipe)
-    targets = np.stack([summarizer.summarize(cat.items[i], cat.tree)
+    targets = np.stack([summarizer.summarize(cat.labels[i], cat.tree)
                         for i in ids])
     return float(np.mean(decoded[:, 0] == targets[:, 0]))
 

@@ -180,12 +180,12 @@ def test_layout_matches_golden_digest(tmp_path, kind):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]
 
 
-def _rewrite(tmp_path, edit_meta, edit_body) -> str:
-    """Saves the unisid bundle, applies the edits to its parsed metadata
+def _rewrite(tmp_path, kind, edit_meta, edit_body) -> str:
+    """Saves the `kind` bundle, applies the edits to its parsed metadata
     and to its payload bytes, and writes the result back with a
     matching metadata length."""
     p = str(tmp_path / "m.ckpt")
-    save_checkpoint(_unisid_bundle(), p)
+    save_checkpoint(BUNDLES[kind](), p)
     raw = open(p, "rb").read()
     (meta_len,) = struct.unpack("<I", raw[12:16])
     blob = json.dumps(edit_meta(json.loads(raw[16:16 + meta_len])))
@@ -205,13 +205,15 @@ def _keep(x):
     return x
 
 
-@pytest.mark.parametrize("edit_meta, edit_body", [
-    (lambda m: {k: v for k, v in m.items() if k != "mlps"}, _keep),
-    (lambda m: {**m, "vocab": 5}, _keep),
-    (lambda m: [m], _keep),
-    (_keep, _nan_in_payload),
+@pytest.mark.parametrize("kind, edit_meta, edit_body", [
+    ("unisid", lambda m: {k: v for k, v in m.items() if k != "mlps"}, _keep),
+    ("unisid", lambda m: {**m, "vocab": 5}, _keep),
+    ("unisid", lambda m: [m], _keep),
+    ("unisid", _keep, _nan_in_payload),
+    ("unisid", lambda m: {**m, "config": {**m["config"], "d_e": 7}}, _keep),
+    ("rqvae", lambda m: {**m, "beta": -0.25}, _keep),
 ], ids=["mlps_missing", "vocab_not_a_list", "metadata_a_list",
-        "nan_in_payload"])
-def test_malformed_checkpoint_rejected(tmp_path, edit_meta, edit_body):
+        "nan_in_payload", "d_e_mismatch", "negative_beta"])
+def test_malformed_checkpoint_rejected(tmp_path, kind, edit_meta, edit_body):
     with pytest.raises(CheckpointCorruptionError):
-        load_checkpoint(_rewrite(tmp_path, edit_meta, edit_body))
+        load_checkpoint(_rewrite(tmp_path, kind, edit_meta, edit_body))

@@ -7,8 +7,7 @@ import os
 import pytest
 
 from sidforge.cli import (DEFAULT_CONFIG, _apply_seed_override, _merge,
-                          _threads, config_digest, load_config, load_sid_table,
-                          main)
+                          config_digest, load_config, load_sid_table, main)
 from sidforge.errors import ConfigurationError
 
 SMALL = {
@@ -63,19 +62,6 @@ def test_config_digest_canonical():
     assert config_digest(a) == config_digest(b)
     assert len(config_digest(a)) == 16
     assert config_digest(a) != config_digest({"x": 2, "y": a["y"]})
-
-
-def test_threads_env(monkeypatch):
-    monkeypatch.delenv("SIDFORGE_THREADS", raising=False)
-    assert _threads() == 1
-    monkeypatch.setenv("SIDFORGE_THREADS", "4")
-    assert _threads() == 4
-    monkeypatch.setenv("SIDFORGE_THREADS", "zero")
-    with pytest.raises(ConfigurationError):
-        _threads()
-    monkeypatch.setenv("SIDFORGE_THREADS", "0")
-    with pytest.raises(ConfigurationError):
-        _threads()
 
 
 def test_seed_override_touches_every_stage():

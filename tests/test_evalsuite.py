@@ -8,6 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidforge import numkit
 from sidforge.errors import ConfigurationError, InputError
@@ -29,6 +30,21 @@ def test_v_measure_identities():
     # invariant under relabeling of either side
     assert v_measure([0, 0, 1, 2], ["a", "a", "b", "b"]) == \
         v_measure([7, 7, 3, 5], [1, 1, 0, 0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,
+                max_size=40),
+       st.permutations(range(6)), st.permutations(range(6)))
+def test_v_measure_invariant_under_relabelling(pairs, cmap, lmap):
+    # renaming clusters and labels by any bijection, even into another
+    # type, only permutes the contingency table's rows and columns; the
+    # entropy sums may then add in another order, hence the tolerance
+    clusters, labels = zip(*pairs)
+    renamed = v_measure([f"c{cmap[c]}" for c in clusters],
+                        [lmap[l] for l in labels])
+    assert renamed == pytest.approx(v_measure(clusters, labels),
+                                    rel=1e-12, abs=1e-12)
 
 
 def test_v_measure_matches_sklearn(rng):
@@ -65,7 +81,7 @@ def test_make_contingency_errors():
 
 
 def test_sid_level_vmeasure_label_aligned(small_catalog):
-    table = {it.id: tuple(it.labels) for it in small_catalog.items}
+    table = dict(enumerate(map(tuple, small_catalog.labels.tolist())))
     assert np.isclose(sid_level_vmeasure(table, small_catalog, 3), 1.0)
     v1 = sid_level_vmeasure(table, small_catalog, 1)
     assert 0.0 < v1 < 1.0  # coarse prefix: complete but not homogeneous
@@ -86,8 +102,7 @@ def test_gen_user_sequences_properties(small_catalog):
     pure = gen_user_sequences(small_catalog, 10, T=10, seed=4,
                               preference=1.0)
     for s in pure:
-        l2s = {small_catalog.items[i].labels[1]
-               for i in s.history + [s.target]}
+        l2s = set(small_catalog.labels[s.history + [s.target], 1])
         assert len(l2s) <= 2
 
 

@@ -40,9 +40,9 @@ def test_traits_injective():
 def test_summarize_template(small_catalog):
     tree = small_catalog.tree
     vocab = build_vocab(tree)
-    item = small_catalog.items[0]
-    seq = summarize(item, tree, vocab)
-    c1, c2, c3 = item.labels
+    labels = small_catalog.labels[0]
+    seq = summarize(labels, tree, vocab)
+    c1, c2, c3 = labels
     assert len(seq) == SUMMARY_LEN
     assert vocab.tokens[seq[0]] == f"content:{tree.names[3][c3]}"
     assert vocab.tokens[seq[1]].startswith("industry:")
@@ -56,22 +56,17 @@ def test_summarize_template(small_catalog):
 def test_sibling_leaves_get_distinct_summaries(small_catalog):
     tree = small_catalog.tree
     # leaves 0 and 1 share the same level-2 parent in a (2,2,2) tree
-    a = small_catalog.items[0]   # leaf 0
-    b = small_catalog.items[1]   # leaf 1
-    assert a.labels[:2] == b.labels[:2]
+    a = small_catalog.labels[0]   # leaf 0
+    b = small_catalog.labels[1]   # leaf 1
+    assert (a[:2] == b[:2]).all()
     sa, sb = summarize(a, tree), summarize(b, tree)
     assert sa[0] != sb[0] and sa[3] != sb[3]   # content and trait-A differ
     assert sa[4] == sb[4]                      # shared trait-B
 
 
 def test_summarize_rejects_bad_labels(small_catalog):
-    bad = type(small_catalog.items[0])(
-        id=0, labels=(0, 0, 99),
-        visual=small_catalog.items[0].visual,
-        text=small_catalog.items[0].text,
-        attr=small_catalog.items[0].attr)
     with pytest.raises(CatalogError):
-        summarize(bad, small_catalog.tree)
+        summarize((0, 0, 99), small_catalog.tree)
 
 
 def _oracle_prefix_encoding(prefix, v):
@@ -303,7 +298,7 @@ def test_decoder_memorizes_single_summary(small_catalog, rng):
     # greedy decode to reproduce the target summary exactly
     pipe, vocab = _pipeline(seed=3)
     tree = small_catalog.tree
-    target = summarize(small_catalog.items[0], tree,
+    target = summarize(small_catalog.labels[0], tree,
                        build_vocab(tree))[None, :]
     h = rng.normal(size=(1, 6))
     params = pipe.decoder.flat()

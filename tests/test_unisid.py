@@ -100,7 +100,7 @@ def test_collision_stats_all_unique():
 def test_assign_catalog(small_catalog):
     model = init_model(small_catalog.spec.feature_dim, CFG, seed=9)
     table, stats = assign_catalog(model, small_catalog)
-    assert sorted(table) == [it.id for it in small_catalog.items]
+    assert sorted(table) == list(small_catalog.items)
     assert all(len(s) == CFG.L for s in table.values())
     assert all(0 <= t < CFG.K for s in table.values() for t in s)
     # stats agree with an independent recount
