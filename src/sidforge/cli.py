@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 
 from . import evalsuite, numkit, objectives, rq, summarizer, unisid
 from .catalog import (CatalogSpec, ItemCatalog, generate_catalog,
@@ -108,6 +109,23 @@ def _catalog_spec(cfg: dict) -> CatalogSpec:
     return CatalogSpec(**{**c, "branching": tuple(c["branching"])})
 
 
+def _validate_eval(e: dict) -> None:
+    """Rejects eval settings that would fail late or be silently wrong."""
+    # one user to train the next-SID model on and one to test
+    if type(e["n_users"]) is not int or e["n_users"] < 2:
+        raise ConfigurationError("eval.n_users must be an integer >= 2")
+    if (type(e["k_list"]) is not list or not e["k_list"]
+            or any(type(k) is not int or k < 1 for k in e["k_list"])):
+        raise ConfigurationError(
+            "eval.k_list must be a nonempty list of integers >= 1")
+    # history 0 would take the whole history (seq.history[-0:])
+    for name in ("batch_size", "history"):
+        v = e["next_sid"][name]
+        if type(v) is not int or v < 1:
+            raise ConfigurationError(
+                f"eval.next_sid.{name} must be an integer >= 1")
+
+
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
     t = dict(cfg["train"])
     t.update(overrides)
@@ -135,8 +153,9 @@ def cmd_gen_data(cfg: dict, out: str) -> ItemCatalog:
 
 
 def cmd_train_unisid(cfg: dict, out: str, suffix: str = "unisid",
-                     **overrides) -> None:
-    catalog = _load_catalog(out)
+                     catalog: ItemCatalog | None = None, **overrides) -> None:
+    if catalog is None:
+        catalog = _load_catalog(out)
     model, pipeline, report = objectives.train_unisid(
         catalog, _train_config(cfg, **overrides))
     bundle = UniSidBundle(model=model, pipeline=pipeline,
@@ -186,8 +205,10 @@ def _present_schemes(out: str, pattern: str) -> list[str]:
             if os.path.exists(os.path.join(out, pattern.format(s)))]
 
 
-def cmd_assign(cfg: dict, out: str, schemes=None) -> None:
-    catalog = _load_catalog(out)
+def cmd_assign(cfg: dict, out: str, schemes=None,
+               catalog: ItemCatalog | None = None) -> None:
+    if catalog is None:
+        catalog = _load_catalog(out)
     schemes = schemes or _present_schemes(out, "{}.ckpt")
     if not schemes:
         raise SidforgeError("no checkpoints found; train a model first")
@@ -216,9 +237,20 @@ def load_sid_table(path: str) -> dict[int, tuple]:
     return _load_sid_doc(path)[0]
 
 
+def _user_sequences(cfg: dict, catalog: ItemCatalog
+                    ) -> list[evalsuite.UserSequence]:
+    e = cfg["eval"]
+    return evalsuite.gen_user_sequences(catalog, e["n_users"], e["T"],
+                                        seed=e["seq_seed"])
+
+
 def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
                     include_hr: bool | None = None,
-                    include_recall: bool | None = None) -> EvalReport:
+                    include_recall: bool | None = None,
+                    seqs: list[evalsuite.UserSequence] | None = None
+                    ) -> EvalReport:
+    """V-measure, collisions, HR@K and recall of one scheme.  `seqs` is
+    the user-sequence draw of `_user_sequences`; drawn here if omitted."""
     table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"))
     e = cfg["eval"]
     include_hr = e["include_hr"] if include_hr is None else include_hr
@@ -234,8 +266,8 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
                         collision=stats["collision_rate"],
                         distinct_prefixes=stats["distinct_prefixes"])
     if include_hr:
-        seqs = evalsuite.gen_user_sequences(catalog, e["n_users"], e["T"],
-                                            seed=e["seq_seed"])
+        if seqs is None:
+            seqs = _user_sequences(cfg, catalog)
         n_test = max(1, len(seqs) // 5)
         train_seqs, test_seqs = seqs[:-n_test], seqs[-n_test:]
         ns = e["next_sid"]
@@ -259,8 +291,11 @@ def cmd_eval(cfg: dict, out: str) -> None:
     if not schemes:
         raise SidforgeError("no SID tables found; run assign first")
     catalog = _load_catalog(out)
+    # every scheme is scored on the same users, so draw them once
+    seqs = (_user_sequences(cfg, catalog) if cfg["eval"]["include_hr"]
+            else None)
     for scheme in schemes:
-        report = evaluate_scheme(cfg, out, scheme, catalog)
+        report = evaluate_scheme(cfg, out, scheme, catalog, seqs=seqs)
         report.save_json(os.path.join(out, f"eval_{scheme}.json"))
         report.save_csv(os.path.join(out, f"eval_{scheme}.csv"))
         print(f"wrote eval_{scheme}.json")
@@ -269,13 +304,16 @@ def cmd_eval(cfg: dict, out: str) -> None:
 def _unisid_sub_run(cfg: dict, sub: str, catalog: ItemCatalog,
                     include_hr: bool, extra: dict, **overrides) -> EvalReport:
     """train-unisid -> assign -> eval in the sub-directory `sub`, whose
-    catalog is written from `catalog` unless it holds one already."""
+    catalog is written from `catalog` unless it holds one already.  The
+    three stages share one load of that file: its features are rounded
+    to 9 digits, so they differ from the in-memory `catalog`'s."""
     os.makedirs(sub, exist_ok=True)
     if not os.path.exists(_catalog_path(sub)):
         save_catalog(catalog, _catalog_path(sub), digest=config_digest(cfg))
-    cmd_train_unisid(cfg, sub, **overrides)
-    cmd_assign(cfg, sub, schemes=["unisid"])
-    report = evaluate_scheme(cfg, sub, "unisid", _load_catalog(sub),
+    loaded = _load_catalog(sub)
+    cmd_train_unisid(cfg, sub, catalog=loaded, **overrides)
+    cmd_assign(cfg, sub, schemes=["unisid"], catalog=loaded)
+    report = evaluate_scheme(cfg, sub, "unisid", loaded,
                              include_hr=include_hr)
     report.extra.update(extra)
     report.save_json(os.path.join(sub, "eval_unisid.json"))
@@ -380,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file (defaults if omitted)")
     p.add_argument("--seed", type=int, help="override every seed in config")
     p.add_argument("--out", help="output directory (default from config)")
+    p.add_argument("--verbose", action="store_true",
+                   help="print the traceback of an unexpected error")
     return p
 
 
@@ -400,9 +440,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             _apply_seed_override(cfg, args.seed)
+        _catalog_spec(cfg).validate()
+        _validate_eval(cfg["eval"])
         out = args.out or cfg["paths"]["out_dir"]
         os.makedirs(out, exist_ok=True)
-        _catalog_spec(cfg).validate()
         COMMANDS[args.command](cfg, out)
     except ConfigurationError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -411,6 +452,8 @@ def main(argv=None) -> int:
         print(f"error [{type(e).__name__}]: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001
+        if args.verbose:
+            traceback.print_exc()
         print(f"runtime error: {e}", file=sys.stderr)
         return 1
     return 0

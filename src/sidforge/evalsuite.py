@@ -172,39 +172,56 @@ def init_next_sid(config: NextSidConfig) -> NextSidModel:
     return NextSidModel(table=table, scorers=scorers, config=config)
 
 
+def _sid_tokens(items: list[int], sid_table: dict[int, tuple],
+                L: int) -> np.ndarray:
+    """The (len(items), L) SID tokens of `items`."""
+    try:
+        sids = [sid_table[item] for item in items]
+    except KeyError as e:
+        raise InputError(f"item {e.args[0]} has no SID") from None
+    return np.array(sids, dtype=np.int64).reshape(len(items), L)
+
+
+def _tail_rows(sequences: list[UserSequence], sid_table: dict[int, tuple],
+               config: NextSidConfig):
+    """The (m, L) table rows of all m items in the last H history items
+    of every sequence, in sequence order, and the number of them per
+    sequence."""
+    c = config
+    tails = [seq.history[-c.history:] for seq in sequences]
+    if not all(tails):
+        raise InputError("a sequence has an empty history")
+    rows = (_sid_tokens([item for t in tails for item in t], sid_table, c.L)
+            + np.arange(c.L) * c.K)
+    return rows, np.array([len(t) for t in tails], dtype=np.int64)
+
+
+def _mean_rows(table: np.ndarray, rows: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+    """Per sequence, the mean over its tail items of their summed
+    level-token embeddings."""
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(table[rows].sum(axis=1), starts,
+                           axis=0) / counts[:, None]
+
+
 def _history_vectors(model: NextSidModel, sequences: list[UserSequence],
                      sid_table: dict[int, tuple]):
     """Mean over the last H history items of their summed level-token
     embeddings.  Also returns, for the embedding-table gradient, the
     (m, L) table rows of all m tail items in sequence order and the
     number of tail items per sequence."""
-    c = model.config
-    tails = [seq.history[-c.history:] for seq in sequences]
-    if not all(tails):
-        raise InputError("a sequence has an empty history")
-    items = [item for t in tails for item in t]
-    try:
-        sids = [sid_table[item] for item in items]
-    except KeyError as e:
-        raise InputError(f"item {e.args[0]} has no SID") from None
-    rows = (np.array(sids, dtype=np.int64).reshape(len(items), c.L)
-            + np.arange(c.L) * c.K)
-    counts = np.array([len(t) for t in tails], dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    hist_vecs = np.add.reduceat(model.table[rows].sum(axis=1), starts,
-                                axis=0) / counts[:, None]
-    return hist_vecs, (rows, counts)
+    rows, counts = _tail_rows(sequences, sid_table, model.config)
+    return _mean_rows(model.table, rows, counts), (rows, counts)
 
 
-def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
-                        sid_table: dict[int, tuple]):
-    """Teacher-forced cross-entropy over all L levels of the target SID,
-    averaged over sequences.  Returns (loss, table grad, scorer grads)."""
+def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
+                targets: np.ndarray):
+    """`next_sid_loss_grads` on index arrays: the tail rows and counts of
+    `_tail_rows` and the (n, L) target tokens."""
     c = model.config
-    n = len(sequences)
-    hist, (rows, counts) = _history_vectors(model, sequences, sid_table)
-    targets = np.array([sid_table[s.target] for s in sequences],
-                       dtype=np.int64)
+    n = len(counts)
+    hist = _mean_rows(model.table, rows, counts)
     loss = 0.0
     g_hist = np.zeros_like(hist)
     scorer_grads = []
@@ -225,29 +242,48 @@ def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
         scorer_grads.append(grads)
         g_hist += gx[:, :c.d_s]
     # each row a sequence used gets its share of the mean, added in
-    # (sequence, item, level) order
-    g_table = np.zeros_like(model.table)
-    np.add.at(g_table, rows.reshape(-1),
-              np.repeat(g_hist / counts[:, None], counts * c.L, axis=0))
-    return loss, g_table, scorer_grads
+    # (sequence, item, level) order: bincount starts every (row, column)
+    # bin at 0.0 and adds into it in index order, as np.add.at would
+    share = np.repeat(g_hist / counts[:, None], counts * c.L, axis=0)
+    flat = rows.reshape(-1, 1) * c.d_s + np.arange(c.d_s)
+    g_table = np.bincount(flat.reshape(-1), weights=share.reshape(-1),
+                          minlength=model.table.size)
+    return loss, g_table.reshape(model.table.shape), scorer_grads
+
+
+def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
+                        sid_table: dict[int, tuple]):
+    """Teacher-forced cross-entropy over all L levels of the target SID,
+    averaged over sequences.  Returns (loss, table grad, scorer grads)."""
+    rows, counts = _tail_rows(sequences, sid_table, model.config)
+    targets = _sid_tokens([s.target for s in sequences], sid_table,
+                          model.config.L)
+    return _loss_grads(model, rows, counts, targets)
 
 
 def train_next_sid(sequences: list[UserSequence],
                    sid_table: dict[int, tuple],
                    config: NextSidConfig) -> NextSidModel:
-    """Adam training of the next-SID predictor; deterministic per seed."""
+    """Adam training of the next-SID predictor; deterministic per seed.
+
+    The sequences become index arrays once; each batch indexes them."""
     model = init_next_sid(config)
     store = numkit.ParamStore(model.scorers, config.lr, extra=[model.table])
     model.table = store.extra[0]
+    rows, counts = _tail_rows(sequences, sid_table, config)
+    targets = _sid_tokens([s.target for s in sequences], sid_table, config.L)
+    starts = np.cumsum(counts) - counts
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
         perm = rng.permutation(len(sequences))
         for start in range(0, len(sequences), config.batch_size):
-            batch = [sequences[i] for i in perm[start:start + config.batch_size]]
-            if not batch:
-                continue
-            _, g_table, scorer_grads = next_sid_loss_grads(model, batch,
-                                                           sid_table)
+            batch = perm[start:start + config.batch_size]
+            # the batch's tail rows, sequence by sequence
+            n_tail = counts[batch]
+            at = (np.repeat(starts[batch] - (np.cumsum(n_tail) - n_tail),
+                            n_tail) + np.arange(n_tail.sum()))
+            _, g_table, scorer_grads = _loss_grads(model, rows[at], n_tail,
+                                                   targets[batch])
             store.step([g_table] + [g for gs in scorer_grads for g in gs])
     return model
 

@@ -6,8 +6,11 @@ import os
 
 import pytest
 
+from sidforge import cli, evalsuite
+from sidforge.catalog import load_catalog
 from sidforge.cli import (DEFAULT_CONFIG, _apply_seed_override, _merge,
-                          config_digest, load_config, load_sid_table, main)
+                          config_digest, evaluate_scheme, load_config,
+                          load_sid_table, main)
 from sidforge.errors import ConfigurationError
 
 SMALL = {
@@ -84,6 +87,40 @@ def test_exit_codes(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "empty")]) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_users", 0), ("n_users", -5), ("n_users", 1), ("k_list", []),
+    ("k_list", [0]), ("next_sid.batch_size", 0), ("next_sid.history", 0)])
+def test_eval_config_errors(tmp_path, field, value):
+    cfg = json.loads(json.dumps(SMALL))
+    *parents, name = field.split(".")
+    section = cfg["eval"]
+    for key in parents:
+        section = section[key]
+    section[name] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    # exit 3 before any work: without validation this empty directory
+    # would fail with exit 1 (no SID tables)
+    out = tmp_path / "run"
+    assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_verbose_prints_traceback(tmp_path, monkeypatch, capsys):
+    def broken(cfg, out):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "report", broken)
+    args = ["report", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "runtime error: boom\n"
+    assert main(args + ["--verbose"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in broken" in err
+    assert err.endswith("ValueError: boom\nruntime error: boom\n")
+
+
 def test_pipeline_artifacts(run_dir):
     out, _ = run_dir
     expected = ["catalog.json", "unisid.ckpt", "rqkmeans.ckpt", "rqvae.ckpt",
@@ -127,6 +164,35 @@ def test_eval_rerun_is_byte_identical(run_dir):
     before = open(path, "rb").read()
     assert main(["eval", "--config", cfg_path, "--out", out]) == 0
     assert open(path, "rb").read() == before
+
+
+def test_eval_draws_user_sequences_once(run_dir, monkeypatch):
+    out, cfg_path = run_dir
+    calls = []
+    draw = evalsuite.gen_user_sequences
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(evalsuite, "gen_user_sequences", counted)
+    before = open(os.path.join(out, "eval_rqvae.json"), "rb").read()
+    assert main(["eval", "--config", cfg_path, "--out", out]) == 0
+    assert len(calls) == 1  # for all three schemes
+    assert open(os.path.join(out, "eval_rqvae.json"), "rb").read() == before
+
+
+def test_evaluate_scheme_with_shared_sequences(run_dir):
+    out, cfg_path = run_dir
+    cfg = load_config(cfg_path)
+    catalog = load_catalog(os.path.join(out, "catalog.json"))
+    e = cfg["eval"]
+    seqs = evalsuite.gen_user_sequences(catalog, e["n_users"], e["T"],
+                                        seed=e["seq_seed"])
+    for scheme in ("unisid", "rqkmeans"):
+        own = evaluate_scheme(cfg, out, scheme, catalog)
+        shared = evaluate_scheme(cfg, out, scheme, catalog, seqs=seqs)
+        assert own.hr and shared.to_dict() == own.to_dict()
 
 
 def test_case_study_format(run_dir):

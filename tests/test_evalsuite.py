@@ -300,6 +300,72 @@ def test_history_vectors_and_grads_match_loop():
             assert all(np.array_equal(a, b) for a, b in zip(got_g, want_g))
 
 
+def _oracle_train_next_sid(sequences, sid_table, config):
+    """The per-batch loop that `train_next_sid` replaced: lists of
+    sequences into the list-based loss with its np.add.at scatter."""
+    model = init_next_sid(config)
+    store = numkit.ParamStore(model.scorers, config.lr, extra=[model.table])
+    model.table = store.extra[0]
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        perm = rng.permutation(len(sequences))
+        for start in range(0, len(sequences), config.batch_size):
+            batch = [sequences[i]
+                     for i in perm[start:start + config.batch_size]]
+            _, g_table, scorer_grads = _oracle_next_sid_loss_grads(
+                model, batch, sid_table)
+            store.step([g_table] + [g for gs in scorer_grads for g in gs])
+    return model
+
+
+def test_train_next_sid_matches_batch_loop(monkeypatch):
+    # every step's gradients too: the float32 rounding of the parameters
+    # can hide a last-bit difference in one of them
+    steps = []
+    step = numkit.ParamStore.step
+
+    def recorded(self, grads):
+        steps.append([g.copy() for g in grads])
+        return step(self, grads)
+
+    monkeypatch.setattr(numkit.ParamStore, "step", recorded)
+    # ragged tails, and batches that do not divide the sequence count
+    for seed in range(3):
+        cfg = NextSidConfig(L=3, K=5, d_s=6, hidden=8, history=4, epochs=3,
+                            batch_size=7, seed=seed)
+        sid_table, seqs = _ragged_setup(seed, cfg.L, cfg.K)
+        got = train_next_sid(seqs, sid_table, cfg)
+        got_steps, steps[:] = steps[:], []
+        want = _oracle_train_next_sid(seqs, sid_table, cfg)
+        assert len(got_steps) == len(steps) == 3 * 6
+        for g, w in zip(got_steps, steps):
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        steps.clear()
+        assert np.array_equal(got.table, want.table)
+        for g, w in zip(got.scorers, want.scorers):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(g.flat(), w.flat()))
+
+
+def test_table_scatter_with_shared_rows():
+    # every sequence lands on the same few table rows, many times each
+    cfg = NextSidConfig(L=2, K=2, d_s=5, hidden=6, history=6, seed=1)
+    sid_table = {i: (i % 2, 0) for i in range(6)}
+    r = np.random.default_rng(3)
+    seqs = [UserSequence(history=[int(v) for v in r.integers(6, size=9)],
+                         target=int(r.integers(6))) for _ in range(50)]
+    model = init_next_sid(cfg)
+    for s in model.scorers:  # generic, nonzero gradients
+        s.weights[-1] = 0.1 * r.normal(size=s.weights[-1].shape)
+    _, g_table, _ = next_sid_loss_grads(model, seqs, sid_table)
+    want = _oracle_next_sid_loss_grads(model, seqs, sid_table)[1]
+    assert np.array_equal(g_table, want)
+    assert np.count_nonzero(np.abs(g_table).sum(axis=1)) == 3
+    with pytest.raises(InputError):
+        next_sid_loss_grads(model, [UserSequence(history=[0], target=99)],
+                            sid_table)
+
+
 def test_beam_decode_matches_loop():
     # widths 1, < K, K, between K and K^2, and K^L
     for L, K, widths in ((3, 4, (1, 3, 4, 10, 64)),
