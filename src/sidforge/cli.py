@@ -79,7 +79,10 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{k}" if path else k
         if k not in base:
             raise ConfigurationError(f"unknown config field: {where}")
-        if isinstance(base[k], dict) and isinstance(v, dict):
+        if isinstance(base[k], dict):
+            if not isinstance(v, dict):
+                raise ConfigurationError(
+                    f"config field {where} must be an object")
             out[k] = _merge(base[k], v, where)
         else:
             out[k] = v
@@ -114,16 +117,8 @@ def _validate_eval(e: dict) -> None:
     # one user to train the next-SID model on and one to test
     if type(e["n_users"]) is not int or e["n_users"] < 2:
         raise ConfigurationError("eval.n_users must be an integer >= 2")
-    if (type(e["k_list"]) is not list or not e["k_list"]
-            or any(type(k) is not int or k < 1 for k in e["k_list"])):
-        raise ConfigurationError(
-            "eval.k_list must be a nonempty list of integers >= 1")
-    # history 0 would take the whole history (seq.history[-0:])
-    for name in ("batch_size", "history"):
-        v = e["next_sid"][name]
-        if type(v) is not int or v < 1:
-            raise ConfigurationError(
-                f"eval.next_sid.{name} must be an integer >= 1")
+    evalsuite.validate_k_list(e["k_list"])
+    NextSidConfig(**e["next_sid"]).validate()
 
 
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
@@ -245,17 +240,12 @@ def _user_sequences(cfg: dict, catalog: ItemCatalog
 
 
 def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
-                    include_hr: bool | None = None,
-                    include_recall: bool | None = None,
                     seqs: list[evalsuite.UserSequence] | None = None
                     ) -> EvalReport:
-    """V-measure, collisions, HR@K and recall of one scheme.  `seqs` is
-    the user-sequence draw of `_user_sequences`; drawn here if omitted."""
+    """V-measure, collisions and recall of one scheme, and its HR@K on the
+    user sequences `seqs` of `_user_sequences` if they are given."""
     table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"))
     e = cfg["eval"]
-    include_hr = e["include_hr"] if include_hr is None else include_hr
-    include_recall = (e["include_recall"] if include_recall is None
-                      else include_recall)
     # each scheme has its own depth; the table's codes give it
     depth = len(next(iter(table.values())))
     vs = [evalsuite.sid_level_vmeasure(table, catalog, lvl)
@@ -265,19 +255,13 @@ def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
                         config_digest=config_digest(cfg), v_measure=vs,
                         collision=stats["collision_rate"],
                         distinct_prefixes=stats["distinct_prefixes"])
-    if include_hr:
-        if seqs is None:
-            seqs = _user_sequences(cfg, catalog)
+    if seqs is not None:
         n_test = max(1, len(seqs) // 5)
         train_seqs, test_seqs = seqs[:-n_test], seqs[-n_test:]
-        ns = e["next_sid"]
-        nsc = NextSidConfig(L=depth, K=K, d_s=ns["d_s"], hidden=ns["hidden"],
-                            history=ns["history"], epochs=ns["epochs"],
-                            batch_size=ns["batch_size"], lr=ns["lr"],
-                            seed=ns["seed"])
+        nsc = NextSidConfig(L=depth, K=K, **e["next_sid"])
         model = evalsuite.train_next_sid(train_seqs, table, nsc)
         report.hr = evalsuite.hr_at_k(model, test_seqs, table, e["k_list"])
-    if include_recall:
+    if e["include_recall"]:
         bundle = load_checkpoint(os.path.join(out, f"{scheme}.ckpt"))
         _, embed, _ = SCHEME_TABLE[scheme]
         report.recall = evalsuite.retrieval_recall(
@@ -313,8 +297,8 @@ def _unisid_sub_run(cfg: dict, sub: str, catalog: ItemCatalog,
     loaded = _load_catalog(sub)
     cmd_train_unisid(cfg, sub, catalog=loaded, **overrides)
     cmd_assign(cfg, sub, schemes=["unisid"], catalog=loaded)
-    report = evaluate_scheme(cfg, sub, "unisid", loaded,
-                             include_hr=include_hr)
+    seqs = _user_sequences(cfg, loaded) if include_hr else None
+    report = evaluate_scheme(cfg, sub, "unisid", loaded, seqs=seqs)
     report.extra.update(extra)
     report.save_json(os.path.join(sub, "eval_unisid.json"))
     return report

@@ -149,6 +149,14 @@ class NextSidConfig:
     lr: float = 1e-3
     seed: int = 0
 
+    def validate(self) -> None:
+        # history 0 would take the whole history (seq.history[-0:])
+        for name in ("history", "batch_size"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ConfigurationError(
+                    f"next_sid.{name} must be an integer >= 1")
+
 
 @dataclass
 class NextSidModel:
@@ -158,6 +166,7 @@ class NextSidModel:
 
 
 def init_next_sid(config: NextSidConfig) -> NextSidModel:
+    config.validate()
     rng = np.random.default_rng(config.seed)
     table = numkit.quantize_f32(
         0.1 * rng.normal(size=(config.L * config.K, config.d_s)))
@@ -206,13 +215,11 @@ def _mean_rows(table: np.ndarray, rows: np.ndarray,
 
 
 def _history_vectors(model: NextSidModel, sequences: list[UserSequence],
-                     sid_table: dict[int, tuple]):
+                     sid_table: dict[int, tuple]) -> np.ndarray:
     """Mean over the last H history items of their summed level-token
-    embeddings.  Also returns, for the embedding-table gradient, the
-    (m, L) table rows of all m tail items in sequence order and the
-    number of tail items per sequence."""
-    rows, counts = _tail_rows(sequences, sid_table, model.config)
-    return _mean_rows(model.table, rows, counts), (rows, counts)
+    embeddings."""
+    return _mean_rows(model.table,
+                      *_tail_rows(sequences, sid_table, model.config))
 
 
 def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
@@ -329,17 +336,26 @@ def _prefix_onehot(prefix: tuple[int, ...], lvl: int, K: int) -> np.ndarray:
     return v
 
 
+def validate_k_list(k_list) -> None:
+    if (not isinstance(k_list, (list, tuple)) or not k_list
+            or any(not isinstance(k, (int, np.integer)) or k < 1
+                   for k in k_list)):
+        raise ConfigurationError(
+            "k_list must be a nonempty list of integers >= 1")
+
+
 def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
             sid_table: dict[int, tuple], k_list: list[int],
             beam_width: int | None = None) -> dict[int, float]:
     """SID-level Hit Rate: a test case is a hit at K when the target's
     SID sequence appears among the top-K beam-decoded sequences."""
+    validate_k_list(k_list)
     if beam_width is None:
         beam_width = max(k_list)
     if beam_width < max(k_list):
         raise ConfigurationError("beam width must cover max(K_list)")
     hits = {k: 0 for k in k_list}
-    hist, _ = _history_vectors(model, test_sequences, sid_table)
+    hist = _history_vectors(model, test_sequences, sid_table)
     for i, seq in enumerate(test_sequences):
         truth = tuple(sid_table[seq.target])
         decoded = [s for _, s in beam_decode(model, hist[i], beam_width)]

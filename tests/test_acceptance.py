@@ -351,7 +351,7 @@ def test_criterion_4_beam_equals_exhaustive():
     got = hr_at_k(model, seqs, sid_table, k_list, beam_width=K ** L)
 
     # independent exhaustive scoring of all K^L sequences
-    hist, _ = _history_vectors(model, seqs, sid_table)
+    hist = _history_vectors(model, seqs, sid_table)
     hits = {k: 0 for k in k_list}
     for i, s in enumerate(seqs):
         scored = []

@@ -88,14 +88,16 @@ def test_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n_users", 0), ("n_users", -5), ("n_users", 1), ("k_list", []),
-    ("k_list", [0]), ("next_sid.batch_size", 0), ("next_sid.history", 0)])
+    ("eval", 5), ("eval.next_sid", None),
+    ("eval.n_users", 0), ("eval.n_users", -5), ("eval.n_users", 1),
+    ("eval.k_list", []), ("eval.k_list", [0]),
+    ("eval.next_sid.batch_size", 0), ("eval.next_sid.history", 0)])
 def test_eval_config_errors(tmp_path, field, value):
     cfg = json.loads(json.dumps(SMALL))
     *parents, name = field.split(".")
-    section = cfg["eval"]
+    section = cfg
     for key in parents:
-        section = section[key]
+        section = section.setdefault(key, {})
     section[name] = value
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -182,17 +184,18 @@ def test_eval_draws_user_sequences_once(run_dir, monkeypatch):
     assert open(os.path.join(out, "eval_rqvae.json"), "rb").read() == before
 
 
-def test_evaluate_scheme_with_shared_sequences(run_dir):
+def test_shared_draw_matches_a_draw_per_scheme(run_dir):
+    # eval scores every scheme on one draw of user sequences; a fresh
+    # draw per scheme gives the same reports
     out, cfg_path = run_dir
     cfg = load_config(cfg_path)
     catalog = load_catalog(os.path.join(out, "catalog.json"))
-    e = cfg["eval"]
-    seqs = evalsuite.gen_user_sequences(catalog, e["n_users"], e["T"],
-                                        seed=e["seq_seed"])
-    for scheme in ("unisid", "rqkmeans"):
-        own = evaluate_scheme(cfg, out, scheme, catalog)
-        shared = evaluate_scheme(cfg, out, scheme, catalog, seqs=seqs)
-        assert own.hr and shared.to_dict() == own.to_dict()
+    for scheme in ("unisid", "rqkmeans", "rqvae"):
+        own = evaluate_scheme(cfg, out, scheme, catalog,
+                              seqs=cli._user_sequences(cfg, catalog))
+        shared = evalsuite.load_report(
+            os.path.join(out, f"eval_{scheme}.json"))
+        assert own.hr and own.to_dict() == shared.to_dict()
 
 
 def test_case_study_format(run_dir):

@@ -208,7 +208,7 @@ def test_untrained_next_sid_loss_is_log_k(rng):
 def test_history_vectors_mean_of_sums(rng):
     sid_table, seqs = _toy_setup(rng)
     model = init_next_sid(CFG)
-    hist, _ = _history_vectors(model, seqs, sid_table)
+    hist = _history_vectors(model, seqs, sid_table)
     tail = seqs[0].history[-CFG.history:]
     want = np.mean([sum(model.table[lvl * CFG.K + sid_table[i][lvl]]
                         for lvl in range(CFG.L)) for i in tail], axis=0)
@@ -253,7 +253,7 @@ def test_beam_decode_matches_exhaustive(rng):
     model = train_next_sid(seqs, sid_table,
                            NextSidConfig(L=2, K=4, d_s=6, hidden=8,
                                          history=3, epochs=5, seed=2))
-    hist, _ = _history_vectors(model, seqs, sid_table)
+    hist = _history_vectors(model, seqs, sid_table)
     beams = beam_decode(model, hist[0], beam_width=16)
     # independent exhaustive scorer over all K^L sequences
     from itertools import product
@@ -275,7 +275,7 @@ def test_beam_decode_matches_exhaustive(rng):
 def test_beam_ties_lexicographic(rng):
     sid_table, seqs = _toy_setup(rng)
     model = init_next_sid(CFG)  # zero-init scorers: all scores tie
-    hist, _ = _history_vectors(model, seqs, sid_table)
+    hist = _history_vectors(model, seqs, sid_table)
     beams = beam_decode(model, hist[0], beam_width=5)
     assert [s for _, s in beams] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
 
@@ -288,7 +288,7 @@ def test_history_vectors_and_grads_match_loop():
         r = np.random.default_rng(seed)
         for s in model.scorers:  # generic, nonzero gradients
             s.weights[-1] = 0.1 * r.normal(size=s.weights[-1].shape)
-        hist, _ = _history_vectors(model, seqs, sid_table)
+        hist = _history_vectors(model, seqs, sid_table)
         want_hist, _ = _oracle_history_vectors(model, seqs, sid_table)
         assert np.array_equal(hist, want_hist)
         loss, g_table, scorer_grads = next_sid_loss_grads(model, seqs,
@@ -378,7 +378,7 @@ def test_beam_decode_matches_loop():
                       train_next_sid(seqs, sid_table,
                                      dataclasses.replace(cfg, seed=seed))]
             for model in models:
-                hist, _ = _history_vectors(model, seqs[:6], sid_table)
+                hist = _history_vectors(model, seqs[:6], sid_table)
                 for h in hist:
                     for width in widths:
                         got = beam_decode(model, h, width)
@@ -420,6 +420,19 @@ def test_hr_at_k_degenerate_table(rng):
     assert hr == {1: 1.0, 3: 1.0}
     with pytest.raises(ConfigurationError):
         hr_at_k(model, seqs, sid_table, [1, 3], beam_width=2)
+    for k_list in ([], [0, 1], [1.5]):
+        with pytest.raises(ConfigurationError, match="k_list"):
+            hr_at_k(model, seqs, sid_table, k_list)
+
+
+@pytest.mark.parametrize("field", ["history", "batch_size"])
+def test_next_sid_config_rejects_zero(rng, field):
+    # history 0 would silently take the whole history, batch size 0
+    # would stop in range()
+    sid_table, seqs = _toy_setup(rng)
+    bad = dataclasses.replace(CFG, **{field: 0})
+    with pytest.raises(ConfigurationError, match=field):
+        train_next_sid(seqs, sid_table, bad)
 
 
 def test_hr_monotone_in_k(rng):
