@@ -167,16 +167,23 @@ def generate_catalog(spec: CatalogSpec) -> ItemCatalog:
                      np.sort(perm[n_train:]).tolist())
 
 
+def mask_rows(mask: np.ndarray) -> list[np.ndarray]:
+    """An (n, n) boolean mask as per-row arrays of its true columns."""
+    return [np.flatnonzero(row) for row in mask]
+
+
 @dataclass
 class GranularPositives:
-    """Batch-restricted positive sets: positives[l][i] holds the batch
-    positions whose labels agree with item i on levels 1..l+1, and
-    masks[l] is the same relation as an (n, n) boolean matrix with a
-    false diagonal."""
+    """Batch-restricted positive sets: masks[l] is the (n, n) boolean
+    relation "batch positions i and j agree on levels 1..l+1", with a
+    false diagonal; positives[l][i] lists row i's true positions."""
 
     ids: list[int]
-    positives: list[list[np.ndarray]]  # [level][batch position] -> positions
     masks: list[np.ndarray]            # [level] -> (n, n) bool
+
+    @property
+    def positives(self) -> list[list[np.ndarray]]:
+        return [mask_rows(m) for m in self.masks]
 
 
 def build_positive_sets(catalog: ItemCatalog,
@@ -188,18 +195,14 @@ def build_positive_sets(catalog: ItemCatalog,
     if outside.size:
         raise InputError(f"item id {outside[0]} not in catalog")
     labels = catalog.labels[ids]
-    positives, masks = [], []
+    masks = []
     for level in range(LEVELS):
         # the paths come from the tree, so agreement at a level implies
         # agreement at every coarser level
         agree = labels[:, level][:, None] == labels[:, level][None, :]
         np.fill_diagonal(agree, False)
-        # one nonzero for the whole level, split into per-row slices
-        _, cols = np.nonzero(agree)
-        ends = np.cumsum(agree.sum(axis=1)).tolist()
-        positives.append([cols[a:b] for a, b in zip([0] + ends[:-1], ends)])
         masks.append(agree)
-    return GranularPositives(ids=list(batch), positives=positives, masks=masks)
+    return GranularPositives(ids=list(batch), masks=masks)
 
 
 # --- JSON persistence -------------------------------------------------------

@@ -118,6 +118,7 @@ def _validate_eval(e: dict) -> None:
     if type(e["n_users"]) is not int or e["n_users"] < 2:
         raise ConfigurationError("eval.n_users must be an integer >= 2")
     evalsuite.validate_k_list(e["k_list"])
+    evalsuite.validate_n_neg(e["n_neg"])
     NextSidConfig(**e["next_sid"]).validate()
 
 

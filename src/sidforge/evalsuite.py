@@ -344,6 +344,11 @@ def validate_k_list(k_list) -> None:
             "k_list must be a nonempty list of integers >= 1")
 
 
+def validate_n_neg(n_neg) -> None:
+    if not isinstance(n_neg, (int, np.integer)) or n_neg < 0:
+        raise ConfigurationError("n_neg must be an integer >= 0")
+
+
 def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
             sid_table: dict[int, tuple], k_list: list[int],
             beam_width: int | None = None) -> dict[int, float]:
@@ -379,6 +384,7 @@ def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
     broken by item id.  `embed_fn` maps a (n, feature_dim) matrix to
     (n, d) embeddings.
     """
+    validate_n_neg(n_neg)
     n_items = len(catalog.items)
     if n_neg >= n_items:
         raise ConfigurationError("n_neg must be smaller than the catalog")

@@ -109,10 +109,13 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     return h, cache
 
 
-def mlp_grad(params: MlpParams, cache: list,
-             upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
+             param_grads: bool = True
+             ) -> tuple[list[np.ndarray] | None, np.ndarray]:
     """Backward pass.  Returns (flat parameter gradients matching
-    params.flat() order, gradient w.r.t. the input batch)."""
+    params.flat() order, gradient w.r.t. the input batch); with
+    param_grads=False only the input gradient is computed and the first
+    value is None."""
     if len(cache) != len(params.weights):
         raise ShapeError("cache does not match network depth")
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
@@ -121,10 +124,11 @@ def mlp_grad(params: MlpParams, cache: list,
         inp, pre = cache[i]
         if params.activations[i] == RELU:
             g = g * (pre > 0.0)
-        grads[2 * i] = inp.T @ g
-        grads[2 * i + 1] = g.sum(axis=0)
+        if param_grads:
+            grads[2 * i] = inp.T @ g
+            grads[2 * i + 1] = g.sum(axis=0)
         g = g @ params.weights[i].T
-    return grads, g
+    return (grads if param_grads else None), g
 
 
 @dataclass
@@ -151,7 +155,10 @@ def adam_init(params: list[np.ndarray], lr: float = 1e-3,
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> list[np.ndarray]:
     """One bias-corrected update.  Returns new parameter arrays; the
-    moment buffers in `state` are advanced in place."""
+    moment arrays in `state` are updated in place.  Each in-place step
+    keeps the operands and association of the textbook expressions
+    (beta1 * m + (1 - beta1) * g, ..., p - lr * mhat / (sqrt(vhat) + eps)),
+    so the bits match them."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeError("parameter / gradient count mismatch")
     for i, g in enumerate(grads):
@@ -159,13 +166,23 @@ def adam_step(state: AdamState, params: list[np.ndarray],
             raise NumericError(f"non-finite gradient for parameter {i}")
     state.step += 1
     t = state.step
+    b1, b2 = state.beta1, state.beta2
     out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-        mhat = state.m[i] / (1 - state.beta1 ** t)
-        vhat = state.v[i] / (1 - state.beta2 ** t)
-        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        tmp = (1 - b1) * g
+        m += tmp
+        v *= b2
+        np.multiply(1 - b2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        step = np.divide(m, 1 - b1 ** t, out=tmp)
+        step *= state.lr
+        den = v / (1 - b2 ** t)
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        out.append(np.subtract(p, step, out=den))
     return out
 
 
@@ -182,6 +199,7 @@ class ParamStore:
         arrays = list(extra) + [p for m in mlps for p in m.flat()]
         self.shapes = [a.shape for a in arrays]
         self.vec = np.concatenate([np.ravel(a) for a in arrays])
+        self.grad = np.empty_like(self.vec)
         ends = np.cumsum([a.size for a in arrays])[:-1]
         views = [v.reshape(a.shape)
                  for v, a in zip(np.split(self.vec, ends), arrays)]
@@ -196,8 +214,9 @@ class ParamStore:
         rounded to the float32 grid in place."""
         if [g.shape for g in grads] != self.shapes:
             raise ShapeError("gradients do not match the stored arrays")
-        g = np.concatenate([np.ravel(g) for g in grads])
-        self.vec[:] = quantize_f32(adam_step(self.opt, [self.vec], [g])[0])
+        np.concatenate([np.ravel(g) for g in grads], out=self.grad)
+        new = adam_step(self.opt, [self.vec], [self.grad])[0]
+        self.vec[:] = new.astype(np.float32)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit, summarizer, unisid
-from .catalog import ItemCatalog, build_positive_sets
+from .catalog import ItemCatalog, build_positive_sets, mask_rows
 from .errors import ConfigurationError, InputError, NumericError
 from .summarizer import ReconPipeline
 from .unisid import UniSidConfig, UniSidModel
@@ -26,19 +26,24 @@ USAGE_TAU = 0.1
 
 @dataclass
 class ContrastBatch:
-    """Per-SID-level positive sets (batch positions; SID level l uses
-    taxonomy level l+1, the last SID level the leaves, and the sets
-    nest), embedding positive pairing (-1 = no same-leaf mate, query
-    skipped), temperature."""
+    """Per-SID-level positive masks ((n, n) bool over batch positions,
+    false diagonal; SID level l uses taxonomy level l+1, the last SID
+    level the leaves, and the masks nest), embedding positive pairing
+    (-1 = no same-leaf mate, query skipped), temperature."""
 
     ids: list[int]
-    level_pos: list[list[np.ndarray]]
+    level_masks: list[np.ndarray]
     emb_pos: np.ndarray
     tau: float
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ConfigurationError("temperature must be positive")
+
+    @property
+    def level_pos(self) -> list[list[np.ndarray]]:
+        """[SID level][batch position] -> positive batch positions."""
+        return [mask_rows(m) for m in self.level_masks]
 
 
 def make_contrast_batch(catalog: ItemCatalog, batch_ids: list[int],
@@ -50,11 +55,10 @@ def make_contrast_batch(catalog: ItemCatalog, batch_ids: list[int],
     log 4 / log 64 on the 4-4-4 tree).  The embedding pairs each query
     with its lowest-id same-leaf mate."""
     gp = build_positive_sets(catalog, batch_ids)
-    n_lv = len(gp.positives)
-    finer = [min(lvl + 1, n_lv - 1) for lvl in range(n_lv)]
-    level_pos = [gp.positives[f] for f in finer]
+    n_lv = len(gp.masks)
+    level_masks = [gp.masks[min(lvl + 1, n_lv - 1)] for lvl in range(n_lv)]
     # positives must nest: anything positive at level l+1 is positive at l
-    masks = np.stack([gp.masks[f] for f in finer])
+    masks = np.stack(level_masks)
     if np.any(masks[1:] & ~masks[:-1]):
         raise InputError("positive sets do not nest")
     # deterministic pairing: the same-leaf mate with the lowest item id
@@ -63,7 +67,7 @@ def make_contrast_batch(catalog: ItemCatalog, batch_ids: list[int],
     lowest = np.argmin(np.where(mates, ids[None, :], np.iinfo(np.int64).max),
                        axis=1)
     emb_pos = np.where(mates.any(axis=1), lowest, -1)
-    return ContrastBatch(ids=list(batch_ids), level_pos=level_pos,
+    return ContrastBatch(ids=list(batch_ids), level_masks=level_masks,
                          emb_pos=emb_pos, tau=tau)
 
 
@@ -81,15 +85,6 @@ def _cosine_backprop(g_sim: np.ndarray, zh: np.ndarray,
     u = (g_sim + g_sim.T) @ zh
     radial = np.sum(u * zh, axis=1, keepdims=True)
     return (u - radial * zh) / norms[:, None]
-
-
-def _positive_mask(pos_sets: list[np.ndarray], n: int) -> np.ndarray:
-    """Per-query positive index arrays -> (n, n) boolean mask."""
-    mask = np.zeros((n, n), dtype=bool)
-    counts = [len(p) for p in pos_sets]
-    if sum(counts):
-        mask[np.repeat(np.arange(n), counts), np.concatenate(pos_sets)] = True
-    return mask
 
 
 def _infonce(sim: np.ndarray, tau: float, pos_mask: np.ndarray):
@@ -132,7 +127,7 @@ def mg_contrastive_loss(level_logits: np.ndarray,
     """
     level_logits = np.asarray(level_logits, dtype=np.float64)
     n, L, K = level_logits.shape
-    if len(batch.level_pos) != L:
+    if len(batch.level_masks) != L:
         raise InputError("positive sets do not match level count")
     grad = np.zeros_like(level_logits)
     loss = 0.0
@@ -140,8 +135,8 @@ def mg_contrastive_loss(level_logits: np.ndarray,
         z = level_logits[:, lvl, :]
         zh, norms = _normalize_rows(z)
         sim = zh @ zh.T
-        lsum, g_sim, n_valid = _infonce(
-            sim, batch.tau, _positive_mask(batch.level_pos[lvl], n))
+        lsum, g_sim, n_valid = _infonce(sim, batch.tau,
+                                        batch.level_masks[lvl])
         if n_valid == 0:
             continue
         loss += lsum / (n_valid * L)
@@ -327,7 +322,7 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
             h_rec, rcache = summarizer.recon_state(fp.logits, fp.embedding,
                                                    pipeline)
             l_rec, g_h, dec_grads = summarizer.recon_loss(
-                h_rec, targets[ids], pipeline)
+                h_rec, targets[ids], pipeline, decoder_grads=train_decoder)
             l_total = total_loss(l_sid, l_emb, l_rec, config.lam)
 
             rec_grads, g_rin = numkit.mlp_grad(pipeline.recon_head, rcache,

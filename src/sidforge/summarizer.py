@@ -157,13 +157,18 @@ def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
 
 
 def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
-               pipeline: ReconPipeline):
+               pipeline: ReconPipeline, decoder_grads: bool = True):
     """Teacher-forced cross-entropy over all positions, averaged over the
-    batch.  Returns (loss, grad w.r.t. h_rec, flat decoder gradients).
+    batch.  Returns (loss, grad w.r.t. h_rec, flat decoder gradients);
+    with decoder_grads=False the decoder gradients are not computed and
+    the third value is None.
 
     Position t's first-layer pre-activation is the empty-prefix one plus
     the exclusive cumulative sum of the prefix rows its targets pick; the
-    remaining layers run once over all n * SUMMARY_LEN positions."""
+    remaining layers run once over all n * SUMMARY_LEN positions.  The
+    prefix sums run one position at a time in place, and one bincount
+    scatters the prefix-row gradients, so every sum keeps the order of
+    np.cumsum and np.add.at."""
     h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
     v = len(pipeline.vocab)
@@ -174,34 +179,49 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     n = h_rec.shape[0]
     act0 = pipeline.decoder.activations[0]
     base, prefix_rows, tail = _first_layer(h_rec, pipeline)
+    hidden = base.shape[1]
     # the last target is never part of a prefix
     pos = np.arange(SUMMARY_LEN - 1)
     picked = prefix_rows[pos, targets[:, :-1]]            # (n, S-1, hidden)
-    pre = np.repeat(base[:, None, :], SUMMARY_LEN, axis=1)
-    pre[:, 1:] += np.cumsum(picked, axis=1)
+    # sum the picked rows first and add base last, as base + cumsum does;
+    # adding each row into a running pre-activation rounds differently
+    for s in range(1, SUMMARY_LEN - 1):
+        picked[:, s] += picked[:, s - 1]
+    pre = np.empty((n, SUMMARY_LEN, hidden))
+    pre[:, 0] = base
+    np.add(base[:, None, :], picked, out=pre[:, 1:])
     logits, cache = numkit.mlp_apply(
         tail, _activate(pre, act0).reshape(n * SUMMARY_LEN, -1))
     tok = targets.reshape(-1)
     rows = np.arange(n * SUMMARY_LEN)
     m = logits.max(axis=1, keepdims=True)
-    soft = np.exp(logits - m)
+    soft = logits - m
+    np.exp(soft, out=soft)
     z = soft.sum(axis=1)
     loss = float(np.sum(m[:, 0] + np.log(z) - logits[rows, tok])) / n
     soft /= z[:, None]
     soft[rows, tok] -= 1.0
-    tail_grads, g_act = numkit.mlp_grad(tail, cache, soft / n)
+    soft /= n
+    tail_grads, g_act = numkit.mlp_grad(tail, cache, soft,
+                                        param_grads=decoder_grads)
     g_pre = g_act.reshape(pre.shape)
     if act0 == numkit.RELU:
         g_pre *= pre > 0.0
     g_base = g_pre.sum(axis=1)
-    # prefix row (s, targets[:, s]) feeds every position after s
-    g_picked = np.cumsum(g_pre[:, :0:-1], axis=1)[:, ::-1]
-    g_rows = np.zeros_like(prefix_rows)
-    np.add.at(g_rows, (pos, targets[:, :-1]), g_picked)
     w0 = pipeline.decoder.weights[0]
-    g_w0 = np.concatenate([h_rec.T @ g_base,
-                           g_rows.reshape(-1, w0.shape[1])])
     g_h = g_base @ w0[:pipeline.d_r].T
+    if not decoder_grads:
+        return loss, g_h, None
+    # prefix row (s, targets[:, s]) feeds every position after s: turn
+    # g_pre[:, s + 1] into the sum over positions s + 1 .. S - 1
+    for s in range(SUMMARY_LEN - 2, 0, -1):
+        g_pre[:, s] += g_pre[:, s + 1]
+    # W0 entry (d_r + s * v + token, j) collects its rows in batch order
+    bins = ((pipeline.d_r + pos * v + targets[:, :-1]) * hidden)[:, :, None]
+    g_w0 = np.bincount((bins + np.arange(hidden)).ravel(),
+                       weights=g_pre[:, 1:].ravel(),
+                       minlength=w0.size).reshape(w0.shape)
+    np.matmul(h_rec.T, g_base, out=g_w0[:pipeline.d_r])
     return loss, g_h, [g_w0, g_base.sum(axis=0)] + tail_grads
 
 

@@ -90,7 +90,7 @@ def test_exit_codes(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("eval", 5), ("eval.next_sid", None),
     ("eval.n_users", 0), ("eval.n_users", -5), ("eval.n_users", 1),
-    ("eval.k_list", []), ("eval.k_list", [0]),
+    ("eval.k_list", []), ("eval.k_list", [0]), ("eval.n_neg", -1),
     ("eval.next_sid.batch_size", 0), ("eval.next_sid.history", 0)])
 def test_eval_config_errors(tmp_path, field, value):
     cfg = json.loads(json.dumps(SMALL))

@@ -466,6 +466,15 @@ def test_retrieval_recall_monotonicity(small_catalog, rng):
         retrieval_recall(embed, small_catalog, [1], n_neg=64)
 
 
+@pytest.mark.parametrize("n_neg", [-1, -60, 2.5, "20"])
+def test_retrieval_recall_rejects_bad_n_neg(small_catalog, n_neg):
+    # a negative count once sliced the pool to all items but |n_neg|
+    dv = small_catalog.spec.dv
+    with pytest.raises(ConfigurationError, match="n_neg"):
+        retrieval_recall(lambda x: x[:, :dv], small_catalog, [1, 5],
+                         n_neg=n_neg)
+
+
 def _oracle_retrieval_recall(embed_fn, catalog, k_list, n_neg=99, seed=0):
     n_items = len(catalog.items)
     query_ids = catalog.test_ids

@@ -123,6 +123,87 @@ def test_adam_rejects_nonfinite():
         adam_step(st, p, [np.zeros(2), np.array([1.0, np.nan, 0.0])])
 
 
+def _oracle_adam_step(state, params, grads):
+    """adam_step as it was written, with fresh arrays for the moments and
+    every term; the in-place kernel must match it bit for bit."""
+    state.step += 1
+    t = state.step
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
+        mhat = state.m[i] / (1 - state.beta1 ** t)
+        vhat = state.v[i] / (1 - state.beta2 ** t)
+        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+    return out
+
+
+def _oracle_store_step(store, grads):
+    """ParamStore.step as it was written: a fresh concatenated gradient and
+    a float64 copy of the rounded update."""
+    g = np.concatenate([np.ravel(g) for g in grads])
+    store.vec[:] = numkit.quantize_f32(
+        numkit.adam_step(store.opt, [store.vec], [g])[0])
+
+
+def _adam_grads(rng, shapes, step):
+    if step % 7 == 3:
+        return [np.zeros(s) for s in shapes]      # an all-zero step
+    grads = []
+    for s in shapes:
+        g = rng.normal(size=s) * 10.0 ** rng.integers(-8, 4, size=s)
+        g[rng.random(s) < 0.2] = 0.0
+        grads.append(g)
+    return grads
+
+
+def test_adam_bits_match_allocating_oracle(rng):
+    shapes = [(4, 3), (5,), (1,)]
+    params = [rng.normal(size=s) for s in shapes]
+    start = [p.copy() for p in params]
+    got, want = list(params), [p.copy() for p in params]
+    st_got, st_want = adam_init(got, lr=0.01), adam_init(want, lr=0.01)
+    for step in range(50):
+        grads = _adam_grads(rng, shapes, step)
+        got = adam_step(st_got, got, grads)
+        want = _oracle_adam_step(st_want, want, grads)
+        assert st_got.step == st_want.step
+        for a, b in zip(got + st_got.m + st_got.v,
+                        want + st_want.m + st_want.v):
+            assert np.array_equal(a, b)
+    # the caller's parameter arrays are left alone
+    for p, p0 in zip(params, start):
+        assert np.array_equal(p, p0)
+
+
+def test_param_store_step_matches_oracle(rng):
+    dims = [5, 7, 3]
+    a = mlp_init(dims, np.random.default_rng(1))
+    b = mlp_init(dims, np.random.default_rng(1))
+    got = numkit.ParamStore([a], lr=0.01, extra=[np.ones((2, 3))])
+    want = numkit.ParamStore([b], lr=0.01, extra=[np.ones((2, 3))])
+    for step in range(50):
+        grads = _adam_grads(rng, got.shapes, step)
+        got.step(grads)
+        _oracle_store_step(want, grads)
+        assert np.array_equal(got.vec, want.vec)
+        assert np.array_equal(got.opt.m[0], want.opt.m[0])
+        assert np.array_equal(got.opt.v[0], want.opt.v[0])
+    # the MLP arrays are still views of the stored vector
+    assert np.array_equal(a.weights[1], b.weights[1])
+    assert np.shares_memory(a.weights[1], got.vec)
+
+
+def test_mlp_grad_input_only(rng):
+    m = _random_mlp([4, 6, 5, 3], rng)
+    x = rng.normal(size=(7, 4))
+    _, cache = mlp_apply(m, x)
+    up = rng.normal(size=(7, 3))
+    grads, g_in = mlp_grad(m, cache, up)
+    none, g_only = mlp_grad(m, cache, up, param_grads=False)
+    assert none is None and np.array_equal(g_only, g_in)
+
+
 # --- finite-difference checker ---------------------------------------------
 
 def test_fd_check_quadratic():

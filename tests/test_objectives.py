@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sidforge import numkit, objectives, summarizer
 from sidforge.catalog import build_positive_sets
+from sidforge.checkpoint import UniSidBundle, save_checkpoint
 from sidforge.errors import ConfigurationError, InputError, NumericError
 from sidforge.objectives import (ContrastBatch, LossReport, TrainConfig,
                                  code_usage_loss, emb_contrastive_loss,
@@ -12,6 +14,8 @@ from sidforge.objectives import (ContrastBatch, LossReport, TrainConfig,
                                  total_loss, train_unisid)
 from sidforge.summarizer import build_vocab, init_pipeline
 from sidforge.unisid import UniSidConfig, init_model
+from test_numkit import _oracle_adam_step, _oracle_store_step
+from test_summarizer import _oracle_recon_scatter
 
 
 def _batch(catalog, ids, tau=0.07):
@@ -37,6 +41,31 @@ def _oracle_mg(level_logits, batch):
         if terms:
             total += np.mean(terms) / L
     return total
+
+
+def _oracle_mg_index_sets(level_logits, batch):
+    """mg_contrastive_loss as it was built, from per-row positive arrays
+    turned back into masks; the kernel must match it bit for bit."""
+    level_logits = np.asarray(level_logits, dtype=np.float64)
+    n, L, K = level_logits.shape
+    grad = np.zeros_like(level_logits)
+    loss = 0.0
+    for lvl in range(L):
+        pos_sets = batch.level_pos[lvl]
+        mask = np.zeros((n, n), dtype=bool)
+        counts = [len(p) for p in pos_sets]
+        if sum(counts):
+            mask[np.repeat(np.arange(n), counts),
+                 np.concatenate(pos_sets)] = True
+        zh, norms = objectives._normalize_rows(level_logits[:, lvl, :])
+        lsum, g_sim, n_valid = objectives._infonce(zh @ zh.T, batch.tau,
+                                                   mask)
+        if n_valid == 0:
+            continue
+        loss += lsum / (n_valid * L)
+        grad[:, lvl, :] = objectives._cosine_backprop(
+            g_sim / (n_valid * L), zh, norms)
+    return loss, grad
 
 
 def _oracle_usage(logits, tau):
@@ -72,7 +101,8 @@ def _oracle_emb(emb, batch):
 
 def test_contrast_batch_rejects_bad_tau():
     with pytest.raises(ConfigurationError):
-        ContrastBatch(ids=[0], level_pos=[], emb_pos=np.array([-1]), tau=0.0)
+        ContrastBatch(ids=[0], level_masks=[], emb_pos=np.array([-1]),
+                      tau=0.0)
 
 
 def test_emb_pos_is_lowest_id_same_leaf_mate(small_catalog):
@@ -109,6 +139,32 @@ def test_level_positives_are_one_taxonomy_level_finer(small_catalog):
     cb = _batch(small_catalog, ids)
     for got, want in zip(cb.level_pos, gp.positives[1:] + gp.positives[-1:]):
         assert [p.tolist() for p in got] == [p.tolist() for p in want]
+
+
+def _split_rows(mask):
+    """Per-row positive arrays as build_positive_sets once stored them:
+    one np.nonzero over the mask, split at the row ends."""
+    _, cols = np.nonzero(mask)
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_positive_rows_derived_from_masks(small_catalog, seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(len(small_catalog.items))[:24].tolist()
+    gp = build_positive_sets(small_catalog, ids)
+    cb = _batch(small_catalog, ids)
+    finer = [1, 2, 2]
+    for rows, mask in zip(gp.positives + cb.level_pos,
+                          gp.masks + [gp.masks[f] for f in finer]):
+        want = _split_rows(mask)
+        assert len(rows) == len(want) == len(ids)
+        for got, exp in zip(rows, want):
+            assert got.dtype == exp.dtype
+            np.testing.assert_array_equal(got, exp)
+    for lvl, mask in enumerate(cb.level_masks):
+        np.testing.assert_array_equal(mask, gp.masks[finer[lvl]])
 
 
 def test_usage_loss_matches_loop_oracle(rng):
@@ -262,6 +318,39 @@ def test_train_unisid_ablation_flags(small_catalog):
     assert all(s[1] == 0.0 for s in r.steps)
 
 
+def test_mg_loss_bits_match_index_set_oracle(small_catalog, rng):
+    for ids in (list(range(24)), [0, 8, 1, 2, 10, 5, 7, 4]):
+        cb = _batch(small_catalog, ids)
+        logits = rng.normal(size=(len(ids), 3, 16))
+        loss, grad = mg_contrastive_loss(logits, cb)
+        o_loss, o_grad = _oracle_mg_index_sets(logits, cb)
+        assert loss == o_loss and np.array_equal(grad, o_grad)
+
+
+def _train_bytes(catalog, tc, path):
+    model, pipe, report = train_unisid(catalog, tc)
+    save_checkpoint(UniSidBundle(model=model, pipeline=pipe), str(path))
+    return path.read_bytes(), report.steps
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_train_step_matches_oracle_kernels(small_catalog, tmp_path,
+                                           monkeypatch, lam):
+    # a warm-up of 1 in 2 epochs runs the trained and the frozen decoder
+    tc = _tiny_config(epochs=2, decoder_warmup_epochs=1, lam=lam)
+    got = _train_bytes(small_catalog, tc, tmp_path / "kernel.ckpt")
+    monkeypatch.setattr(
+        summarizer, "recon_loss",
+        lambda h, t, p, decoder_grads=True: _oracle_recon_scatter(h, t, p))
+    monkeypatch.setattr(numkit, "adam_step", _oracle_adam_step)
+    monkeypatch.setattr(numkit.ParamStore, "step", _oracle_store_step)
+    monkeypatch.setattr(objectives, "mg_contrastive_loss",
+                        _oracle_mg_index_sets)
+    want = _train_bytes(small_catalog, tc, tmp_path / "oracle.ckpt")
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
 def test_loss_report_csv(tmp_path):
     r = LossReport()
     r.record(1.0, 2.0, 3.0, 6.0, 0.25)
@@ -336,10 +425,10 @@ def _fd_check(loss_fn, x, rng, n_coords=30, h=1e-5):
 
 def test_mg_loss_level_without_positives(rng):
     # level 0 has positives for some queries, levels 1 and 2 for none
-    empty = [np.empty(0, dtype=np.int64)] * 5
-    pos0 = [np.array([3]), np.empty(0, dtype=np.int64), np.array([4]),
-            np.array([0]), np.array([2])]
-    cb = ContrastBatch(ids=list(range(5)), level_pos=[pos0, empty, empty],
+    empty = np.zeros((5, 5), dtype=bool)
+    pos0 = empty.copy()
+    pos0[[0, 2, 3, 4], [3, 4, 0, 2]] = True   # query 1 has no positive
+    cb = ContrastBatch(ids=list(range(5)), level_masks=[pos0, empty, empty],
                        emb_pos=np.full(5, -1), tau=0.07)
     logits = rng.normal(size=(5, 3, 8))
     loss, grad = mg_contrastive_loss(logits, cb)
@@ -349,7 +438,7 @@ def test_mg_loss_level_without_positives(rng):
     assert np.any(grad[1, 0, :] != 0.0)
     _fd_check(lambda x: mg_contrastive_loss(x, cb), logits, rng)
 
-    none = ContrastBatch(ids=list(range(5)), level_pos=[empty] * 3,
+    none = ContrastBatch(ids=list(range(5)), level_masks=[empty] * 3,
                          emb_pos=np.full(5, -1), tau=0.07)
     loss, grad = mg_contrastive_loss(logits, none)
     assert loss == 0.0

@@ -7,10 +7,10 @@ from sidforge import numkit
 from sidforge.catalog import build_tree
 from sidforge.errors import CatalogError, ConfigurationError, InputError, ShapeError
 from sidforge.summarizer import (BOS_ID, EOS_ID, MAX_VOCAB, SUMMARY_LEN,
-                                 TRAIT_COUNT, ReconPipeline, build_vocab,
-                                 decode_summary, init_pipeline, recon_loss,
-                                 recon_state, summarize, summary_text,
-                                 trait_a, trait_b)
+                                 TRAIT_COUNT, ReconPipeline, _activate,
+                                 _first_layer, build_vocab, decode_summary,
+                                 init_pipeline, recon_loss, recon_state,
+                                 summarize, summary_text, trait_a, trait_b)
 
 
 def test_vocab_layout():
@@ -123,6 +123,44 @@ def _oracle_decode(h_rec, pipeline):
     return prefix
 
 
+def _oracle_recon_scatter(h_rec, targets, pipeline):
+    """recon_loss as it was built on np.cumsum, np.add.at and a
+    concatenated first-layer gradient; the kernel must match it bit for
+    bit."""
+    h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
+    n = h_rec.shape[0]
+    act0 = pipeline.decoder.activations[0]
+    base, prefix_rows, tail = _first_layer(h_rec, pipeline)
+    pos = np.arange(SUMMARY_LEN - 1)
+    picked = prefix_rows[pos, targets[:, :-1]]
+    pre = np.repeat(base[:, None, :], SUMMARY_LEN, axis=1)
+    pre[:, 1:] += np.cumsum(picked, axis=1)
+    logits, cache = numkit.mlp_apply(
+        tail, _activate(pre, act0).reshape(n * SUMMARY_LEN, -1))
+    tok = targets.reshape(-1)
+    rows = np.arange(n * SUMMARY_LEN)
+    m = logits.max(axis=1, keepdims=True)
+    soft = np.exp(logits - m)
+    z = soft.sum(axis=1)
+    loss = float(np.sum(m[:, 0] + np.log(z) - logits[rows, tok])) / n
+    soft /= z[:, None]
+    soft[rows, tok] -= 1.0
+    tail_grads, g_act = numkit.mlp_grad(tail, cache, soft / n)
+    g_pre = g_act.reshape(pre.shape)
+    if act0 == numkit.RELU:
+        g_pre *= pre > 0.0
+    g_base = g_pre.sum(axis=1)
+    g_picked = np.cumsum(g_pre[:, :0:-1], axis=1)[:, ::-1]
+    g_rows = np.zeros_like(prefix_rows)
+    np.add.at(g_rows, (pos, targets[:, :-1]), g_picked)
+    w0 = pipeline.decoder.weights[0]
+    g_w0 = np.concatenate([h_rec.T @ g_base,
+                           g_rows.reshape(-1, w0.shape[1])])
+    g_h = g_base @ w0[:pipeline.d_r].T
+    return loss, g_h, [g_w0, g_base.sum(axis=0)] + tail_grads
+
+
 def _pipeline(seed=0, d_r=6):
     vocab = build_vocab(build_tree((2, 2, 2)))
     return init_pipeline(L=2, K=4, d_e=5, d_r=d_r, vocab=vocab, seed=seed,
@@ -161,6 +199,34 @@ def test_recon_loss_matches_loop_oracle(seed):
     for g, o in zip(dec, o_dec):
         assert g.shape == o.shape
         np.testing.assert_allclose(g, o, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recon_loss_bits_match_scatter_oracle(seed):
+    rng = np.random.default_rng(200 + seed)
+    pipe, vocab = _pipeline(seed=seed, d_r=int(rng.integers(3, 9)))
+    if seed % 2:
+        pipe.decoder.activations[0] = numkit.IDENTITY
+    n = int(rng.integers(20, 48))
+    h = rng.normal(size=(n, pipe.d_r))
+    if seed % 3:
+        targets = rng.integers(0, len(vocab), size=(n, SUMMARY_LEN))
+    else:
+        # scatter collisions: most rows pick one of two tokens at every
+        # position, so each bin sums many rows
+        targets = rng.choice([4, 9, int(rng.integers(len(vocab)))],
+                             p=[0.45, 0.45, 0.1], size=(n, SUMMARY_LEN))
+    loss, g_h, dec = recon_loss(h, targets, pipe)
+    o_loss, o_g_h, o_dec = _oracle_recon_scatter(h, targets, pipe)
+    assert loss == o_loss
+    assert np.array_equal(g_h, o_g_h)
+    assert len(dec) == len(o_dec)
+    for g, o in zip(dec, o_dec):
+        assert g.shape == o.shape and np.array_equal(g, o)
+    # no decoder gradients: the same loss and h_rec gradient
+    f_loss, f_g_h, f_dec = recon_loss(h, targets, pipe, decoder_grads=False)
+    assert f_loss == o_loss and np.array_equal(f_g_h, o_g_h)
+    assert f_dec is None
 
 
 def test_decode_summary_matches_loop_oracle():
