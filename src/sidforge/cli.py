@@ -122,6 +122,23 @@ def _validate_eval(e: dict) -> None:
     NextSidConfig(**e["next_sid"]).validate()
 
 
+def _rqvae_config(cfg: dict) -> rq.RqVaeConfig:
+    return rq.RqVaeConfig(**cfg["rqvae"])
+
+
+def _validate_rq(cfg: dict) -> None:
+    """Rejects rq and rqvae settings before any work starts."""
+    r = cfg["rq"]
+    try:
+        rq.validate_rq_kmeans_args(r["L"], r["K"], r["seed"], r["iterations"])
+    except ConfigurationError as e:
+        raise ConfigurationError(f"rq.{e}") from e
+    try:
+        _rqvae_config(cfg).validate()
+    except ConfigurationError as e:
+        raise ConfigurationError(f"rqvae.{e}") from e
+
+
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
     t = dict(cfg["train"])
     t.update(overrides)
@@ -179,12 +196,8 @@ def cmd_fit_rqkmeans(cfg: dict, out: str) -> None:
 
 def cmd_train_rqvae(cfg: dict, out: str) -> None:
     catalog = _load_catalog(out)
-    r = cfg["rqvae"]
-    config = rq.RqVaeConfig(L=r["L"], K=r["K"], d=r["d"], beta=r["beta"],
-                            epochs=r["epochs"], batch_size=r["batch_size"],
-                            lr=r["lr"], seed=r["seed"],
-                            ema_decay=r["ema_decay"], hidden=r["hidden"])
-    model, losses = rq.rq_vae_fit(catalog.features_matrix(), config)
+    model, losses = rq.rq_vae_fit(catalog.features_matrix(),
+                                  _rqvae_config(cfg))
     save_checkpoint(RqVaeBundle(model=model, digest=config_digest(cfg)),
                     os.path.join(out, "rqvae.ckpt"))
     with open(os.path.join(out, "loss_rqvae.csv"), "w", newline="") as f:
@@ -427,6 +440,7 @@ def main(argv=None) -> int:
             _apply_seed_override(cfg, args.seed)
         _catalog_spec(cfg).validate()
         _validate_eval(cfg["eval"])
+        _validate_rq(cfg)
         out = args.out or cfg["paths"]["out_dir"]
         os.makedirs(out, exist_ok=True)
         COMMANDS[args.command](cfg, out)

@@ -271,7 +271,10 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[int(rng.random() * n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    # buf holds (points - c) ** 2; squaring in place gives the same bits
+    buf = np.subtract(points, centroids[0])
+    buf *= buf
+    d2 = buf.sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -282,8 +285,19 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
         idx = int(np.searchsorted(cum, rng.random(), side="right"))
         idx = min(idx, n - 1)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+        np.subtract(points, centroids[j], out=buf)
+        buf *= buf
+        np.minimum(d2, buf.sum(axis=1), out=d2)
     return centroids
+
+
+def validate_kmeans_args(k, iterations, seed, n_init=8) -> None:
+    """Rejects k-means settings that would fail late or be silently
+    wrong (zero Lloyd steps from a negative count, say)."""
+    for name, value, low in (("K", k, 1), ("iterations", iterations, 0),
+                             ("seed", seed, 0), ("n_init", n_init, 1)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ConfigurationError(f"{name} must be an integer >= {low}")
 
 
 def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
@@ -297,16 +311,15 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     clusters are re-seeded to the farthest point.
     Returns (centroids (k, d), assignments (n,)).
     """
+    validate_kmeans_args(k, iterations, seed, n_init)
     points = np.asarray(points, dtype=np.float64)
     if k > points.shape[0]:
         raise ConfigurationError(
             f"K={k} exceeds number of points {points.shape[0]}")
-    if k <= 0:
-        raise ConfigurationError("K must be positive")
     sq_norms = np.sum(points ** 2, axis=1)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, n_init)):
+    for _ in range(n_init):
         centroids, assign = _kmeans_single(points, sq_norms, k, iterations,
                                            rng)
         obj = kmeans_objective(points, centroids, assign)
@@ -332,15 +345,30 @@ def nearest_centroid(points: np.ndarray, sq_norms: np.ndarray,
     the rounding of the comparison.  A row with one column inside it has
     that column as its answer; the others, rare outside exact ties, are
     recomputed in the broadcast form.
+
+    The screen is laid out (k, n), one row per centroid, so the minimum
+    and the close-column count reduce over long contiguous rows rather
+    than across the short k axis.  Each entry is still the sum
+    (||x||^2 - 2 x.c) + ||c||^2: scaling c by -2 before the product is
+    exact, and the bound holds for any order BLAS sums the products in.
+    One small GEMM of [1; 0..k-1] against the 0/1 close mask gives each
+    point its close-column count and, when that is 1, the column's
+    index; both are small integers, so exact.
     """
+    k = centroids.shape[0]
     c_sq = np.sum(centroids ** 2, axis=1)
-    screen = sq_norms[:, None] - 2.0 * (points @ centroids.T) + c_sq
-    nearest = np.argmin(screen, axis=1)
-    lowest = screen[np.arange(points.shape[0]), nearest]
+    screen = (-2.0 * centroids) @ points.T
+    screen += sq_norms
+    screen += c_sq[:, None]
     span = (np.sqrt(sq_norms) + np.sqrt(c_sq.max())) ** 2
-    tol = 2.0 * (points.shape[1] + 4) * np.finfo(np.float64).eps * span
-    close = np.count_nonzero(screen <= (lowest + tol)[:, None], axis=1)
-    rows = np.flatnonzero(close > 1)
+    bound = np.minimum.reduce(screen, axis=0)
+    bound += 2.0 * (points.shape[1] + 4) * np.finfo(np.float64).eps * span
+    close = np.less_equal(screen, bound, out=screen)  # 0.0 / 1.0 in place
+    weights = np.ones((2, k))
+    weights[1] = np.arange(k)
+    count, index = weights @ close
+    nearest = index.astype(np.int64)
+    rows = np.flatnonzero(count > 1)
     if rows.size:
         d2 = np.sum((points[rows, None, :] - centroids[None, :, :]) ** 2,
                     axis=2)
@@ -348,22 +376,47 @@ def nearest_centroid(points: np.ndarray, sq_norms: np.ndarray,
     return nearest
 
 
+def _cluster_means(points: np.ndarray, assign: np.ndarray,
+                   counts: np.ndarray) -> np.ndarray:
+    """Each cluster's mean, its rows summed in row order from +0.0 as
+    `points[assign == j].sum(axis=0)` sums them; every count is >= 1."""
+    k, d = counts.shape[0], points.shape[1]
+    if d == 1:
+        # NumPy sums a single column pairwise, so sum sorted slices
+        grouped = points[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        sums = np.stack([grouped[e - c:e].sum(axis=0)
+                         for c, e in zip(counts, ends)])
+    else:
+        bins = (assign[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(bins, weights=points.ravel(),
+                           minlength=k * d).reshape(k, d)
+    return sums / counts[:, None]
+
+
 def _kmeans_single(points: np.ndarray, sq_norms: np.ndarray, k: int,
                    iterations: int, rng: np.random.Generator
                    ) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded Lloyd run.  Each update is the plain means of the
+    assignment (`_cluster_means`: one bincount for d >= 2, sorted-slice
+    sums for d = 1), or `_reseed_update` when a cluster is empty.
+
+    A step whose assignment repeats the one before ends the run.  If the
+    update before it took the plain means, the centroids already are
+    this assignment's means, and this assignment is their nearest
+    centroids, so both are returned as they stand.  After a re-seed the
+    update and the final assignment are computed again."""
     centroids = _kmeans_pp_init(points, k, rng)
     assign = np.zeros(points.shape[0], dtype=np.int64)
+    plain = False  # whether centroids are the plain means of `assign`
     for _ in range(iterations):
         new_assign = nearest_centroid(points, sq_norms, centroids)
+        if plain and np.array_equal(new_assign, assign):
+            return centroids, new_assign
         counts = np.bincount(new_assign, minlength=k)
-        if counts.all():
-            # each cluster's rows, contiguous and in row order, sum as
-            # points[new_assign == j].sum(axis=0) does
-            grouped = points[np.argsort(new_assign, kind="stable")]
-            ends = np.cumsum(counts)
-            sums = np.stack([grouped[e - c:e].sum(axis=0)
-                             for c, e in zip(counts, ends)])
-            centroids = sums / counts[:, None]
+        plain = bool(counts.all())
+        if plain:
+            centroids = _cluster_means(points, new_assign, counts)
         else:
             _reseed_update(points, centroids, new_assign)
         if np.array_equal(new_assign, assign):

@@ -39,10 +39,17 @@ class Codebook:
         return self.levels.shape[2]
 
 
+def validate_rq_kmeans_args(L, K, seed, iterations=50) -> None:
+    if not isinstance(L, (int, np.integer)) or L < 1:
+        raise ConfigurationError("L must be an integer >= 1")
+    numkit.validate_kmeans_args(K, iterations, seed)
+
+
 def rq_kmeans_fit(embeddings: np.ndarray, L: int, K: int, seed: int,
                   iterations: int = 50) -> Codebook:
     """Level 1 clusters the embeddings; each further level clusters the
     residuals left by the previous level's assigned centroids."""
+    validate_rq_kmeans_args(L, K, seed, iterations)
     x = np.asarray(embeddings, dtype=np.float64)
     levels = np.empty((L, K, x.shape[1]), dtype=np.float64)
     residual = x
@@ -101,12 +108,17 @@ class RqVaeConfig:
     hidden: int = 64
 
     def validate(self) -> None:
+        validate_rq_kmeans_args(self.L, self.K, self.seed)
+        for name in ("d", "hidden", "batch_size"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1")
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 0:
+            raise ConfigurationError("epochs must be an integer >= 0")
         if self.beta < 0:
             raise ConfigurationError("beta must be >= 0")
         if not 0.0 < self.ema_decay < 1.0:
             raise ConfigurationError("ema_decay must be in (0, 1)")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
 
 
 @dataclass
@@ -152,15 +164,18 @@ def _ema_update(codebook: Codebook, z: np.ndarray, tokens: np.ndarray,
     """EMA codeword update, level by level over the level's residual
     inputs.  A codeword whose decayed count is 1e-8 or less keeps its
     value."""
+    K, d = codebook.K, codebook.dim
+    cols = np.arange(d)
     r = z.copy()
     for lvl in range(codebook.L):
         tok = tokens[:, lvl]
-        batch_sums = np.zeros((codebook.K, codebook.dim))
-        # rows added in row order per code, as r[tok == k].sum(axis=0)
-        # does for d >= 2 (NumPy sums a single column pairwise)
-        np.add.at(batch_sums, tok, r)
+        # each code's rows added from 0.0 in row order, as np.add.at adds
+        # them (and r[tok == k].sum(axis=0) for d >= 2)
+        batch_sums = np.bincount((tok[:, None] * d + cols).ravel(),
+                                 weights=r.ravel(),
+                                 minlength=K * d).reshape(K, d)
         counts[lvl] = (decay * counts[lvl]
-                       + (1 - decay) * np.bincount(tok, minlength=codebook.K))
+                       + (1 - decay) * np.bincount(tok, minlength=K))
         sums[lvl] = decay * sums[lvl] + (1 - decay) * batch_sums
         live = counts[lvl] > 1e-8
         codebook.levels[lvl, live] = sums[lvl, live] / counts[lvl, live, None]

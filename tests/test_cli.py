@@ -108,6 +108,31 @@ def test_eval_config_errors(tmp_path, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("fit-rqkmeans", "rq.L", 0), ("fit-rqkmeans", "rq.iterations", -1),
+    ("fit-rqkmeans", "rq.iterations", 1.5), ("fit-rqkmeans", "rq.K", 2.5),
+    ("fit-rqkmeans", "rq.K", "16"), ("fit-rqkmeans", "rq.seed", -1),
+    ("train-rqvae", "rqvae.batch_size", 0), ("train-rqvae", "rqvae.d", 0),
+    ("train-rqvae", "rqvae.L", 0), ("train-rqvae", "rqvae.K", 2.5),
+    ("train-rqvae", "rqvae.hidden", 0), ("train-rqvae", "rqvae.seed", -1),
+    ("train-rqvae", "rqvae.epochs", 1.5)])
+def test_rq_config_errors(run_dir, tmp_path, capsys, command, field, value):
+    src, cfg_src = run_dir
+    cfg = json.loads(open(cfg_src).read())
+    section, name = field.split(".")
+    cfg.setdefault(section, {})[name] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    # a directory with a catalog, so only the config can stop the command
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "catalog.json").write_bytes(
+        open(os.path.join(src, "catalog.json"), "rb").read())
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {field} ")
+    assert sorted(os.listdir(out)) == ["catalog.json"]
+
+
 def test_verbose_prints_traceback(tmp_path, monkeypatch, capsys):
     def broken(cfg, out):
         raise ValueError("boom")

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidforge import numkit
 from sidforge.errors import ConfigurationError, NumericError, ShapeError
@@ -271,11 +273,52 @@ def test_kmeans_objective_monotone(rng):
         assert cur <= prev + 1e-9
 
 
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _oracle_kmeans_pp_init(points, k, rng):
+    """The allocating k-means++ seeding, kept apart from the live one."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    centroids[0] = points[int(rng.random() * n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[j] = points[int(rng.random() * n)]
+            continue
+        cum = np.cumsum(d2 / total)
+        idx = int(np.searchsorted(cum, rng.random(), side="right"))
+        idx = min(idx, n - 1)
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+@pytest.mark.parametrize("dup", [False, True])
+def test_kmeans_pp_init_matches_oracle(dup):
+    # same centroids and the same draws; with 5 distinct points and up to
+    # 12 centroids, the all-distances-zero branch runs too
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        d = int(r.integers(1, 20))
+        x = r.normal(size=(60, d)) * 10.0 ** int(r.integers(-3, 4))
+        if dup:
+            x = x[r.integers(0, 5, size=60)]
+        k = int(r.integers(1, 13))
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        _assert_same_bits(numkit._kmeans_pp_init(x, k, got_rng),
+                          _oracle_kmeans_pp_init(x, k, want_rng))
+        assert got_rng.random() == want_rng.random()
+
+
 def _oracle_kmeans_single(points, k, iterations, rng, reseeds):
     """The (n, k, d) broadcast Lloyd loop that `kmeans_fit` replaced;
     appends to `reseeds` each time an empty cluster is re-seeded."""
     n = points.shape[0]
-    centroids = numkit._kmeans_pp_init(points, k, rng)
+    centroids = _oracle_kmeans_pp_init(points, k, rng)
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(iterations):
         d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
@@ -315,8 +358,8 @@ def _clustered(rng, n, d, n_centers, offset=0.0):
             + 0.5 * rng.normal(size=(n, d)) + offset)
 
 
-@pytest.mark.parametrize("k", [16, 64])
-@pytest.mark.parametrize("data", ["clustered", "grid", "offset"])
+@pytest.mark.parametrize("k", [1, 16, 64])
+@pytest.mark.parametrize("data", ["clustered", "grid", "offset", "line"])
 def test_kmeans_matches_broadcast_oracle(data, k):
     rng = np.random.default_rng(k)
     if data == "clustered":
@@ -324,13 +367,35 @@ def test_kmeans_matches_broadcast_oracle(data, k):
     elif data == "grid":
         # few distinct integer points, many repeated: exact distance ties
         x = rng.integers(0, 4, size=(500, 3)).astype(np.float64)
-    else:
+    elif data == "offset":
         # far from the origin, where the GEMM form cancels worst
         x = _clustered(rng, 400, 16, 12, offset=1e3)
+    else:
+        # one column: the centroid sums take the pairwise-sum path
+        x = _clustered(rng, 300, 1, 9)
     centroids, assign = kmeans_fit(x, k, seed=5)
     want_c, want_a = _oracle_kmeans_fit(x, k, 5, [])
-    assert np.array_equal(centroids, want_c)
+    _assert_same_bits(centroids, want_c)
     assert np.array_equal(assign, want_a)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kmeans_converging_right_after_reseed(monkeypatch, d):
+    # centroid 1 owns no point, so step 1 re-seeds it to 4.0, the point
+    # farthest from its centroid, after cluster 0's mean took 4.0 in.
+    # Step 2 repeats step 1's assignment, but the centroids are not its
+    # means: they must be recomputed, not returned as they stand.
+    x = np.zeros((4, d))
+    x[:, 0] = [0.0, 4.0, 20.0, 21.0]
+    init = np.zeros((3, d))
+    init[:, 0] = [1.0, 100.0, 20.0]
+    monkeypatch.setattr(numkit, "_kmeans_pp_init",
+                        lambda points, k, rng: init.copy())
+    centroids, assign = kmeans_fit(x, 3, n_init=1)
+    want = np.zeros((3, d))
+    want[:, 0] = [0.0, 4.0, 20.5]
+    _assert_same_bits(centroids, want)
+    assert assign.tolist() == [0, 1, 2, 2]
 
 
 def test_kmeans_reseed_matches_broadcast_oracle():
@@ -343,7 +408,7 @@ def test_kmeans_reseed_matches_broadcast_oracle():
         x = np.repeat(r.normal(size=(8, 2)), r.integers(1, 6, size=8), axis=0)
         want_c, want_a = _oracle_kmeans_fit(x, 11, 0, reseeds)
         centroids, assign = kmeans_fit(x, 11, seed=0)
-        assert np.array_equal(centroids, want_c), seed
+        _assert_same_bits(centroids, want_c)
         assert np.array_equal(assign, want_a), seed
     assert reseeds
 
@@ -370,6 +435,41 @@ def test_nearest_centroid_matches_broadcast_on_near_ties(offset):
         numkit.nearest_centroid(x, sq_norms, c), want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       d=st.integers(1, 9), k=st.integers(1, 12),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       grid=st.booleans())
+def test_nearest_centroid_matches_broadcast_argmin(seed, n, d, k, offset,
+                                                   grid):
+    # repeated points, centroids that repeat or sit on points, and clouds
+    # far from the origin, on a small integer grid (exact ties) or not
+    r = np.random.default_rng(seed)
+    if grid:
+        x = r.integers(-2, 3, size=(n, d)).astype(np.float64)
+        c = r.integers(-2, 3, size=(k, d)).astype(np.float64)
+    else:
+        x = r.normal(size=(n, d))
+        c = r.normal(size=(k, d))
+    x[n // 2:] = x[r.integers(0, max(1, n // 2), size=n - n // 2)]
+    c[k // 2:] = c[r.integers(0, max(1, k // 2), size=k - k // 2)]
+    c[::3] = x[r.integers(0, n, size=c[::3].shape[0])]
+    x += offset
+    c += offset
+    want = np.argmin(np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=2),
+                     axis=1)
+    np.testing.assert_array_equal(
+        numkit.nearest_centroid(x, np.sum(x ** 2, axis=1), c), want)
+
+
 def test_kmeans_k_too_large():
     with pytest.raises(ConfigurationError):
         kmeans_fit(np.zeros((3, 2)), k=4)
+
+
+@pytest.mark.parametrize("args", [
+    {"k": 0}, {"k": 2.5}, {"k": "2"}, {"iterations": -1},
+    {"iterations": 1.5}, {"n_init": 0}, {"seed": -1}])
+def test_kmeans_rejects_bad_arguments(args):
+    with pytest.raises(ConfigurationError):
+        kmeans_fit(np.zeros((3, 2)), **{"k": 2, **args})

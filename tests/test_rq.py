@@ -41,6 +41,21 @@ def _oracle_ema_update(codebook, z, tokens, counts, sums, decay):
         r = r - codebook.levels[lvl][tokens[:, lvl]]
 
 
+def _oracle_ema_scatter(codebook, z, tokens, counts, sums, decay):
+    """The `np.add.at` scatter that `_ema_update` replaced."""
+    r = z.copy()
+    for lvl in range(codebook.L):
+        tok = tokens[:, lvl]
+        batch_sums = np.zeros((codebook.K, codebook.dim))
+        np.add.at(batch_sums, tok, r)
+        counts[lvl] = (decay * counts[lvl]
+                       + (1 - decay) * np.bincount(tok, minlength=codebook.K))
+        sums[lvl] = decay * sums[lvl] + (1 - decay) * batch_sums
+        live = counts[lvl] > 1e-8
+        codebook.levels[lvl, live] = sums[lvl, live] / counts[lvl, live, None]
+        r = r - codebook.levels[lvl][tok]
+
+
 def test_codebook_validation():
     with pytest.raises(ShapeError):
         Codebook(levels=np.zeros((2, 3)))
@@ -136,9 +151,22 @@ def test_quantize_sums_codewords(rng):
 
 def test_rqvae_config_validation():
     for bad in (RqVaeConfig(beta=-1.0), RqVaeConfig(ema_decay=0.0),
-                RqVaeConfig(ema_decay=1.0), RqVaeConfig(epochs=-1)):
+                RqVaeConfig(ema_decay=1.0), RqVaeConfig(epochs=-1),
+                RqVaeConfig(epochs=1.5), RqVaeConfig(L=0), RqVaeConfig(K=0),
+                RqVaeConfig(K=2.5), RqVaeConfig(d=0), RqVaeConfig(hidden=0),
+                RqVaeConfig(batch_size=0), RqVaeConfig(batch_size="64"),
+                RqVaeConfig(seed=-1)):
         with pytest.raises(ConfigurationError):
             bad.validate()
+    RqVaeConfig(L=np.int64(1), K=1, d=1, hidden=1, batch_size=1,
+                epochs=0).validate()
+
+
+@pytest.mark.parametrize("args", [
+    {"L": 0}, {"L": 1.0}, {"K": 0}, {"seed": -1}, {"iterations": -1}])
+def test_rq_kmeans_rejects_bad_arguments(args):
+    with pytest.raises(ConfigurationError):
+        rq_kmeans_fit(np.zeros((4, 2)), **{"L": 2, "K": 2, "seed": 0, **args})
 
 
 def _tiny_vae(rng, n=40, feat=6, d=4, K=3, L=2):
@@ -233,6 +261,32 @@ def test_ema_update_matches_loop_oracle():
         assert np.array_equal(cb.levels, cb_want.levels), seed
         assert np.array_equal(counts, counts_want), seed
         assert np.array_equal(sums, sums_want), seed
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_ema_update_matches_scatter_oracle(d):
+    # bit for bit, signs included, with -0.0 inputs and magnitudes from
+    # 1e-8 to 1e3
+    for seed in range(10):
+        r = np.random.default_rng(seed)
+        L, K, n = int(r.integers(1, 4)), int(r.integers(1, 9)), 64
+        levels = r.normal(size=(L, K, d))
+        z = r.normal(size=(n, d)) * 10.0 ** r.integers(-8, 4, size=(n, d))
+        z[r.random(size=(n, d)) < 0.1] = -0.0
+        # 64 rows over at most 7 codes; the last code is never used
+        tokens = r.integers(0, max(1, K - 1), size=(n, L))
+        counts = r.uniform(0.0, 2.0, size=(L, K))
+        sums = r.normal(size=(L, K, d))
+        cb, cb_want = Codebook(levels=levels.copy()), Codebook(levels=levels)
+        counts_want, sums_want = counts.copy(), sums.copy()
+        for _ in range(3):
+            _ema_update(cb, z, tokens, counts, sums, decay=0.99)
+            _oracle_ema_scatter(cb_want, z, tokens, counts_want, sums_want,
+                                decay=0.99)
+        for got, want in ((cb.levels, cb_want.levels), (counts, counts_want),
+                          (sums, sums_want)):
+            assert np.array_equal(got, want), seed
+            assert np.array_equal(np.signbit(got), np.signbit(want)), seed
 
 
 def test_rqvae_fit_deterministic_and_decreasing(rng):
