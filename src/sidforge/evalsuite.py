@@ -296,8 +296,8 @@ def train_next_sid(sequences: list[UserSequence],
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
@@ -308,32 +308,38 @@ def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
     Each level scores all surviving beams in one scorer call.  Between
     levels the beams are kept in lexicographic token order, so the flat
     (beam, token) candidate index runs in that order too, and a stable
-    sort on the score alone breaks ties lexicographically."""
+    sort on the score alone breaks ties lexicographically; when every
+    candidate survives a non-final level, that order needs no sort.
+
+    Each beam's scorer input is one row of a full-width buffer: the
+    history vector, then one one-hot block per decoded level; level l's
+    scorer reads the first d_s + l*K columns."""
     c = model.config
-    scores = np.zeros(1)
-    tokens = np.zeros((1, 0), dtype=np.int64)
-    # scorer input per beam: the history vector, then its one-hot prefix
-    x = np.asarray(hist_vec, dtype=np.float64)[None, :]
+    d_s = len(hist_vec)
+    x = np.zeros((1, d_s + (c.L - 1) * c.K))
+    x[0, :d_s] = hist_vec
+    tokens = np.zeros((1, c.L), dtype=np.int64)
+    scores = np.zeros((1, 1))
     for lvl in range(c.L):
-        logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0])
-        total = (scores[:, None] + logp).reshape(-1)
-        keep = np.argsort(-total, kind="stable")[:beam_width]
-        if lvl + 1 < c.L:
-            keep.sort()  # back to lexicographic order for the next level
+        width = d_s + lvl * c.K
+        logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl],
+                                             x[:, :width])[0])
+        total = (scores + logp).reshape(-1)
+        last = lvl + 1 == c.L
+        if not last and total.size <= beam_width:
+            keep = np.arange(total.size)
+        else:
+            keep = np.argsort(-total, kind="stable")[:beam_width]
+            if not last:
+                keep.sort()  # back to lexicographic order for the next level
         parent, tok = np.divmod(keep, c.K)
-        scores = total[keep]
-        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
-        onehot = np.zeros((len(keep), c.K))
-        onehot[np.arange(len(keep)), tok] = 1.0
-        x = np.concatenate([x[parent], onehot], axis=1)
-    return [(s, tuple(p)) for s, p in zip(scores.tolist(), tokens.tolist())]
-
-
-def _prefix_onehot(prefix: tuple[int, ...], lvl: int, K: int) -> np.ndarray:
-    v = np.zeros(lvl * K)
-    for j, t in enumerate(prefix):
-        v[j * K + t] = 1.0
-    return v
+        scores = total[keep, None]
+        tokens = tokens[parent]
+        tokens[:, lvl] = tok
+        if not last:
+            x = x[parent]
+            x[np.arange(len(keep)), width + tok] = 1.0
+    return list(zip(scores.reshape(-1).tolist(), map(tuple, tokens.tolist())))
 
 
 def validate_k_list(k_list) -> None:
@@ -359,16 +365,16 @@ def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
         beam_width = max(k_list)
     if beam_width < max(k_list):
         raise ConfigurationError("beam width must cover max(K_list)")
-    hits = {k: 0 for k in k_list}
     hist = _history_vectors(model, test_sequences, sid_table)
+    # each user's 0-based hit rank; beam_width when the target is missed
+    ranks = []
     for i, seq in enumerate(test_sequences):
         truth = tuple(sid_table[seq.target])
         decoded = [s for _, s in beam_decode(model, hist[i], beam_width)]
-        for k in k_list:
-            if truth in decoded[:k]:
-                hits[k] += 1
+        ranks.append(decoded.index(truth) if truth in decoded
+                     else beam_width)
     n = len(test_sequences)
-    return {k: hits[k] / n for k in k_list}
+    return {k: sum(r < k for r in ranks) / n for k in k_list}
 
 
 # --- retrieval recall -------------------------------------------------------
@@ -403,16 +409,19 @@ def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
                                                    keepdims=True), 1e-12)
     q_norm = q_emb / np.maximum(np.linalg.norm(q_emb, axis=1, keepdims=True),
                                 1e-12)
-    ranks = np.empty(len(query_ids), dtype=np.int64)
+    # one full permutation per query, truncated to n_neg: pools for
+    # smaller n_neg on the same seed are nested within larger ones
+    pools = np.empty((len(query_ids), n_neg + 1), dtype=np.int64)
+    pools[:, 0] = query_ids
+    sims = np.empty(pools.shape)
     for qi, item_id in enumerate(query_ids):
-        # one full permutation per query, truncated to n_neg: pools for
-        # smaller n_neg on the same seed are nested within larger ones
         perm = rng.permutation(n_items)
-        pool = np.concatenate(([item_id], perm[perm != item_id][:n_neg]))
-        sims = all_norm[pool] @ q_norm[qi]
-        # the item's place in the (-cosine, item id) order; ids are distinct
-        ranks[qi] = 1 + np.count_nonzero(
-            (sims > sims[0]) | ((sims == sims[0]) & (pool < item_id)))
+        pools[qi, 1:] = perm[perm != item_id][:n_neg]
+        sims[qi] = all_norm[pools[qi]] @ q_norm[qi]
+    # each item's place in the (-cosine, item id) order; ids are distinct
+    s0 = sims[:, :1]
+    ranks = 1 + np.count_nonzero(
+        (sims > s0) | ((sims == s0) & (pools < pools[:, :1])), axis=1)
     return {k: int(np.count_nonzero(ranks <= k)) / len(query_ids)
             for k in k_list}
 

@@ -1,6 +1,6 @@
 """Minimal deterministic numeric kernel: dense MLPs with hand-written
 gradients, a bias-corrected adaptive-moment optimizer over flat parameter
-stores, a finite-difference gradient checker, and k-means++-seeded k-means.
+stores, and k-means++-seeded k-means.
 
 All functions are pure with respect to (inputs, seed); ties in argmax /
 nearest-centroid are always broken toward the lowest index.
@@ -95,7 +95,9 @@ def mlp_init(dims: list[int], rng: np.random.Generator,
 def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass over a batch (n, in_dim).  Returns (output, cache);
     the cache holds the layer inputs needed for exact gradients."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
     if x.shape[1] != params.in_dim:
         raise ShapeError(f"input dim {x.shape[1]} != {params.in_dim}")
     cache = []
@@ -104,7 +106,7 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
         pre = h @ w + b
         cache.append((h, pre))
         h = np.maximum(pre, 0.0) if act == RELU else pre
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NumericError("non-finite MLP output")
     return h, cache
 
@@ -217,51 +219,6 @@ class ParamStore:
         np.concatenate([np.ravel(g) for g in grads], out=self.grad)
         new = adam_step(self.opt, [self.vec], [self.grad])[0]
         self.vec[:] = new.astype(np.float32)
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: int
-    worst_coord: int
-    passed: bool
-
-
-def finite_diff_check(loss_and_grad, params: list[np.ndarray],
-                      h: float = 1e-4, tolerance: float = 1e-4,
-                      max_coords_per_param: int | None = None,
-                      rng: np.random.Generator | None = None) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_and_grad(params)` must return (scalar loss, gradient list).
-    Relative error uses max(|fd|, |grad|, 1) as the scale so near-zero
-    coordinates are judged absolutely.
-    """
-    _, grads = loss_and_grad(params)
-    worst = (0.0, -1, -1)
-    for pi, p in enumerate(params):
-        n = p.size
-        if max_coords_per_param is not None and n > max_coords_per_param:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        else:
-            coords = range(n)
-        flat = p.reshape(-1)
-        for ci in coords:
-            orig = flat[ci]
-            flat[ci] = orig + h
-            lo_plus, _ = loss_and_grad(params)
-            flat[ci] = orig - h
-            lo_minus, _ = loss_and_grad(params)
-            flat[ci] = orig
-            fd = (lo_plus - lo_minus) / (2 * h)
-            g = grads[pi].reshape(-1)[ci]
-            rel = abs(fd - g) / max(abs(fd), abs(g), 1.0)
-            if rel > worst[0]:
-                worst = (rel, pi, int(ci))
-    return GradCheckReport(max_rel_error=worst[0], worst_param=worst[1],
-                           worst_coord=worst[2], passed=worst[0] < tolerance)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int,

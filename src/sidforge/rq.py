@@ -115,6 +115,15 @@ class RqVaeConfig:
                 raise ConfigurationError(f"{name} must be an integer >= 1")
         if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 0:
             raise ConfigurationError("epochs must be an integer >= 0")
+        for name in ("lr", "beta", "ema_decay"):
+            v = getattr(self, name)
+            # bool is a subclass of int
+            if (isinstance(v, bool) or not isinstance(
+                    v, (int, float, np.integer, np.floating))
+                    or not np.isfinite(v)):
+                raise ConfigurationError(f"{name} must be a finite number")
+        if self.lr <= 0:
+            raise ConfigurationError("lr must be > 0")
         if self.beta < 0:
             raise ConfigurationError("beta must be >= 0")
         if not 0.0 < self.ema_decay < 1.0:

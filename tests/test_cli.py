@@ -115,7 +115,15 @@ def test_eval_config_errors(tmp_path, field, value):
     ("train-rqvae", "rqvae.batch_size", 0), ("train-rqvae", "rqvae.d", 0),
     ("train-rqvae", "rqvae.L", 0), ("train-rqvae", "rqvae.K", 2.5),
     ("train-rqvae", "rqvae.hidden", 0), ("train-rqvae", "rqvae.seed", -1),
-    ("train-rqvae", "rqvae.epochs", 1.5)])
+    ("train-rqvae", "rqvae.epochs", 1.5),
+    # without the checks lr -1 trained by gradient ascent and exited 0,
+    # and a string ended in a bare runtime error (exit 1)
+    ("train-rqvae", "rqvae.lr", -1.0), ("train-rqvae", "rqvae.lr", 0),
+    ("train-rqvae", "rqvae.lr", "x"), ("train-rqvae", "rqvae.lr", True),
+    ("train-rqvae", "rqvae.beta", "0.25"), ("train-rqvae", "rqvae.beta", None),
+    ("train-rqvae", "rqvae.beta", False),
+    ("train-rqvae", "rqvae.ema_decay", "0.9"),
+    ("train-rqvae", "rqvae.ema_decay", True)])
 def test_rq_config_errors(run_dir, tmp_path, capsys, command, field, value):
     src, cfg_src = run_dir
     cfg = json.loads(open(cfg_src).read())

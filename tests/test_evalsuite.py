@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sidforge import numkit
-from sidforge.errors import ConfigurationError, InputError
+from sidforge import evalsuite, numkit
+from sidforge.errors import ConfigurationError, InputError, NumericError
 from sidforge.evalsuite import (EvalReport, NextSidConfig, UserSequence,
-                                _history_vectors, _log_softmax,
-                                _prefix_onehot, beam_decode,
+                                _history_vectors, _log_softmax, beam_decode,
                                 gen_user_sequences, hr_at_k, init_next_sid,
                                 load_report, make_contingency,
                                 next_sid_loss_grads, retrieval_recall,
                                 sid_level_vmeasure, train_next_sid, v_measure)
+from testkit import finite_diff_check, prefix_onehot
 
 
 def test_v_measure_identities():
@@ -176,7 +176,7 @@ def _oracle_beam_decode(model, hist_vec, beam_width):
         expanded = []
         for score, prefix in beams:
             x = np.concatenate([hist_vec,
-                                _prefix_onehot(prefix, lvl, c.K)])[None, :]
+                                prefix_onehot(prefix, lvl, c.K)])[None, :]
             logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
             for k in range(c.K):
                 expanded.append((score + float(logp[k]), prefix + (k,)))
@@ -242,9 +242,9 @@ def test_next_sid_grads_finite_difference(rng):
 
     params = [model.table.astype(np.float64)] + [
         p.astype(np.float64) for s in model.scorers for p in s.flat()]
-    report = numkit.finite_diff_check(loss_and_grad, params, h=1e-5,
-                                      tolerance=1e-5,
-                                      max_coords_per_param=12, rng=rng)
+    report = finite_diff_check(loss_and_grad, params, h=1e-5,
+                               tolerance=1e-5,
+                               max_coords_per_param=12, rng=rng)
     assert report.passed, report
 
 
@@ -262,7 +262,7 @@ def test_beam_decode_matches_exhaustive(rng):
         total = 0.0
         for lvl in range(2):
             x = np.concatenate([hist[0],
-                                _prefix_onehot(seq[:lvl], lvl, 4)])[None, :]
+                                prefix_onehot(seq[:lvl], lvl, 4)])[None, :]
             lp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
             total += float(lp[seq[lvl]])
         scored.append((total, seq))
@@ -366,30 +366,92 @@ def test_table_scatter_with_shared_rows():
                             sid_table)
 
 
+def _oracle_batched_beam_decode(model, hist_vec, beam_width):
+    """The batched search before the full-width input buffer: per level
+    a new one-hot block and token column are concatenated, and every
+    level sorts."""
+    c = model.config
+    scores = np.zeros(1)
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    x = np.asarray(hist_vec, dtype=np.float64)[None, :]
+    for lvl in range(c.L):
+        logits = numkit.mlp_apply(model.scorers[lvl], x)[0]
+        m = logits.max(axis=-1, keepdims=True)
+        logp = logits - m - np.log(np.exp(logits - m).sum(axis=-1,
+                                                          keepdims=True))
+        total = (scores[:, None] + logp).reshape(-1)
+        keep = np.argsort(-total, kind="stable")[:beam_width]
+        if lvl + 1 < c.L:
+            keep.sort()
+        parent, tok = np.divmod(keep, c.K)
+        scores = total[keep]
+        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
+        onehot = np.zeros((len(keep), c.K))
+        onehot[np.arange(len(keep)), tok] = 1.0
+        x = np.concatenate([x[parent], onehot], axis=1)
+    return [(s, tuple(p)) for s, p in zip(scores.tolist(), tokens.tolist())]
+
+
+def _oracle_hr_at_k(model, test_sequences, sid_table, k_list, beam_width):
+    """One slice scan of the decoded list per user and K."""
+    hits = {k: 0 for k in k_list}
+    hist = _history_vectors(model, test_sequences, sid_table)
+    for i, seq in enumerate(test_sequences):
+        truth = tuple(sid_table[seq.target])
+        decoded = [s for _, s in _oracle_batched_beam_decode(
+            model, hist[i], beam_width)]
+        for k in k_list:
+            if truth in decoded[:k]:
+                hits[k] += 1
+    return {k: hits[k] / len(test_sequences) for k in k_list}
+
+
+def _next_sid_models(cfg, seqs, sid_table, seed):
+    """An untrained model, whose scores all tie, and a trained one."""
+    return [init_next_sid(cfg),
+            train_next_sid(seqs, sid_table,
+                           dataclasses.replace(cfg, seed=seed))]
+
+
 def test_beam_decode_matches_loop():
-    # widths 1, < K, K, between K and K^2, and K^L
-    for L, K, widths in ((3, 4, (1, 3, 4, 10, 64)),
-                         (3, 16, (1, 5, 16, 20, 4096))):
+    # widths 1, < K, K, between K and K^2, K^L and beyond
+    for L, K in ((2, 4), (3, 4), (2, 16), (3, 16)):
         cfg = NextSidConfig(L=L, K=K, d_s=8, hidden=16, history=3,
                             epochs=3, batch_size=16)
         for seed in range(3):
             sid_table, seqs = _ragged_setup(seed, L, K)
-            models = [init_next_sid(cfg),  # untrained: every score ties
-                      train_next_sid(seqs, sid_table,
-                                     dataclasses.replace(cfg, seed=seed))]
-            for model in models:
+            for model in _next_sid_models(cfg, seqs, sid_table, seed):
                 hist = _history_vectors(model, seqs[:6], sid_table)
                 for h in hist:
-                    for width in widths:
+                    for width in (1, K - 1, K, K + 3, K ** L, K ** L + 5):
                         got = beam_decode(model, h, width)
+                        assert got == _oracle_batched_beam_decode(model, h,
+                                                                  width)
                         want = _oracle_beam_decode(model, h, width)
                         assert [t for _, t in got] == [t for _, t in want]
                         np.testing.assert_allclose(
                             [v for v, _ in got], [v for v, _ in want],
                             rtol=1e-12, atol=1e-12)
-                        assert all(type(v) is float and
-                                   all(type(x) is int for x in t)
-                                   for v, t in got)
+                        assert len(got) == min(width, K ** L)
+                        assert type(got) is list and all(
+                            type(v) is float and type(t) is tuple
+                            and all(type(x) is int for x in t)
+                            for v, t in got)
+
+
+@pytest.mark.parametrize("L, K", [(2, 4), (3, 16)])
+def test_hr_at_k_matches_slice_counting(L, K):
+    cfg = NextSidConfig(L=L, K=K, d_s=8, hidden=16, history=3, epochs=3,
+                        batch_size=16)
+    for seed in range(3):
+        sid_table, seqs = _ragged_setup(seed, L, K)
+        for model in _next_sid_models(cfg, seqs, sid_table, seed):
+            for width in (K, K + 3, K ** L):
+                k_list = sorted({1, min(5, width), width})
+                got = hr_at_k(model, seqs[:12], sid_table, k_list,
+                              beam_width=width)
+                assert got == _oracle_hr_at_k(model, seqs[:12], sid_table,
+                                              k_list, width)
 
 
 def test_beam_ties_across_beams_lexicographic():
@@ -408,6 +470,61 @@ def test_beam_ties_across_beams_lexicographic():
     assert [t for _, t in beams] == [(1, 1), (0, 0), (1, 0), (0, 1)]
     assert beams[1][0] == beams[2][0]
     assert beams == _oracle_beam_decode(model, hist, 4)
+
+
+def test_beam_ties_after_a_pruned_level_lexicographic():
+    # level 1 keeps (0, 1) above (0, 0) by score; level 2 mirrors the
+    # level-1 log-probs, so (0, 0, 0) and (0, 1, 0) tie exactly.  Only
+    # re-sorting the kept level-1 beams into token order puts (0, 0, 0)
+    # first.  Level 0 is certain (log-prob 0.0 exactly for token 0), so
+    # the tied totals are sums of the same two numbers
+    c = 1.0
+    model = init_next_sid(NextSidConfig(L=3, K=2, d_s=1, hidden=2))
+    model.scorers[0].biases[-1] = np.array([0.0, -1000.0])
+    model.scorers[1].biases[-1] = np.array([0.0, c])
+    s2 = model.scorers[2]
+    s2.weights[0] = np.zeros((5, 2))
+    s2.weights[0][3:] = np.eye(2)  # the level-1 token's one-hot block
+    s2.biases[0] = np.zeros(2)
+    s2.weights[1] = np.array([[c, 0.0], [0.0, c]])
+    hist = np.zeros(1)
+    beams = beam_decode(model, hist, beam_width=2)
+    assert [t for _, t in beams] == [(0, 1, 1), (0, 0, 0)]
+    assert beams == _oracle_beam_decode(model, hist, 2)
+    wide = beam_decode(model, hist, beam_width=3)
+    assert [t for _, t in wide] == [(0, 1, 1), (0, 0, 0), (0, 1, 0)]
+    assert wide[1][0] == wide[2][0]
+
+
+def test_beam_decode_call_structure(monkeypatch):
+    # one beam_decode per user and one scorer call per level: the
+    # benchmark's per-query clock and call ratio rely on both
+    cfg = NextSidConfig(L=3, K=4, d_s=6, hidden=8, history=3, seed=1)
+    sid_table, seqs = _ragged_setup(0, cfg.L, cfg.K)
+    model = init_next_sid(cfg)
+    calls = {"decode": 0, "mlp": 0}
+    decode, apply = evalsuite.beam_decode, numkit.mlp_apply
+
+    def counted_decode(*a, **kw):
+        calls["decode"] += 1
+        return decode(*a, **kw)
+
+    def counted_apply(*a, **kw):
+        calls["mlp"] += 1
+        return apply(*a, **kw)
+
+    monkeypatch.setattr(evalsuite, "beam_decode", counted_decode)
+    monkeypatch.setattr(numkit, "mlp_apply", counted_apply)
+    hr_at_k(model, seqs[:7], sid_table, [1, 5], beam_width=20)
+    assert calls == {"decode": 7, "mlp": 7 * cfg.L}
+
+
+def test_beam_decode_rejects_non_finite_scores():
+    cfg = NextSidConfig(L=2, K=4, d_s=6, hidden=8, history=3, seed=1)
+    model = init_next_sid(cfg)
+    model.scorers[1].biases[-1] = np.array([0.0, np.inf, 0.0, 0.0])
+    with pytest.raises(NumericError, match="non-finite"):
+        beam_decode(model, np.ones(cfg.d_s), 8)
 
 
 def test_hr_at_k_degenerate_table(rng):
@@ -505,18 +622,48 @@ def _oracle_retrieval_recall(embed_fn, catalog, k_list, n_neg=99, seed=0):
     return {k: hits[k] / len(query_ids) for k in k_list}
 
 
+def _oracle_ranked_recall(embed_fn, catalog, k_list, n_neg=99, seed=0):
+    """Each query's rank counted as soon as its pool is drawn, before
+    pools and similarities were stored as (queries, n_neg + 1) arrays."""
+    n_items = len(catalog.items)
+    query_ids = catalog.test_ids
+    rng = np.random.default_rng(seed)
+    spec = catalog.spec
+    queries = catalog.features_matrix(query_ids)
+    dv, dt = spec.dv, spec.dt
+    queries[:, dv:dv + dt] += spec.noise_std * rng.normal(
+        size=(len(query_ids), dt))
+    queries[:, dv + dt:] = 0.0
+    q_emb = embed_fn(queries)
+    all_emb = embed_fn(catalog.features_matrix())
+    all_norm = all_emb / np.maximum(np.linalg.norm(all_emb, axis=1,
+                                                   keepdims=True), 1e-12)
+    q_norm = q_emb / np.maximum(np.linalg.norm(q_emb, axis=1, keepdims=True),
+                                1e-12)
+    ranks = np.empty(len(query_ids), dtype=np.int64)
+    for qi, item_id in enumerate(query_ids):
+        perm = rng.permutation(n_items)
+        pool = np.concatenate(([item_id], perm[perm != item_id][:n_neg]))
+        sims = all_norm[pool] @ q_norm[qi]
+        ranks[qi] = 1 + np.count_nonzero(
+            (sims > sims[0]) | ((sims == sims[0]) & (pool < item_id)))
+    return {k: int(np.count_nonzero(ranks <= k)) / len(query_ids)
+            for k in k_list}
+
+
 def test_retrieval_recall_matches_loop(medium_catalog):
     w = np.random.default_rng(5).normal(
         size=(medium_catalog.spec.feature_dim, 3))
     k_list = [1, 5, 10, 50]
     for embed in (lambda x: x @ w,
+                  lambda x: np.round(x @ w, 1),  # many exact ties
                   lambda x: np.ones((len(x), 3))):  # every cosine ties
-        for n_neg, seed in ((20, 0), (99, 3)):
+        for n_neg, seed in ((0, 1), (20, 0), (99, 3), (269, 4)):
             got = retrieval_recall(embed, medium_catalog, k_list,
                                    n_neg=n_neg, seed=seed)
-            want = _oracle_retrieval_recall(embed, medium_catalog, k_list,
-                                            n_neg=n_neg, seed=seed)
-            assert got == want
+            for oracle in (_oracle_retrieval_recall, _oracle_ranked_recall):
+                assert got == oracle(embed, medium_catalog, k_list,
+                                     n_neg=n_neg, seed=seed)
             assert all(type(v) is float for v in got.values())
 
 

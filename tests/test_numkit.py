@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from sidforge import numkit
 from sidforge.errors import ConfigurationError, NumericError, ShapeError
 from sidforge.numkit import (AdamState, MlpParams, adam_init, adam_step,
-                             finite_diff_check, kmeans_fit, kmeans_objective,
-                             mlp_apply, mlp_grad, mlp_init)
+                             kmeans_fit, kmeans_objective, mlp_apply,
+                             mlp_grad, mlp_init)
+from testkit import finite_diff_check
 
 
 def _random_mlp(dims, rng):
@@ -229,6 +230,71 @@ def test_fd_check_flags_corrupted_gradient():
     rep = finite_diff_check(loss, p, h=1e-4, tolerance=1e-4)
     assert not rep.passed
     assert (rep.worst_param, rep.worst_coord) == (0, 1)
+
+
+def _relu_sum(grad_scale=1.0):
+    """sum(relu(p)) and its gradient, scaled to inject a fault."""
+    def loss(params):
+        p = params[0]
+        return float(np.maximum(p, 0.0).sum()), [grad_scale * (p > 0.0)]
+    return loss
+
+
+# four coordinates 3e-5 from the kink at 0 (inside +-h), four far from it
+KINKED = np.array([3e-5, 0.5, -3e-5, -0.7, 3e-5, 0.9, -3e-5, 1.2])
+
+
+def test_fd_check_redraws_kinked_coordinates():
+    # at p = 3e-5 the central difference is 0.65 against a gradient of 1
+    naive = finite_diff_check(_relu_sum(), [KINKED.copy()],
+                              max_coords_per_param=4,
+                              rng=np.random.default_rng(0), max_redraws=0)
+    assert not naive.passed and naive.redraws == 0
+    rep = finite_diff_check(_relu_sum(), [KINKED.copy()],
+                            max_coords_per_param=4,
+                            rng=np.random.default_rng(0))
+    assert rep.passed and rep.max_rel_error < 1e-9
+    assert rep.redraws == 4
+    # past the cap a kinked coordinate is checked as it is
+    capped = finite_diff_check(_relu_sum(), [KINKED.copy()],
+                               max_coords_per_param=4,
+                               rng=np.random.default_rng(0), max_redraws=1)
+    assert capped.redraws == 1 and not capped.passed
+
+
+def test_fd_check_does_not_redraw_smooth_curvature():
+    # f'' = 9 e^{3p} opens a forward-backward gap of 3h |f'|, above twice
+    # the tolerance, but it halves with the step, so nothing is redrawn
+    p = [np.linspace(-1.0, 1.0, 12)]
+
+    def loss(params):
+        return float(np.exp(3 * params[0]).sum()), [3 * np.exp(3 * params[0])]
+
+    rep = finite_diff_check(loss, p, max_coords_per_param=6,
+                            rng=np.random.default_rng(1))
+    assert rep.passed and rep.redraws == 0
+
+
+def test_fd_check_wrong_gradient_still_fails(rng):
+    # a doubled gradient fails at the smooth coordinates the redraws reach
+    rep = finite_diff_check(_relu_sum(2.0), [KINKED.copy()],
+                            max_coords_per_param=4,
+                            rng=np.random.default_rng(0))
+    assert not rep.passed and rep.max_rel_error > 0.4
+    # a 1% error in one layer of a ReLU net, at sampled coordinates
+    m = _random_mlp([4, 8, 3], rng)
+    x = rng.normal(size=(5, 4))
+
+    def loss(params):
+        m.set_flat(params)
+        y, cache = mlp_apply(m, x)
+        grads, _ = mlp_grad(m, cache, 2 * y)
+        grads[2] = 1.01 * grads[2]
+        return float(np.sum(y ** 2)), grads
+
+    rep = finite_diff_check(loss, m.flat(), max_coords_per_param=3,
+                            rng=np.random.default_rng(2))
+    assert not rep.passed and rep.worst_param == 2
 
 
 # --- k-means ----------------------------------------------------------------

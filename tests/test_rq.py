@@ -10,6 +10,7 @@ from sidforge.errors import ConfigurationError, NumericError, ShapeError
 from sidforge.rq import (Codebook, RqVaeConfig, RqVaeModel, _ema_update,
                          quantize, rq_assign_batch, rq_kmeans_fit, rq_vae_fit,
                          rq_vae_loss_grads)
+from testkit import finite_diff_check
 
 
 def _oracle_assign(levels, v):
@@ -155,11 +156,17 @@ def test_rqvae_config_validation():
                 RqVaeConfig(epochs=1.5), RqVaeConfig(L=0), RqVaeConfig(K=0),
                 RqVaeConfig(K=2.5), RqVaeConfig(d=0), RqVaeConfig(hidden=0),
                 RqVaeConfig(batch_size=0), RqVaeConfig(batch_size="64"),
-                RqVaeConfig(seed=-1)):
+                RqVaeConfig(seed=-1), RqVaeConfig(lr=0.0),
+                RqVaeConfig(lr=-1e-3), RqVaeConfig(lr=float("nan")),
+                RqVaeConfig(lr=float("inf")), RqVaeConfig(lr="1e-3"),
+                RqVaeConfig(lr=True), RqVaeConfig(beta="0.25"),
+                RqVaeConfig(beta=float("nan")), RqVaeConfig(beta=None),
+                RqVaeConfig(ema_decay="0.9"), RqVaeConfig(ema_decay=True)):
         with pytest.raises(ConfigurationError):
             bad.validate()
     RqVaeConfig(L=np.int64(1), K=1, d=1, hidden=1, batch_size=1,
                 epochs=0).validate()
+    RqVaeConfig(lr=1, beta=0, ema_decay=np.float32(0.5)).validate()
 
 
 @pytest.mark.parametrize("args", [
@@ -218,9 +225,9 @@ def test_rqvae_straight_through_gradient_finite_difference(rng):
         return float(loss), eg + dg
 
     params = model.encoder.flat() + model.decoder.flat()
-    report = numkit.finite_diff_check(surrogate, params, h=1e-5,
-                                      tolerance=1e-5,
-                                      max_coords_per_param=10, rng=rng)
+    report = finite_diff_check(surrogate, params, h=1e-5,
+                               tolerance=1e-5,
+                               max_coords_per_param=10, rng=rng)
     assert report.passed, report
 
 
