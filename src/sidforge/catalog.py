@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import numkit
 from .errors import CatalogError, ConfigurationError, InputError
 
 LEVELS = 3
@@ -56,10 +57,13 @@ class CatalogSpec:
 
     def validate(self) -> None:
         if any(b <= 0 for b in self.branching):
-            raise ConfigurationError(f"non-positive branching {self.branching}")
+            raise ConfigurationError(
+                f"branching must be positive, got {self.branching}")
         if self.n_items < self.n_leaves:
             raise ConfigurationError(
-                f"n_items={self.n_items} < leaves={self.n_leaves}")
+                f"n_items={self.n_items} must be >= leaves={self.n_leaves}")
+        # a None seed would draw from OS entropy: not reproducible
+        numkit.require_int("seed", self.seed, 0)
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be >= 0")
         if not 0.0 < self.train_fraction <= 1.0:

@@ -112,14 +112,32 @@ def _catalog_spec(cfg: dict) -> CatalogSpec:
     return CatalogSpec(**{**c, "branching": tuple(c["branching"])})
 
 
-def _validate_eval(e: dict) -> None:
+def _validate_catalog(cfg: dict) -> None:
+    try:
+        _catalog_spec(cfg).validate()
+    except ConfigurationError as e:
+        raise ConfigurationError(f"catalog.{e}") from e
+
+
+def _validate_eval(cfg: dict) -> None:
     """Rejects eval settings that would fail late or be silently wrong."""
+    e = cfg["eval"]
     # one user to train the next-SID model on and one to test
     if type(e["n_users"]) is not int or e["n_users"] < 2:
         raise ConfigurationError("eval.n_users must be an integer >= 2")
-    evalsuite.validate_k_list(e["k_list"])
-    evalsuite.validate_n_neg(e["n_neg"])
-    NextSidConfig(**e["next_sid"]).validate()
+    # a null seed would draw from OS entropy: not reproducible
+    for name in ("seed", "seq_seed"):
+        numkit.require_int(f"eval.{name}", e[name], 0)
+    if (type(e["T"]) is not int
+            or not 2 <= e["T"] < cfg["catalog"]["n_items"]):
+        raise ConfigurationError(
+            "eval.T must be an integer in [2, catalog.n_items)")
+    try:
+        evalsuite.validate_k_list(e["k_list"])
+        evalsuite.validate_n_neg(e["n_neg"])
+        NextSidConfig(**e["next_sid"]).validate()
+    except ConfigurationError as err:
+        raise ConfigurationError(f"eval.{err}") from err
 
 
 def _rqvae_config(cfg: dict) -> rq.RqVaeConfig:
@@ -438,8 +456,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             _apply_seed_override(cfg, args.seed)
-        _catalog_spec(cfg).validate()
-        _validate_eval(cfg["eval"])
+        _validate_catalog(cfg)
+        _validate_eval(cfg)
         _validate_rq(cfg)
         out = args.out or cfg["paths"]["out_dir"]
         os.makedirs(out, exist_ok=True)

@@ -108,31 +108,45 @@ def gen_user_sequences(catalog: ItemCatalog, n_users: int, T: int = 20,
                        ) -> list[UserSequence]:
     """Each user favors two level-2 subtrees: items are drawn from a
     preferred subtree with probability `preference`, else uniformly.  The
-    last item is the held-out next-item target."""
+    last item is the held-out next-item target.
+
+    The draw is a fixed set of whole-array draws from `seed`, in this
+    order: the preferred nodes (the first two columns of an argsort of
+    an (n_users, n_l2) uniform matrix), then four (n_users, T) arrays:
+    which preferred node, the item inside it, a uniform item, and the
+    preference coin."""
+    numkit.require_int("seed", seed, 0)
+    numkit.require_int("n_users", n_users, 0)
+    numkit.require_int("T", T, 2)
+    numkit.require_finite("preference", preference)
+    if not 0.0 <= preference <= 1.0:
+        raise ConfigurationError("preference must be in [0, 1]")
     if not catalog.items:
         raise InputError("empty catalog")
-    if T >= len(catalog.items):
+    n_items = len(catalog.items)
+    if T >= n_items:
         raise ConfigurationError("T must be smaller than the catalog")
-    if T < 2:
-        raise ConfigurationError("T must be >= 2")
     b1, b2, _ = catalog.spec.branching
     n_l2 = b1 * b2
-    by_l2 = [np.flatnonzero(catalog.labels[:, 1] == c).tolist()
-             for c in range(n_l2)]
+    # item ids grouped by level-2 node: node c holds
+    # by_l2[start[c]:start[c] + size[c]]
+    l2 = catalog.labels[:, 1]
+    by_l2 = np.argsort(l2, kind="stable")
+    size = np.bincount(l2, minlength=n_l2)
+    if not size.all():
+        raise InputError("every level-2 node needs an item")
+    start = np.cumsum(size) - size
     rng = np.random.default_rng(seed)
-    n_items = len(catalog.items)
-    out = []
-    for _ in range(n_users):
-        prefs = rng.choice(n_l2, size=min(2, n_l2), replace=False)
-        seq = []
-        for _ in range(T):
-            if rng.random() < preference:
-                node = by_l2[int(prefs[int(rng.integers(len(prefs)))])]
-                seq.append(node[int(rng.integers(len(node)))])
-            else:
-                seq.append(int(rng.integers(n_items)))
-        out.append(UserSequence(history=seq[:-1], target=seq[-1]))
-    return out
+    prefs = np.argsort(rng.random((n_users, n_l2)), axis=1)[:, :2]
+    node = np.take_along_axis(
+        prefs, rng.integers(prefs.shape[1], size=(n_users, T)), axis=1)
+    inside = by_l2[start[node] + rng.integers(size[node])]
+    uniform = rng.integers(n_items, size=(n_users, T))
+    items = np.where(rng.random((n_users, T)) < preference, inside, uniform)
+    # one shared int object per item id, not one per draw
+    ids = np.array(range(n_items), dtype=object)
+    return [UserSequence(history=row[:-1], target=row[-1])
+            for row in ids[items].tolist()]
 
 
 # --- next-SID model ---------------------------------------------------------
@@ -150,12 +164,14 @@ class NextSidConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        # history 0 would take the whole history (seq.history[-0:])
-        for name in ("history", "batch_size"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigurationError(
-                    f"next_sid.{name} must be an integer >= 1")
+        # history 0 would take the whole history (seq.history[-0:]);
+        # epochs -1 would train nothing, lr -1 by gradient ascent
+        for name, low in (("history", 1), ("batch_size", 1), ("d_s", 1),
+                          ("hidden", 1), ("epochs", 0), ("seed", 0)):
+            numkit.require_int(f"next_sid.{name}", getattr(self, name), low)
+        numkit.require_finite("next_sid.lr", self.lr)
+        if self.lr <= 0:
+            raise ConfigurationError("next_sid.lr must be > 0")
 
 
 @dataclass
@@ -351,8 +367,7 @@ def validate_k_list(k_list) -> None:
 
 
 def validate_n_neg(n_neg) -> None:
-    if not isinstance(n_neg, (int, np.integer)) or n_neg < 0:
-        raise ConfigurationError("n_neg must be an integer >= 0")
+    numkit.require_int("n_neg", n_neg, 0)
 
 
 def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],

@@ -248,13 +248,30 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
     return centroids
 
 
+def require_int(name: str, value, low: int) -> None:
+    """Raises ConfigurationError naming `name` unless `value` is an
+    integer >= `low`.  bool is a subclass of int, so it is rejected by
+    name; so is None, which would seed a generator from OS entropy."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ConfigurationError(f"{name} must be an integer >= {low}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raises ConfigurationError naming `name` unless `value` is a finite
+    real number (not a bool, a string or None)."""
+    if (isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        raise ConfigurationError(f"{name} must be a finite number")
+
+
 def validate_kmeans_args(k, iterations, seed, n_init=8) -> None:
     """Rejects k-means settings that would fail late or be silently
     wrong (zero Lloyd steps from a negative count, say)."""
     for name, value, low in (("K", k, 1), ("iterations", iterations, 0),
                              ("seed", seed, 0), ("n_init", n_init, 1)):
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise ConfigurationError(f"{name} must be an integer >= {low}")
+        require_int(name, value, low)
 
 
 def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,

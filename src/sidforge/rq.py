@@ -40,8 +40,7 @@ class Codebook:
 
 
 def validate_rq_kmeans_args(L, K, seed, iterations=50) -> None:
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ConfigurationError("L must be an integer >= 1")
+    numkit.require_int("L", L, 1)
     numkit.validate_kmeans_args(K, iterations, seed)
 
 
@@ -109,19 +108,11 @@ class RqVaeConfig:
 
     def validate(self) -> None:
         validate_rq_kmeans_args(self.L, self.K, self.seed)
-        for name in ("d", "hidden", "batch_size"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1")
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 0:
-            raise ConfigurationError("epochs must be an integer >= 0")
+        for name, low in (("d", 1), ("hidden", 1), ("batch_size", 1),
+                          ("epochs", 0)):
+            numkit.require_int(name, getattr(self, name), low)
         for name in ("lr", "beta", "ema_decay"):
-            v = getattr(self, name)
-            # bool is a subclass of int
-            if (isinstance(v, bool) or not isinstance(
-                    v, (int, float, np.integer, np.floating))
-                    or not np.isfinite(v)):
-                raise ConfigurationError(f"{name} must be a finite number")
+            numkit.require_finite(name, getattr(self, name))
         if self.lr <= 0:
             raise ConfigurationError("lr must be > 0")
         if self.beta < 0:

@@ -91,8 +91,24 @@ def test_exit_codes(tmp_path):
     ("eval", 5), ("eval.next_sid", None),
     ("eval.n_users", 0), ("eval.n_users", -5), ("eval.n_users", 1),
     ("eval.k_list", []), ("eval.k_list", [0]), ("eval.n_neg", -1),
-    ("eval.next_sid.batch_size", 0), ("eval.next_sid.history", 0)])
-def test_eval_config_errors(tmp_path, field, value):
+    ("eval.next_sid.batch_size", 0), ("eval.next_sid.history", 0),
+    # a null seed drew from OS entropy: two runs of one config differed
+    ("catalog.seed", None), ("catalog.seed", True), ("catalog.seed", -1),
+    ("catalog.seed", 1.5), ("eval.seed", None), ("eval.seed", -1),
+    ("eval.seq_seed", None), ("eval.seq_seed", True), ("eval.seq_seed", -1),
+    ("eval.seq_seed", 1.5), ("eval.seq_seed", "17"),
+    ("eval.next_sid.seed", None), ("eval.next_sid.seed", -1),
+    # T must leave the catalog (64 items) an item to spare
+    ("eval.T", 1), ("eval.T", 64), ("eval.T", 2.5), ("eval.T", True),
+    ("eval.T", None),
+    # lr -1 trained by gradient ascent and epochs -1 trained nothing
+    ("eval.next_sid.lr", -1), ("eval.next_sid.lr", 0),
+    ("eval.next_sid.lr", "x"), ("eval.next_sid.lr", True),
+    ("eval.next_sid.lr", None), ("eval.next_sid.lr", float("inf")),
+    ("eval.next_sid.epochs", -1), ("eval.next_sid.epochs", 1.5),
+    ("eval.next_sid.d_s", 0), ("eval.next_sid.hidden", 0),
+    ("eval.next_sid.hidden", 2.5), ("eval.next_sid.history", True)])
+def test_eval_config_errors(tmp_path, capsys, field, value):
     cfg = json.loads(json.dumps(SMALL))
     *parents, name = field.split(".")
     section = cfg
@@ -105,6 +121,7 @@ def test_eval_config_errors(tmp_path, field, value):
     # would fail with exit 1 (no SID tables)
     out = tmp_path / "run"
     assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert f" {field} " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -94,7 +94,12 @@ def test_gen_user_sequences_properties(small_catalog):
     again = gen_user_sequences(small_catalog, n_users=20, T=10, seed=4)
     assert [(s.history, s.target) for s in seqs] == \
         [(s.history, s.target) for s in again]
+    other = gen_user_sequences(small_catalog, n_users=20, T=10, seed=5)
+    assert [(s.history, s.target) for s in seqs] != \
+        [(s.history, s.target) for s in other]
     assert all(len(s.history) == 9 for s in seqs)
+    assert all(type(v) is int for s in seqs for v in s.history + [s.target])
+    assert gen_user_sequences(small_catalog, n_users=0, T=10, seed=4) == []
     for bad_T in (1, len(small_catalog.items)):
         with pytest.raises(ConfigurationError):
             gen_user_sequences(small_catalog, 2, T=bad_T)
@@ -104,6 +109,110 @@ def test_gen_user_sequences_properties(small_catalog):
     for s in pure:
         l2s = set(small_catalog.labels[s.history + [s.target], 1])
         assert len(l2s) <= 2
+
+
+def test_gen_user_sequences_share_item_objects(medium_catalog):
+    # one int object per item id, however often it is drawn: ids above
+    # 256 are not cached by the interpreter, and one int per draw would
+    # cost 28 bytes each
+    seqs = gen_user_sequences(medium_catalog, 200, T=20, seed=1)
+    first = {}
+    for v in (v for s in seqs for v in s.history + [s.target]):
+        assert first.setdefault(v, v) is v
+
+
+@pytest.mark.parametrize("field, value", [
+    # a None seed would draw from OS entropy
+    ("seed", None), ("seed", True), ("seed", -1), ("seed", 1.5),
+    ("n_users", -1), ("n_users", 2.5), ("n_users", None),
+    ("T", 2.5), ("T", True),
+    ("preference", -0.1), ("preference", 1.5), ("preference", float("nan")),
+    ("preference", "0.8"), ("preference", True)])
+def test_gen_user_sequences_rejects_bad_args(small_catalog, field, value):
+    args = {"n_users": 3, "T": 5, "seed": 0, "preference": 0.8}
+    args[field] = value
+    with pytest.raises(ConfigurationError, match=field):
+        gen_user_sequences(small_catalog, **args)
+
+
+def _drawn_prefs(catalog, n_users, seed):
+    """Each user's two preferred level-2 nodes: the first draw of
+    `gen_user_sequences`' stream."""
+    b1, b2, _ = catalog.spec.branching
+    u = np.random.default_rng(seed).random((n_users, b1 * b2))
+    return np.argsort(u, axis=1)[:, :2]
+
+
+def _oracle_user_sequences(catalog, n_users, T, seed, preference):
+    """The documented draws of `gen_user_sequences`, composed one item at
+    a time: a preferred node's item when the coin falls under
+    `preference`, else the uniform item."""
+    b1, b2, _ = catalog.spec.branching
+    nodes = [np.flatnonzero(catalog.labels[:, 1] == c).tolist()
+             for c in range(b1 * b2)]
+    rng = np.random.default_rng(seed)
+    prefs = np.argsort(rng.random((n_users, b1 * b2)), axis=1)[:, :2]
+    which = rng.integers(2, size=(n_users, T))
+    node_of = [[int(prefs[u, which[u, t]]) for t in range(T)]
+               for u in range(n_users)]
+    inside = rng.integers([[len(nodes[c]) for c in row] for row in node_of])
+    uniform = rng.integers(len(catalog.items), size=(n_users, T))
+    coin = rng.random((n_users, T))
+    out = []
+    for u in range(n_users):
+        seq = [nodes[node_of[u][t]][inside[u, t]]
+               if coin[u, t] < preference else int(uniform[u, t])
+               for t in range(T)]
+        out.append((seq[:-1], seq[-1]))
+    return out
+
+
+@pytest.mark.parametrize("T, seed, preference", [
+    (2, 0, 0.8), (10, 3, 0.8), (10, 4, 0.0), (7, 5, 1.0), (20, 6, 0.5)])
+def test_gen_user_sequences_matches_oracle(small_catalog, medium_catalog,
+                                           T, seed, preference):
+    for cat in (small_catalog, medium_catalog):
+        got = gen_user_sequences(cat, 300, T=T, seed=seed,
+                                 preference=preference)
+        assert [(s.history, s.target) for s in got] == \
+            _oracle_user_sequences(cat, 300, T, seed, preference)
+
+
+def test_gen_user_sequences_statistics(small_catalog):
+    # seeded, 20,000 users; each bound leaves a chance below 1e-4 to a
+    # correct draw
+    cat, n, T, p = small_catalog, 20000, 10, 0.8
+    n_l2 = cat.spec.branching[0] * cat.spec.branching[1]
+    items = np.array([s.history + [s.target]
+                      for s in gen_user_sequences(cat, n, T=T, seed=8,
+                                                  preference=p)])
+    prefs = _drawn_prefs(cat, n, seed=8)
+    assert (prefs[:, 0] != prefs[:, 1]).all()
+    node = cat.labels[items, 1]
+    outside = (node != prefs[:, :1]) & (node != prefs[:, 1:])
+    # each preferred node holds half the preferred draws; all level-2
+    # nodes of this catalog hold the same number of items
+    for share, hits in (((1 - p) * (1 - 2 / n_l2), outside),
+                        (p / 2 + (1 - p) / n_l2, node == prefs[:, :1]),
+                        (p / 2 + (1 - p) / n_l2, node == prefs[:, 1:])):
+        se = np.sqrt(share * (1 - share) / hits.size)
+        assert abs(hits.mean() - share) < 4 * se
+    # the targets are independent across users; each lands in node c
+    # with chance p / n_l2 + (1 - p) * size(c) / n_items
+    size = np.bincount(cat.labels[:, 1], minlength=n_l2)
+    expected = n * (p / n_l2 + (1 - p) * size / len(cat.items))
+    counts = np.bincount(node[:, -1], minlength=n_l2)
+    # 30.66 is the 1 - 1e-6 quantile of chi-square with 3 degrees of
+    # freedom
+    assert np.sum((counts - expected) ** 2 / expected) < 30.66
+    # at preference 0 every item is an independent uniform draw; 131.37
+    # is the 1 - 1e-6 quantile of chi-square with 63 degrees of freedom
+    flat = np.array([s.history + [s.target]
+                     for s in gen_user_sequences(cat, 2000, T=T, seed=9,
+                                                 preference=0.0)]).ravel()
+    counts = np.bincount(flat, minlength=len(cat.items))
+    expected = flat.size / len(cat.items)
+    assert np.sum((counts - expected) ** 2 / expected) < 131.37
 
 
 CFG = NextSidConfig(L=2, K=4, d_s=6, hidden=8, history=3, seed=2)
