@@ -13,7 +13,7 @@ validated JSON catalog file.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,14 +32,15 @@ _L3_WORDS = ["classic", "mini", "pro", "eco",
 
 @dataclass(frozen=True)
 class CatalogSpec:
-    branching: tuple[int, int, int] = (4, 4, 4)
-    n_items: int = 2048
-    dv: int = 16
-    dt: int = 16
-    noise_std: float = 0.3
-    ambiguity: bool = True
-    train_fraction: float = 0.9
-    seed: int = 7
+    branching: tuple[int, int, int] = numkit.rule("int", ">= 1", items=3,
+                                                 default=(4, 4, 4))
+    n_items: int = numkit.rule("int", ">= 1", default=2048)
+    dv: int = numkit.rule("int", ">= 0", default=16)
+    dt: int = numkit.rule("int", ">= 0", default=16)
+    noise_std: float = numkit.rule("number", ">= 0", default=0.3)
+    ambiguity: bool = numkit.rule("bool", default=True)
+    train_fraction: float = numkit.rule("number", "> 0", "<= 1", default=0.9)
+    seed: int = numkit.rule("int", ">= 0", default=7)
 
     @property
     def n_leaves(self) -> int:
@@ -56,18 +57,10 @@ class CatalogSpec:
         return self.dv + self.dt + self.attr_dim
 
     def validate(self) -> None:
-        if any(b <= 0 for b in self.branching):
-            raise ConfigurationError(
-                f"branching must be positive, got {self.branching}")
+        numkit.check(self, "catalog")
         if self.n_items < self.n_leaves:
             raise ConfigurationError(
-                f"n_items={self.n_items} must be >= leaves={self.n_leaves}")
-        # a None seed would draw from OS entropy: not reproducible
-        numkit.require_int("seed", self.seed, 0)
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ConfigurationError("train_fraction must be in (0, 1]")
+                f"catalog.n_items must be >= {self.n_leaves}, its leaves")
 
 
 @dataclass
@@ -213,11 +206,6 @@ def build_positive_sets(catalog: ItemCatalog,
 
 CATALOG_FORMAT = 2
 
-# the spec fields a catalog file must hold, with their JSON types
-_SPEC_TYPES = {"branching": list, "n_items": int, "dv": int, "dt": int,
-               "noise_std": (int, float), "ambiguity": bool,
-               "train_fraction": (int, float), "seed": int}
-
 
 def _floats9(block: np.ndarray) -> str:
     """A JSON array of the block's values, row by row, at 9 digits."""
@@ -243,17 +231,15 @@ def save_catalog(catalog: ItemCatalog, path: str, digest: str = "") -> None:
 
 
 def _spec_of(s) -> CatalogSpec:
-    if not (isinstance(s, dict) and set(s) == set(_SPEC_TYPES)
-            and all(isinstance(s[k], t) for k, t in _SPEC_TYPES.items())
-            and len(s["branching"]) == 3
-            and all(type(b) is int for b in s["branching"])):
+    if not (isinstance(s, dict)
+            and set(s) == {f.name for f in fields(CatalogSpec)}):
         raise CatalogError(f"malformed catalog spec {s!r}")
-    spec = CatalogSpec(**{**s, "branching": tuple(s["branching"])})
+    spec = CatalogSpec(**s)
     try:
         spec.validate()
     except ConfigurationError as e:
         raise CatalogError(f"invalid catalog spec: {e}") from e
-    return spec
+    return replace(spec, branching=tuple(spec.branching))
 
 
 def _ints(values, field: str) -> np.ndarray:

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 from . import evalsuite, numkit, objectives, rq, summarizer, unisid
 from .catalog import (CatalogSpec, ItemCatalog, generate_catalog,
@@ -81,8 +83,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             raise ConfigurationError(f"unknown config field: {where}")
         if isinstance(base[k], dict):
             if not isinstance(v, dict):
-                raise ConfigurationError(
-                    f"config field {where} must be an object")
+                raise ConfigurationError(f"{where} must be an object")
             out[k] = _merge(base[k], v, where)
         else:
             out[k] = v
@@ -107,60 +108,78 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _catalog_spec(cfg: dict) -> CatalogSpec:
-    c = cfg["catalog"]
-    return CatalogSpec(**{**c, "branching": tuple(c["branching"])})
+# sections that only the CLI reads, with DEFAULT_CONFIG's defaults;
+# embed_train is the embedding-only run that fit-rqkmeans clusters
+@dataclass(frozen=True)
+class EmbedTrain:
+    epochs: int = numkit.rule("int", ">= 0")
+    seed: int = numkit.rule("int", ">= 0")
 
 
-def _validate_catalog(cfg: dict) -> None:
-    try:
-        _catalog_spec(cfg).validate()
-    except ConfigurationError as e:
-        raise ConfigurationError(f"catalog.{e}") from e
+@dataclass(frozen=True)
+class Rq:
+    L: int = numkit.rule("int", ">= 1")
+    K: int = numkit.rule("int", ">= 1")
+    seed: int = numkit.rule("int", ">= 0")
+    iterations: int = numkit.rule("int", ">= 0")
 
 
-def _validate_eval(cfg: dict) -> None:
-    """Rejects eval settings that would fail late or be silently wrong."""
-    e = cfg["eval"]
+@dataclass(frozen=True)
+class Eval:
+    k_list: list[int] = numkit.rule("int", ">= 1", items="+")
+    n_neg: int = numkit.rule("int", ">= 0")
     # one user to train the next-SID model on and one to test
-    if type(e["n_users"]) is not int or e["n_users"] < 2:
-        raise ConfigurationError("eval.n_users must be an integer >= 2")
-    # a null seed would draw from OS entropy: not reproducible
-    for name in ("seed", "seq_seed"):
-        numkit.require_int(f"eval.{name}", e[name], 0)
-    if (type(e["T"]) is not int
-            or not 2 <= e["T"] < cfg["catalog"]["n_items"]):
-        raise ConfigurationError(
-            "eval.T must be an integer in [2, catalog.n_items)")
-    try:
-        evalsuite.validate_k_list(e["k_list"])
-        evalsuite.validate_n_neg(e["n_neg"])
-        NextSidConfig(**e["next_sid"]).validate()
-    except ConfigurationError as err:
-        raise ConfigurationError(f"eval.{err}") from err
+    n_users: int = numkit.rule("int", ">= 2")
+    T: int = numkit.rule("int", ">= 2")  # and below catalog.n_items
+    seq_seed: int = numkit.rule("int", ">= 0")
+    include_hr: bool = numkit.rule("bool")
+    include_recall: bool = numkit.rule("bool")
+    seed: int = numkit.rule("int", ">= 0")
+    next_sid: NextSidConfig = numkit.rule(NextSidConfig)
 
 
-def _rqvae_config(cfg: dict) -> rq.RqVaeConfig:
-    return rq.RqVaeConfig(**cfg["rqvae"])
+@dataclass(frozen=True)
+class Sweep:
+    lambdas: list[float] = numkit.rule("number", ">= 0", items="+")
+    include_hr: bool = numkit.rule("bool")
 
 
-def _validate_rq(cfg: dict) -> None:
-    """Rejects rq and rqvae settings before any work starts."""
-    r = cfg["rq"]
-    try:
-        rq.validate_rq_kmeans_args(r["L"], r["K"], r["seed"], r["iterations"])
-    except ConfigurationError as e:
-        raise ConfigurationError(f"rq.{e}") from e
-    try:
-        _rqvae_config(cfg).validate()
-    except ConfigurationError as e:
-        raise ConfigurationError(f"rqvae.{e}") from e
+@dataclass(frozen=True)
+class CaseStudy:
+    n_items: int = numkit.rule("int", ">= 1")
 
 
-def _train_config(cfg: dict, **overrides) -> TrainConfig:
-    t = dict(cfg["train"])
-    t.update(overrides)
-    return TrainConfig(**t)
+class Config(NamedTuple):
+    """A resolved config: its dict's digest and its checked sections."""
+
+    digest: str
+    catalog: CatalogSpec
+    train: TrainConfig
+    embed_train: EmbedTrain
+    rq: Rq
+    rqvae: rq.RqVaeConfig
+    eval: Eval
+    sweep: Sweep
+    case_study: CaseStudy
+
+
+def check_config(cfg: dict) -> Config:
+    """Builds and checks every section of the resolved config `cfg`."""
+    e = cfg["eval"]
+    sections = {name: cls(**cfg[name]) for name, cls in (
+        ("catalog", CatalogSpec), ("train", TrainConfig),
+        ("embed_train", EmbedTrain), ("rq", Rq), ("rqvae", rq.RqVaeConfig),
+        ("sweep", Sweep), ("case_study", CaseStudy))}
+    sections["eval"] = Eval(**e | {"next_sid": NextSidConfig(**e["next_sid"])})
+    for name, section in sections.items():
+        numkit.check(section, name)
+    # the rules that span fields
+    spec = sections["catalog"]
+    spec.validate()
+    if sections["eval"].T >= spec.n_items:
+        raise ConfigurationError("eval.T must be below catalog.n_items")
+    return Config(digest=config_digest(cfg), **{
+        **sections, "catalog": replace(spec, branching=tuple(spec.branching))})
 
 
 def _catalog_path(out: str) -> str:
@@ -174,49 +193,46 @@ def _load_catalog(out: str) -> ItemCatalog:
     return load_catalog(path)
 
 
-def cmd_gen_data(cfg: dict, out: str) -> ItemCatalog:
-    catalog = generate_catalog(_catalog_spec(cfg))
+def cmd_gen_data(cfg: Config, out: str) -> ItemCatalog:
+    catalog = generate_catalog(cfg.catalog)
     os.makedirs(out, exist_ok=True)
-    save_catalog(catalog, _catalog_path(out), digest=config_digest(cfg))
+    save_catalog(catalog, _catalog_path(out), digest=cfg.digest)
     print(f"wrote {_catalog_path(out)} "
           f"({len(catalog.items)} items, {catalog.spec.n_leaves} leaves)")
     return catalog
 
 
-def cmd_train_unisid(cfg: dict, out: str, suffix: str = "unisid",
-                     catalog: ItemCatalog | None = None, **overrides) -> None:
+def cmd_train_unisid(cfg: Config, out: str,
+                     catalog: ItemCatalog | None = None,
+                     train: TrainConfig | None = None) -> None:
     if catalog is None:
         catalog = _load_catalog(out)
-    model, pipeline, report = objectives.train_unisid(
-        catalog, _train_config(cfg, **overrides))
-    bundle = UniSidBundle(model=model, pipeline=pipeline,
-                          digest=config_digest(cfg))
-    save_checkpoint(bundle, os.path.join(out, f"{suffix}.ckpt"))
-    report.save_csv(os.path.join(out, f"loss_{suffix}.csv"))
-    print(f"wrote {suffix}.ckpt ({len(report.steps)} steps)")
+    model, pipeline, report = objectives.train_unisid(catalog,
+                                                      train or cfg.train)
+    bundle = UniSidBundle(model=model, pipeline=pipeline, digest=cfg.digest)
+    save_checkpoint(bundle, os.path.join(out, "unisid.ckpt"))
+    report.save_csv(os.path.join(out, "loss_unisid.csv"))
+    print(f"wrote unisid.ckpt ({len(report.steps)} steps)")
 
 
-def cmd_fit_rqkmeans(cfg: dict, out: str) -> None:
+def cmd_fit_rqkmeans(cfg: Config, out: str) -> None:
     catalog = _load_catalog(out)
     # stage 1: embeddings from an embedding-only training run
-    tc = _train_config(cfg, use_sid=False, lam=0.0, **cfg["embed_train"])
+    tc = replace(cfg.train, use_sid=False, lam=0.0, **asdict(cfg.embed_train))
     embed_model, _, report = objectives.train_unisid(catalog, tc)
     emb = unisid.embed_batch(embed_model, catalog.features_matrix())
-    r = cfg["rq"]
-    codebook = rq.rq_kmeans_fit(emb, L=r["L"], K=r["K"], seed=r["seed"],
-                                iterations=r["iterations"])
+    codebook = rq.rq_kmeans_fit(emb, **asdict(cfg.rq))
     bundle = RqKmeansBundle(embed_model=embed_model, codebook=codebook,
-                            digest=config_digest(cfg))
+                            digest=cfg.digest)
     save_checkpoint(bundle, os.path.join(out, "rqkmeans.ckpt"))
     report.save_csv(os.path.join(out, "loss_rqkmeans_embed.csv"))
     print("wrote rqkmeans.ckpt")
 
 
-def cmd_train_rqvae(cfg: dict, out: str) -> None:
+def cmd_train_rqvae(cfg: Config, out: str) -> None:
     catalog = _load_catalog(out)
-    model, losses = rq.rq_vae_fit(catalog.features_matrix(),
-                                  _rqvae_config(cfg))
-    save_checkpoint(RqVaeBundle(model=model, digest=config_digest(cfg)),
+    model, losses = rq.rq_vae_fit(catalog.features_matrix(), cfg.rqvae)
+    save_checkpoint(RqVaeBundle(model=model, digest=cfg.digest),
                     os.path.join(out, "rqvae.ckpt"))
     with open(os.path.join(out, "loss_rqvae.csv"), "w", newline="") as f:
         w = csv.writer(f)
@@ -232,7 +248,7 @@ def _present_schemes(out: str, pattern: str) -> list[str]:
             if os.path.exists(os.path.join(out, pattern.format(s)))]
 
 
-def cmd_assign(cfg: dict, out: str, schemes=None,
+def cmd_assign(cfg: Config, out: str, schemes=None,
                catalog: ItemCatalog | None = None) -> None:
     if catalog is None:
         catalog = _load_catalog(out)
@@ -245,7 +261,7 @@ def cmd_assign(cfg: dict, out: str, schemes=None,
         table = sid_table(bundle, catalog)
         L = len(next(iter(table.values())))
         doc = {"L": L, "K": k_of(bundle),
-               "config_digest": config_digest(cfg),
+               "config_digest": cfg.digest,
                "sids": {str(i): list(t) for i, t in sorted(table.items())}}
         path = os.path.join(out, f"sids_{scheme}.json")
         with open(path, "w", encoding="utf-8") as f:
@@ -264,52 +280,51 @@ def load_sid_table(path: str) -> dict[int, tuple]:
     return _load_sid_doc(path)[0]
 
 
-def _user_sequences(cfg: dict, catalog: ItemCatalog
+def _user_sequences(cfg: Config, catalog: ItemCatalog
                     ) -> list[evalsuite.UserSequence]:
-    e = cfg["eval"]
-    return evalsuite.gen_user_sequences(catalog, e["n_users"], e["T"],
-                                        seed=e["seq_seed"])
+    e = cfg.eval
+    return evalsuite.gen_user_sequences(catalog, e.n_users, e.T,
+                                        seed=e.seq_seed)
 
 
-def evaluate_scheme(cfg: dict, out: str, scheme: str, catalog: ItemCatalog,
+def evaluate_scheme(cfg: Config, out: str, scheme: str, catalog: ItemCatalog,
                     seqs: list[evalsuite.UserSequence] | None = None
                     ) -> EvalReport:
     """V-measure, collisions and recall of one scheme, and its HR@K on the
     user sequences `seqs` of `_user_sequences` if they are given."""
     table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"))
-    e = cfg["eval"]
+    e = cfg.eval
     # each scheme has its own depth; the table's codes give it
     depth = len(next(iter(table.values())))
     vs = [evalsuite.sid_level_vmeasure(table, catalog, lvl)
           for lvl in range(1, depth + 1)]
     stats = unisid.collision_stats(table)
-    report = EvalReport(scheme=scheme, seed=e["seed"],
-                        config_digest=config_digest(cfg), v_measure=vs,
+    report = EvalReport(scheme=scheme, seed=e.seed,
+                        config_digest=cfg.digest, v_measure=vs,
                         collision=stats["collision_rate"],
                         distinct_prefixes=stats["distinct_prefixes"])
     if seqs is not None:
         n_test = max(1, len(seqs) // 5)
         train_seqs, test_seqs = seqs[:-n_test], seqs[-n_test:]
-        nsc = NextSidConfig(L=depth, K=K, **e["next_sid"])
+        nsc = replace(e.next_sid, L=depth, K=K)
         model = evalsuite.train_next_sid(train_seqs, table, nsc)
-        report.hr = evalsuite.hr_at_k(model, test_seqs, table, e["k_list"])
-    if e["include_recall"]:
+        report.hr = evalsuite.hr_at_k(model, test_seqs, table, e.k_list)
+    if e.include_recall:
         bundle = load_checkpoint(os.path.join(out, f"{scheme}.ckpt"))
         _, embed, _ = SCHEME_TABLE[scheme]
         report.recall = evalsuite.retrieval_recall(
-            lambda x: embed(bundle, x), catalog, e["k_list"],
-            n_neg=e["n_neg"], seed=e["seed"])
+            lambda x: embed(bundle, x), catalog, e.k_list,
+            n_neg=e.n_neg, seed=e.seed)
     return report
 
 
-def cmd_eval(cfg: dict, out: str) -> None:
+def cmd_eval(cfg: Config, out: str) -> None:
     schemes = _present_schemes(out, "sids_{}.json")
     if not schemes:
         raise SidforgeError("no SID tables found; run assign first")
     catalog = _load_catalog(out)
     # every scheme is scored on the same users, so draw them once
-    seqs = (_user_sequences(cfg, catalog) if cfg["eval"]["include_hr"]
-            else None)
+    seqs = _user_sequences(cfg, catalog) if cfg.eval.include_hr else None
     for scheme in schemes:
         report = evaluate_scheme(cfg, out, scheme, catalog, seqs=seqs)
         report.save_json(os.path.join(out, f"eval_{scheme}.json"))
@@ -317,17 +332,18 @@ def cmd_eval(cfg: dict, out: str) -> None:
         print(f"wrote eval_{scheme}.json")
 
 
-def _unisid_sub_run(cfg: dict, sub: str, catalog: ItemCatalog,
-                    include_hr: bool, extra: dict, **overrides) -> EvalReport:
-    """train-unisid -> assign -> eval in the sub-directory `sub`, whose
-    catalog is written from `catalog` unless it holds one already.  The
-    three stages share one load of that file: its features are rounded
-    to 9 digits, so they differ from the in-memory `catalog`'s."""
+def _unisid_sub_run(cfg: Config, sub: str, catalog: ItemCatalog,
+                    include_hr: bool, extra: dict,
+                    train: TrainConfig) -> EvalReport:
+    """train-unisid on `train` -> assign -> eval in the sub-directory
+    `sub`, whose catalog is written from `catalog` unless it holds one
+    already.  The three stages share one load of that file: its features
+    are rounded to 9 digits, unlike the in-memory `catalog`'s."""
     os.makedirs(sub, exist_ok=True)
     if not os.path.exists(_catalog_path(sub)):
-        save_catalog(catalog, _catalog_path(sub), digest=config_digest(cfg))
+        save_catalog(catalog, _catalog_path(sub), digest=cfg.digest)
     loaded = _load_catalog(sub)
-    cmd_train_unisid(cfg, sub, catalog=loaded, **overrides)
+    cmd_train_unisid(cfg, sub, catalog=loaded, train=train)
     cmd_assign(cfg, sub, schemes=["unisid"], catalog=loaded)
     seqs = _user_sequences(cfg, loaded) if include_hr else None
     report = evaluate_scheme(cfg, sub, "unisid", loaded, seqs=seqs)
@@ -336,18 +352,17 @@ def _unisid_sub_run(cfg: dict, sub: str, catalog: ItemCatalog,
     return report
 
 
-def cmd_sweep_lambda(cfg: dict, out: str) -> None:
-    catalog = generate_catalog(_catalog_spec(cfg))
-    for lam in cfg["sweep"]["lambdas"]:
+def cmd_sweep_lambda(cfg: Config, out: str) -> None:
+    catalog = generate_catalog(cfg.catalog)
+    for lam in cfg.sweep.lambdas:
         sub = os.path.join(out, "sweep", f"lambda_{lam:g}")
-        report = _unisid_sub_run(cfg, sub, catalog,
-                                 cfg["sweep"]["include_hr"], {"lam": lam},
-                                 lam=lam)
+        report = _unisid_sub_run(cfg, sub, catalog, cfg.sweep.include_hr,
+                                 {"lam": lam}, replace(cfg.train, lam=lam))
         report.save_csv(os.path.join(sub, "eval_unisid.csv"))
         print(f"lambda={lam:g}: v_measure={report.v_measure}")
 
 
-def cmd_ablate_joint(cfg: dict, out: str) -> None:
+def cmd_ablate_joint(cfg: Config, out: str) -> None:
     variants = {
         "joint": {},
         "sid_only": {"use_emb": False, "lam": 0.0},
@@ -360,27 +375,27 @@ def cmd_ablate_joint(cfg: dict, out: str) -> None:
     for name, overrides in variants.items():
         report = _unisid_sub_run(cfg, os.path.join(out, "ablate", name),
                                  catalog, False, {"variant": name},
-                                 **overrides)
+                                 replace(cfg.train, **overrides))
         print(f"{name}: v_measure={report.v_measure}")
 
 
-def cmd_case_study(cfg: dict, out: str) -> None:
+def cmd_case_study(cfg: Config, out: str) -> None:
     catalog = _load_catalog(out)
     bundle = load_checkpoint(os.path.join(out, "unisid.ckpt"))
-    ids = catalog.test_ids[:cfg["case_study"]["n_items"]]
+    ids = catalog.test_ids[:cfg.case_study.n_items]
     fp = unisid.forward_batch(bundle.model, catalog.features_matrix(ids))
     h, _ = summarizer.recon_state(fp.logits, fp.embedding, bundle.pipeline)
     decoded = summarizer.decode_summary(h, bundle.pipeline)
     path = os.path.join(out, "case_study.txt")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# config_digest: {config_digest(cfg)}\n")
+        f.write(f"# config_digest: {cfg.digest}\n")
         for i, item_id in enumerate(ids):
             text = summarizer.summary_text(decoded[i], bundle.pipeline.vocab)
             f.write(f"{item_id}\t{text}\n")
     print(f"wrote {path}")
 
 
-def cmd_report(cfg: dict, out: str) -> None:
+def cmd_report(cfg: Config, out: str) -> None:
     rows = [evalsuite.load_report(os.path.join(out, f"eval_{s}.json"))
             for s in _present_schemes(out, "eval_{}.json")]
     if not rows:
@@ -392,18 +407,17 @@ def cmd_report(cfg: dict, out: str) -> None:
         depth = max(len(r.v_measure or []) for r in rows)
         header = (["scheme"]
                   + [f"v_measure_l{i}" for i in range(1, depth + 1)]
-                  + [f"hr@{k}" for k in cfg["eval"]["k_list"]]
-                  + [f"recall@{k}" for k in cfg["eval"]["k_list"]]
+                  + [f"hr@{k}" for k in cfg.eval.k_list]
+                  + [f"recall@{k}" for k in cfg.eval.k_list]
                   + ["collision"])
         w.writerow(header)
         for r in rows:
             row = [r.scheme]
             vs = r.v_measure or []
             row += [f"{v:.4f}" for v in vs] + [""] * (depth - len(vs))
-            row += [f"{r.hr[k]:.4f}" if r.hr else ""
-                    for k in cfg["eval"]["k_list"]]
+            row += [f"{r.hr[k]:.4f}" if r.hr else "" for k in cfg.eval.k_list]
             row += [f"{r.recall[k]:.4f}" if r.recall else ""
-                    for k in cfg["eval"]["k_list"]]
+                    for k in cfg.eval.k_list]
             row.append(f"{r.collision:.4f}" if r.collision is not None else "")
             w.writerow(row)
     print(f"wrote {path}")
@@ -456,12 +470,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             _apply_seed_override(cfg, args.seed)
-        _validate_catalog(cfg)
-        _validate_eval(cfg)
-        _validate_rq(cfg)
+        config = check_config(cfg)
         out = args.out or cfg["paths"]["out_dir"]
         os.makedirs(out, exist_ok=True)
-        COMMANDS[args.command](cfg, out)
+        COMMANDS[args.command](config, out)
     except ConfigurationError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3

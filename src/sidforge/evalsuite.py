@@ -115,12 +115,10 @@ def gen_user_sequences(catalog: ItemCatalog, n_users: int, T: int = 20,
     an (n_users, n_l2) uniform matrix), then four (n_users, T) arrays:
     which preferred node, the item inside it, a uniform item, and the
     preference coin."""
-    numkit.require_int("seed", seed, 0)
-    numkit.require_int("n_users", n_users, 0)
-    numkit.require_int("T", T, 2)
-    numkit.require_finite("preference", preference)
-    if not 0.0 <= preference <= 1.0:
-        raise ConfigurationError("preference must be in [0, 1]")
+    numkit.require("seed", seed, "int", ">= 0")
+    numkit.require("n_users", n_users, "int", ">= 0")
+    numkit.require("T", T, "int", ">= 2")
+    numkit.require("preference", preference, "number", ">= 0", "<= 1")
     if not catalog.items:
         raise InputError("empty catalog")
     n_items = len(catalog.items)
@@ -153,25 +151,19 @@ def gen_user_sequences(catalog: ItemCatalog, n_users: int, T: int = 20,
 
 @dataclass(frozen=True)
 class NextSidConfig:
-    L: int = 3
-    K: int = 16
-    d_s: int = 32
-    hidden: int = 32
-    history: int = 5
-    epochs: int = 10
-    batch_size: int = 64
-    lr: float = 1e-3
-    seed: int = 0
+    L: int = numkit.rule("int", ">= 1", default=3)
+    K: int = numkit.rule("int", ">= 1", default=16)
+    d_s: int = numkit.rule("int", ">= 1", default=32)
+    hidden: int = numkit.rule("int", ">= 1", default=32)
+    # history 0 would take the whole history (seq.history[-0:])
+    history: int = numkit.rule("int", ">= 1", default=5)
+    epochs: int = numkit.rule("int", ">= 0", default=10)
+    batch_size: int = numkit.rule("int", ">= 1", default=64)
+    lr: float = numkit.rule("number", "> 0", default=1e-3)
+    seed: int = numkit.rule("int", ">= 0", default=0)
 
     def validate(self) -> None:
-        # history 0 would take the whole history (seq.history[-0:]);
-        # epochs -1 would train nothing, lr -1 by gradient ascent
-        for name, low in (("history", 1), ("batch_size", 1), ("d_s", 1),
-                          ("hidden", 1), ("epochs", 0), ("seed", 0)):
-            numkit.require_int(f"next_sid.{name}", getattr(self, name), low)
-        numkit.require_finite("next_sid.lr", self.lr)
-        if self.lr <= 0:
-            raise ConfigurationError("next_sid.lr must be > 0")
+        numkit.check(self, "eval.next_sid")
 
 
 @dataclass
@@ -358,24 +350,12 @@ def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
     return list(zip(scores.reshape(-1).tolist(), map(tuple, tokens.tolist())))
 
 
-def validate_k_list(k_list) -> None:
-    if (not isinstance(k_list, (list, tuple)) or not k_list
-            or any(not isinstance(k, (int, np.integer)) or k < 1
-                   for k in k_list)):
-        raise ConfigurationError(
-            "k_list must be a nonempty list of integers >= 1")
-
-
-def validate_n_neg(n_neg) -> None:
-    numkit.require_int("n_neg", n_neg, 0)
-
-
 def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
             sid_table: dict[int, tuple], k_list: list[int],
             beam_width: int | None = None) -> dict[int, float]:
     """SID-level Hit Rate: a test case is a hit at K when the target's
     SID sequence appears among the top-K beam-decoded sequences."""
-    validate_k_list(k_list)
+    numkit.require("k_list", k_list, "int", ">= 1", items="+")
     if beam_width is None:
         beam_width = max(k_list)
     if beam_width < max(k_list):
@@ -405,7 +385,7 @@ def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
     broken by item id.  `embed_fn` maps a (n, feature_dim) matrix to
     (n, d) embeddings.
     """
-    validate_n_neg(n_neg)
+    numkit.require("n_neg", n_neg, "int", ">= 0")
     n_items = len(catalog.items)
     if n_neg >= n_items:
         raise ConfigurationError("n_neg must be smaller than the catalog")

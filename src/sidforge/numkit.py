@@ -1,6 +1,6 @@
 """Minimal deterministic numeric kernel: dense MLPs with hand-written
 gradients, a bias-corrected adaptive-moment optimizer over flat parameter
-stores, and k-means++-seeded k-means.
+stores, k-means++-seeded k-means, and the rules of config fields.
 
 All functions are pure with respect to (inputs, seed); ties in argmax /
 nearest-centroid are always broken toward the lowest index.
@@ -8,7 +8,9 @@ nearest-centroid are always broken toward the lowest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -248,30 +250,63 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
     return centroids
 
 
-def require_int(name: str, value, low: int) -> None:
-    """Raises ConfigurationError naming `name` unless `value` is an
-    integer >= `low`.  bool is a subclass of int, so it is rejected by
-    name; so is None, which would seed a generator from OS entropy."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low):
-        raise ConfigurationError(f"{name} must be an integer >= {low}")
+# kind -> (one value, a list's values, test).  bool is a subclass of
+# int, and None would seed a generator from OS entropy: neither is an
+# integer.  abs() < inf also takes an int too large for a float.
+_INTS = (int, np.integer)
+_KINDS = {
+    "int": ("an integer", "integers",
+            lambda v: isinstance(v, _INTS) and not isinstance(v, bool)),
+    "number": ("a finite number", "finite numbers",
+               lambda v: isinstance(v, (*_INTS, float, np.floating))
+               and not isinstance(v, bool) and abs(v) < np.inf),
+    "bool": ("a boolean", "booleans",
+             lambda v: isinstance(v, (bool, np.bool_)))}
 
 
-def require_finite(name: str, value) -> None:
-    """Raises ConfigurationError naming `name` unless `value` is a finite
-    real number (not a bool, a string or None)."""
-    if (isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating))
-            or not np.isfinite(value)):
-        raise ConfigurationError(f"{name} must be a finite number")
+@functools.cache
+def _bound(text: str):
+    op, limit = text.split()  # ">= 1" -> (operator.ge, 1.0)
+    return {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+            "<=": operator.le}[op], float(limit)
 
 
-def validate_kmeans_args(k, iterations, seed, n_init=8) -> None:
-    """Rejects k-means settings that would fail late or be silently
-    wrong (zero Lloyd steps from a negative count, say)."""
-    for name, value, low in (("K", k, 1), ("iterations", iterations, 0),
-                             ("seed", seed, 0), ("n_init", n_init, 1)):
-        require_int(name, value, low)
+def rule(kind, *bounds: str, default=MISSING, **opts):
+    """A dataclass field that `check` holds to `require`'s rule."""
+    return field(default=default, metadata={"rule": (kind, bounds, opts)})
+
+
+def require(name: str, value, kind, *bounds: str, null=False,
+            items=None) -> None:
+    """ConfigurationError("<name> must be ...") unless `value` is of `kind`
+    ("int", "number", "bool", or a section dataclass that `check` passes)
+    within every bound, such as "> 0", or None where `null` allows it;
+    with `items` ("+" or a length), a nonempty list or tuple of such."""
+    if isinstance(kind, type):
+        if not isinstance(value, kind):
+            raise ConfigurationError(f"{name} must be a {kind.__name__}")
+        return check(value, name)
+    one, many, test = _KINDS[kind]
+    values = [value] if items is None else value
+    if value is None and null or (
+            isinstance(values, (list, tuple)) and values
+            and items in (None, "+", len(values)) and all(map(test, values))
+            and all(cmp(v, limit) for cmp, limit in map(_bound, bounds)
+                    for v in values)):
+        return
+    what = (one if items is None else f"a nonempty list of {many}"
+            if items == "+" else f"a list of {items} {many}")
+    raise ConfigurationError(
+        f"{name} must be {what}{' and'.join(' ' + b for b in bounds)}"
+        + (" or null" if null else ""))
+
+
+def check(section, name: str) -> None:
+    """Holds each field of the dataclass `section` to its `rule`."""
+    for f in fields(section):
+        kind, bounds, opts = f.metadata["rule"]
+        require(f"{name}.{f.name}", getattr(section, f.name), kind, *bounds,
+                **opts)
 
 
 def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
@@ -285,7 +320,10 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     clusters are re-seeded to the farthest point.
     Returns (centroids (k, d), assignments (n,)).
     """
-    validate_kmeans_args(k, iterations, seed, n_init)
+    require("K", k, "int", ">= 1")
+    require("iterations", iterations, "int", ">= 0")
+    require("seed", seed, "int", ">= 0")
+    require("n_init", n_init, "int", ">= 1")
     points = np.asarray(points, dtype=np.float64)
     if k > points.shape[0]:
         raise ConfigurationError(

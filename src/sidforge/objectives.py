@@ -198,31 +198,25 @@ def total_loss(l_sid: float, l_emb: float, l_rec: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lam: float = 0.1
-    tau: float = 0.07
-    epochs: int = 50
-    batch_size: int = 64
-    seed: int = 0
-    lr: float = 1e-3
-    L: int = 3
-    K: int = 16
-    d_h: int = 64
-    d_e: int = 32
-    d_r: int = 32
-    use_sid: bool = True
-    use_emb: bool = True
-    decoder_frozen_after_warmup: bool = True
-    decoder_warmup_epochs: int | None = None  # default: half the epochs
+    lam: float = numkit.rule("number", ">= 0", default=0.1)
+    tau: float = numkit.rule("number", "> 0", default=0.07)
+    epochs: int = numkit.rule("int", ">= 0", default=50)
+    batch_size: int = numkit.rule("int", ">= 2", default=64)
+    seed: int = numkit.rule("int", ">= 0", default=0)
+    lr: float = numkit.rule("number", "> 0", default=1e-3)
+    L: int = numkit.rule("int", ">= 1", default=3)
+    K: int = numkit.rule("int", ">= 1", default=16)
+    d_h: int = numkit.rule("int", ">= 1", default=64)
+    d_e: int = numkit.rule("int", ">= 1", default=32)
+    d_r: int = numkit.rule("int", ">= 1", default=32)
+    use_sid: bool = numkit.rule("bool", default=True)
+    use_emb: bool = numkit.rule("bool", default=True)
+    decoder_frozen_after_warmup: bool = numkit.rule("bool", default=True)
+    decoder_warmup_epochs: int | None = numkit.rule("int", ">= 0", null=True,
+                                                    default=None)
 
     def validate(self) -> None:
-        if self.lam < 0:
-            raise ConfigurationError("lambda must be >= 0")
-        if self.tau <= 0:
-            raise ConfigurationError("tau must be > 0")
-        if self.batch_size < 2:
-            raise ConfigurationError("batch size must be >= 2")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
+        numkit.check(self, "train")
 
     @property
     def warmup(self) -> int:

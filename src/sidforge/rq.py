@@ -39,16 +39,14 @@ class Codebook:
         return self.levels.shape[2]
 
 
-def validate_rq_kmeans_args(L, K, seed, iterations=50) -> None:
-    numkit.require_int("L", L, 1)
-    numkit.validate_kmeans_args(K, iterations, seed)
-
-
 def rq_kmeans_fit(embeddings: np.ndarray, L: int, K: int, seed: int,
                   iterations: int = 50) -> Codebook:
     """Level 1 clusters the embeddings; each further level clusters the
     residuals left by the previous level's assigned centroids."""
-    validate_rq_kmeans_args(L, K, seed, iterations)
+    numkit.require("L", L, "int", ">= 1")
+    numkit.require("K", K, "int", ">= 1")
+    numkit.require("seed", seed, "int", ">= 0")
+    numkit.require("iterations", iterations, "int", ">= 0")
     x = np.asarray(embeddings, dtype=np.float64)
     levels = np.empty((L, K, x.shape[1]), dtype=np.float64)
     residual = x
@@ -95,30 +93,19 @@ def quantize(codebook: Codebook, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class RqVaeConfig:
-    L: int = 3
-    K: int = 16
-    d: int = 32
-    beta: float = 0.25
-    epochs: int = 20
-    batch_size: int = 64
-    lr: float = 1e-3
-    seed: int = 0
-    ema_decay: float = 0.99
-    hidden: int = 64
+    L: int = numkit.rule("int", ">= 1", default=3)
+    K: int = numkit.rule("int", ">= 1", default=16)
+    d: int = numkit.rule("int", ">= 1", default=32)
+    beta: float = numkit.rule("number", ">= 0", default=0.25)
+    epochs: int = numkit.rule("int", ">= 0", default=20)
+    batch_size: int = numkit.rule("int", ">= 1", default=64)
+    lr: float = numkit.rule("number", "> 0", default=1e-3)
+    seed: int = numkit.rule("int", ">= 0", default=0)
+    ema_decay: float = numkit.rule("number", "> 0", "< 1", default=0.99)
+    hidden: int = numkit.rule("int", ">= 1", default=64)
 
     def validate(self) -> None:
-        validate_rq_kmeans_args(self.L, self.K, self.seed)
-        for name, low in (("d", 1), ("hidden", 1), ("batch_size", 1),
-                          ("epochs", 0)):
-            numkit.require_int(name, getattr(self, name), low)
-        for name in ("lr", "beta", "ema_decay"):
-            numkit.require_finite(name, getattr(self, name))
-        if self.lr <= 0:
-            raise ConfigurationError("lr must be > 0")
-        if self.beta < 0:
-            raise ConfigurationError("beta must be >= 0")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ConfigurationError("ema_decay must be in (0, 1)")
+        numkit.check(self, "rqvae")
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import os
 
 import pytest
 
-from sidforge import cli, evalsuite
+from sidforge import cli, evalsuite, numkit
 from sidforge.catalog import load_catalog
 from sidforge.cli import (DEFAULT_CONFIG, _apply_seed_override, _merge,
                           config_digest, evaluate_scheme, load_config,
@@ -87,45 +88,46 @@ def test_exit_codes(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "empty")]) == 1
 
 
-@pytest.mark.parametrize("field, value", [
-    ("eval", 5), ("eval.next_sid", None),
-    ("eval.n_users", 0), ("eval.n_users", -5), ("eval.n_users", 1),
-    ("eval.k_list", []), ("eval.k_list", [0]), ("eval.n_neg", -1),
-    ("eval.next_sid.batch_size", 0), ("eval.next_sid.history", 0),
-    # a null seed drew from OS entropy: two runs of one config differed
-    ("catalog.seed", None), ("catalog.seed", True), ("catalog.seed", -1),
-    ("catalog.seed", 1.5), ("eval.seed", None), ("eval.seed", -1),
-    ("eval.seq_seed", None), ("eval.seq_seed", True), ("eval.seq_seed", -1),
-    ("eval.seq_seed", 1.5), ("eval.seq_seed", "17"),
-    ("eval.next_sid.seed", None), ("eval.next_sid.seed", -1),
-    # T must leave the catalog (64 items) an item to spare
-    ("eval.T", 1), ("eval.T", 64), ("eval.T", 2.5), ("eval.T", True),
-    ("eval.T", None),
-    # lr -1 trained by gradient ascent and epochs -1 trained nothing
-    ("eval.next_sid.lr", -1), ("eval.next_sid.lr", 0),
-    ("eval.next_sid.lr", "x"), ("eval.next_sid.lr", True),
-    ("eval.next_sid.lr", None), ("eval.next_sid.lr", float("inf")),
-    ("eval.next_sid.epochs", -1), ("eval.next_sid.epochs", 1.5),
-    ("eval.next_sid.d_s", 0), ("eval.next_sid.hidden", 0),
-    ("eval.next_sid.hidden", 2.5), ("eval.next_sid.history", True)])
-def test_eval_config_errors(tmp_path, capsys, field, value):
-    cfg = json.loads(json.dumps(SMALL))
-    *parents, name = field.split(".")
-    section = cfg
-    for key in parents:
-        section = section.setdefault(key, {})
-    section[name] = value
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    # exit 3 before any work: without validation this empty directory
-    # would fail with exit 1 (no SID tables)
-    out = tmp_path / "run"
-    assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 3
-    assert f" {field} " in capsys.readouterr().err
-    assert not out.exists()
+@pytest.fixture(scope="module")
+def catalog_file(tmp_path_factory):
+    """catalog.json of the SMALL config."""
+    root = tmp_path_factory.mktemp("catalog")
+    (root / "config.json").write_text(json.dumps(SMALL))
+    assert main(["gen-data", "--config", str(root / "config.json"),
+                 "--out", str(root)]) == 0
+    return root / "catalog.json"
 
 
 @pytest.mark.parametrize("command, field, value", [
+    ("eval", "eval", 5), ("eval", "eval.next_sid", None),
+    ("eval", "eval.n_users", 0), ("eval", "eval.n_users", -5),
+    ("eval", "eval.n_users", 1), ("eval", "eval.k_list", []),
+    ("eval", "eval.k_list", [0]), ("eval", "eval.n_neg", -1),
+    # true is an int to Python: it ran as K = 1 and broke report
+    ("eval", "eval.k_list", [True, 5]),
+    ("eval", "eval.next_sid.batch_size", 0),
+    ("eval", "eval.next_sid.history", 0),
+    # a null seed drew from OS entropy: two runs of one config differed
+    ("eval", "catalog.seed", None), ("eval", "catalog.seed", True),
+    ("eval", "catalog.seed", -1), ("eval", "catalog.seed", 1.5),
+    ("eval", "eval.seed", None), ("eval", "eval.seed", -1),
+    ("eval", "eval.seq_seed", None), ("eval", "eval.seq_seed", True),
+    ("eval", "eval.seq_seed", -1), ("eval", "eval.seq_seed", 1.5),
+    ("eval", "eval.seq_seed", "17"), ("eval", "eval.next_sid.seed", None),
+    ("eval", "eval.next_sid.seed", -1),
+    # T must leave the catalog (64 items) an item to spare
+    ("eval", "eval.T", 1), ("eval", "eval.T", 64), ("eval", "eval.T", 2.5),
+    ("eval", "eval.T", True), ("eval", "eval.T", None),
+    # lr -1 trained by gradient ascent and epochs -1 trained nothing
+    ("eval", "eval.next_sid.lr", -1), ("eval", "eval.next_sid.lr", 0),
+    ("eval", "eval.next_sid.lr", "x"), ("eval", "eval.next_sid.lr", True),
+    ("eval", "eval.next_sid.lr", None),
+    ("eval", "eval.next_sid.lr", float("inf")),
+    ("eval", "eval.next_sid.epochs", -1),
+    ("eval", "eval.next_sid.epochs", 1.5),
+    ("eval", "eval.next_sid.d_s", 0), ("eval", "eval.next_sid.hidden", 0),
+    ("eval", "eval.next_sid.hidden", 2.5),
+    ("eval", "eval.next_sid.history", True),
     ("fit-rqkmeans", "rq.L", 0), ("fit-rqkmeans", "rq.iterations", -1),
     ("fit-rqkmeans", "rq.iterations", 1.5), ("fit-rqkmeans", "rq.K", 2.5),
     ("fit-rqkmeans", "rq.K", "16"), ("fit-rqkmeans", "rq.seed", -1),
@@ -137,25 +139,116 @@ def test_eval_config_errors(tmp_path, capsys, field, value):
     # and a string ended in a bare runtime error (exit 1)
     ("train-rqvae", "rqvae.lr", -1.0), ("train-rqvae", "rqvae.lr", 0),
     ("train-rqvae", "rqvae.lr", "x"), ("train-rqvae", "rqvae.lr", True),
-    ("train-rqvae", "rqvae.beta", "0.25"), ("train-rqvae", "rqvae.beta", None),
-    ("train-rqvae", "rqvae.beta", False),
+    ("train-rqvae", "rqvae.beta", "0.25"),
+    ("train-rqvae", "rqvae.beta", None), ("train-rqvae", "rqvae.beta", False),
     ("train-rqvae", "rqvae.ema_decay", "0.9"),
-    ("train-rqvae", "rqvae.ema_decay", True)])
-def test_rq_config_errors(run_dir, tmp_path, capsys, command, field, value):
-    src, cfg_src = run_dir
-    cfg = json.loads(open(cfg_src).read())
-    section, name = field.split(".")
-    cfg.setdefault(section, {})[name] = value
+    ("train-rqvae", "rqvae.ema_decay", True),
+    # these ran silently wrong (exit 0) or ended in a bare runtime error
+    ("train-unisid", "train.lr", -1), ("train-unisid", "train.lr", 0),
+    ("train-unisid", "train.lr", "x"), ("train-unisid", "train.lam", -1),
+    ("train-unisid", "train.lam", None), ("train-unisid", "train.tau", 0),
+    ("train-unisid", "train.tau", "x"), ("train-unisid", "train.epochs", 1.5),
+    ("train-unisid", "train.epochs", None),
+    ("train-unisid", "train.batch_size", 1),
+    ("train-unisid", "train.batch_size", "x"),
+    ("train-unisid", "train.seed", -1), ("train-unisid", "train.seed", None),
+    ("train-unisid", "train.L", 0), ("train-unisid", "train.K", 1.5),
+    ("train-unisid", "train.K", 0), ("train-unisid", "train.d_h", 0),
+    ("train-unisid", "train.d_e", 0), ("train-unisid", "train.d_r", 0),
+    ("train-unisid", "train.d_r", None),
+    ("train-unisid", "train.decoder_warmup_epochs", -1),
+    ("train-unisid", "train.decoder_warmup_epochs", 1.5),
+    ("train-unisid", "train.decoder_warmup_epochs", "x"),
+    ("fit-rqkmeans", "embed_train.epochs", -1),
+    ("fit-rqkmeans", "embed_train.epochs", 1.5),
+    ("fit-rqkmeans", "embed_train.seed", -1),
+    ("fit-rqkmeans", "embed_train.seed", None),
+    ("gen-data", "catalog.n_items", "x"), ("gen-data", "catalog.n_items", 4),
+    ("gen-data", "catalog.dv", -1), ("gen-data", "catalog.dt", 1.5),
+    ("gen-data", "catalog.noise_std", None),
+    ("gen-data", "catalog.train_fraction", 0),
+    ("gen-data", "catalog.train_fraction", 1.5),
+    ("gen-data", "catalog.train_fraction", "x"),
+    ("gen-data", "catalog.branching", [2, 2]),
+    ("gen-data", "catalog.branching", [2, 0, 2]),
+    ("gen-data", "catalog.branching", [2, 2.0, 2]),
+    ("gen-data", "catalog.branching", None),
+    ("case-study", "case_study.n_items", -1),
+    ("case-study", "case_study.n_items", None),
+    ("case-study", "case_study.n_items", 0),
+    ("case-study", "case_study.n_items", 1.5),
+    # each sub-run of the sweep starts work: check every lambda first
+    ("sweep-lambda", "sweep.lambdas", []),
+    ("sweep-lambda", "sweep.lambdas", ["x"]),
+    ("sweep-lambda", "sweep.lambdas", [-1]),
+    ("sweep-lambda", "sweep.lambdas", [0.1, None]),
+    ("sweep-lambda", "sweep.lambdas", 0.1),
+    # a boolean takes true or false only
+    ("gen-data", "catalog.ambiguity", "x"),
+    ("gen-data", "catalog.ambiguity", None),
+    ("train-unisid", "train.use_sid", -1),
+    ("train-unisid", "train.use_sid", "x"),
+    ("train-unisid", "train.use_emb", 0),
+    ("train-unisid", "train.decoder_frozen_after_warmup", 1.5),
+    ("eval", "eval.include_hr", 1), ("eval", "eval.include_recall", None),
+    ("sweep-lambda", "sweep.include_hr", "x")])
+def test_config_errors(catalog_file, tmp_path, capsys, command, field,
+                       value):
+    cfg = json.loads(json.dumps(SMALL))
+    *parents, name = field.split(".")
+    section = cfg
+    for key in parents:
+        section = section.setdefault(key, {})
+    section[name] = value
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     # a directory with a catalog, so only the config can stop the command
     out = tmp_path / "run"
     out.mkdir()
-    (out / "catalog.json").write_bytes(
-        open(os.path.join(src, "catalog.json"), "rb").read())
+    catalog = catalog_file.read_bytes()
+    (out / "catalog.json").write_bytes(catalog)
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"config error: {field} ")
-    assert sorted(os.listdir(out)) == ["catalog.json"]
+    assert os.listdir(out) == ["catalog.json"]
+    assert (out / "catalog.json").read_bytes() == catalog
+
+
+def _sections(section, name):
+    """(name, section) for `section` and each section nested in it."""
+    yield name, section
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _sections(value, f"{name}.{f.name}")
+
+
+def test_every_config_field_declares_a_rule():
+    config = cli.check_config(load_config(None))
+    sections = [pair for name, value in config._asdict().items()
+                if dataclasses.is_dataclass(value)
+                for pair in _sections(value, name)]
+    assert [name for name, _ in sections] == [
+        "catalog", "train", "embed_train", "rq", "rqvae", "eval",
+        "eval.next_sid", "sweep", "case_study"]
+    for name, section in sections:
+        defaults = DEFAULT_CONFIG
+        for key in name.split("."):
+            defaults = defaults[key]
+        # the next-SID depth and codebook size come from each SID table
+        extra = {"L", "K"} if name == "eval.next_sid" else set()
+        names = {f.name for f in dataclasses.fields(section)}
+        assert names == set(defaults) | extra, name
+        numkit.check(section, name)
+        for f in dataclasses.fields(section):
+            kind, _, opts = f.metadata["rule"]
+            bad = ["x"] + [None] * (not opts.get("null"))
+            if kind == "bool":
+                bad += [0, 1, -1, 1.5, "true", [True]]
+            for value in bad:
+                with pytest.raises(ConfigurationError,
+                                   match=rf"^{name}\.{f.name} must be "):
+                    numkit.check(
+                        dataclasses.replace(section, **{f.name: value}), name)
 
 
 def test_verbose_prints_traceback(tmp_path, monkeypatch, capsys):
@@ -238,7 +331,7 @@ def test_shared_draw_matches_a_draw_per_scheme(run_dir):
     # eval scores every scheme on one draw of user sequences; a fresh
     # draw per scheme gives the same reports
     out, cfg_path = run_dir
-    cfg = load_config(cfg_path)
+    cfg = cli.check_config(load_config(cfg_path))
     catalog = load_catalog(os.path.join(out, "catalog.json"))
     for scheme in ("unisid", "rqkmeans", "rqvae"):
         own = evaluate_scheme(cfg, out, scheme, catalog,

@@ -646,7 +646,8 @@ def test_hr_at_k_degenerate_table(rng):
     assert hr == {1: 1.0, 3: 1.0}
     with pytest.raises(ConfigurationError):
         hr_at_k(model, seqs, sid_table, [1, 3], beam_width=2)
-    for k_list in ([], [0, 1], [1.5]):
+    # true is an int to Python, but not a K
+    for k_list in ([], [0, 1], [1.5], [True, 3]):
         with pytest.raises(ConfigurationError, match="k_list"):
             hr_at_k(model, seqs, sid_table, k_list)
 
