@@ -98,36 +98,56 @@ def catalog_file(tmp_path_factory):
     return root / "catalog.json"
 
 
-@pytest.mark.parametrize("command, field, value", [
-    ("eval", "eval", 5), ("eval", "eval.next_sid", None),
-    ("eval", "eval.n_users", 0), ("eval", "eval.n_users", -5),
-    ("eval", "eval.n_users", 1), ("eval", "eval.k_list", []),
-    ("eval", "eval.k_list", [0]), ("eval", "eval.n_neg", -1),
-    # true is an int to Python: it ran as K = 1 and broke report
-    ("eval", "eval.k_list", [True, 5]),
-    ("eval", "eval.next_sid.batch_size", 0),
-    ("eval", "eval.next_sid.history", 0),
+def _assert_config_error(catalog_file, tmp_path, capsys, command, field,
+                         value):
+    """`command` with `field` set to `value` exits 3, naming the field,
+    before it touches a directory that holds only a catalog."""
+    cfg = json.loads(json.dumps(SMALL))
+    *parents, name = field.split(".")
+    section = cfg
+    for key in parents:
+        section = section.setdefault(key, {})
+    section[name] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    # a directory with a catalog, so only the config can stop the command
+    out = tmp_path / "run"
+    out.mkdir()
+    catalog = catalog_file.read_bytes()
+    (out / "catalog.json").write_bytes(catalog)
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {field} ")
+    assert os.listdir(out) == ["catalog.json"]
+    assert (out / "catalog.json").read_bytes() == catalog
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eval", 5), ("eval.next_sid", None),
+    ("eval.n_users", 0), ("eval.n_users", -5), ("eval.n_users", 1),
+    ("eval.k_list", []), ("eval.k_list", [0]), ("eval.n_neg", -1),
+    ("eval.next_sid.batch_size", 0), ("eval.next_sid.history", 0),
     # a null seed drew from OS entropy: two runs of one config differed
-    ("eval", "catalog.seed", None), ("eval", "catalog.seed", True),
-    ("eval", "catalog.seed", -1), ("eval", "catalog.seed", 1.5),
-    ("eval", "eval.seed", None), ("eval", "eval.seed", -1),
-    ("eval", "eval.seq_seed", None), ("eval", "eval.seq_seed", True),
-    ("eval", "eval.seq_seed", -1), ("eval", "eval.seq_seed", 1.5),
-    ("eval", "eval.seq_seed", "17"), ("eval", "eval.next_sid.seed", None),
-    ("eval", "eval.next_sid.seed", -1),
+    ("catalog.seed", None), ("catalog.seed", True), ("catalog.seed", -1),
+    ("catalog.seed", 1.5), ("eval.seed", None), ("eval.seed", -1),
+    ("eval.seq_seed", None), ("eval.seq_seed", True), ("eval.seq_seed", -1),
+    ("eval.seq_seed", 1.5), ("eval.seq_seed", "17"),
+    ("eval.next_sid.seed", None), ("eval.next_sid.seed", -1),
     # T must leave the catalog (64 items) an item to spare
-    ("eval", "eval.T", 1), ("eval", "eval.T", 64), ("eval", "eval.T", 2.5),
-    ("eval", "eval.T", True), ("eval", "eval.T", None),
+    ("eval.T", 1), ("eval.T", 64), ("eval.T", 2.5), ("eval.T", True),
+    ("eval.T", None),
     # lr -1 trained by gradient ascent and epochs -1 trained nothing
-    ("eval", "eval.next_sid.lr", -1), ("eval", "eval.next_sid.lr", 0),
-    ("eval", "eval.next_sid.lr", "x"), ("eval", "eval.next_sid.lr", True),
-    ("eval", "eval.next_sid.lr", None),
-    ("eval", "eval.next_sid.lr", float("inf")),
-    ("eval", "eval.next_sid.epochs", -1),
-    ("eval", "eval.next_sid.epochs", 1.5),
-    ("eval", "eval.next_sid.d_s", 0), ("eval", "eval.next_sid.hidden", 0),
-    ("eval", "eval.next_sid.hidden", 2.5),
-    ("eval", "eval.next_sid.history", True),
+    ("eval.next_sid.lr", -1), ("eval.next_sid.lr", 0),
+    ("eval.next_sid.lr", "x"), ("eval.next_sid.lr", True),
+    ("eval.next_sid.lr", None), ("eval.next_sid.lr", float("inf")),
+    ("eval.next_sid.epochs", -1), ("eval.next_sid.epochs", 1.5),
+    ("eval.next_sid.d_s", 0), ("eval.next_sid.hidden", 0),
+    ("eval.next_sid.hidden", 2.5), ("eval.next_sid.history", True)])
+def test_eval_config_errors(catalog_file, tmp_path, capsys, field, value):
+    _assert_config_error(catalog_file, tmp_path, capsys, "eval", field,
+                         value)
+
+
+@pytest.mark.parametrize("command, field, value", [
     ("fit-rqkmeans", "rq.L", 0), ("fit-rqkmeans", "rq.iterations", -1),
     ("fit-rqkmeans", "rq.iterations", 1.5), ("fit-rqkmeans", "rq.K", 2.5),
     ("fit-rqkmeans", "rq.K", "16"), ("fit-rqkmeans", "rq.seed", -1),
@@ -139,10 +159,20 @@ def catalog_file(tmp_path_factory):
     # and a string ended in a bare runtime error (exit 1)
     ("train-rqvae", "rqvae.lr", -1.0), ("train-rqvae", "rqvae.lr", 0),
     ("train-rqvae", "rqvae.lr", "x"), ("train-rqvae", "rqvae.lr", True),
-    ("train-rqvae", "rqvae.beta", "0.25"),
-    ("train-rqvae", "rqvae.beta", None), ("train-rqvae", "rqvae.beta", False),
+    ("train-rqvae", "rqvae.beta", "0.25"), ("train-rqvae", "rqvae.beta", None),
+    ("train-rqvae", "rqvae.beta", False),
     ("train-rqvae", "rqvae.ema_decay", "0.9"),
-    ("train-rqvae", "rqvae.ema_decay", True),
+    ("train-rqvae", "rqvae.ema_decay", True)])
+def test_rq_config_errors(catalog_file, tmp_path, capsys, command, field,
+                          value):
+    _assert_config_error(catalog_file, tmp_path, capsys, command, field,
+                         value)
+
+
+@pytest.mark.parametrize("command, field, value", [
+    # true is an int to Python: it ran as K = 1 and broke report
+    ("eval", "eval.k_list", [True, 5]),
+    ("eval", "eval.include_hr", 1), ("eval", "eval.include_recall", None),
     # these ran silently wrong (exit 0) or ended in a bare runtime error
     ("train-unisid", "train.lr", -1), ("train-unisid", "train.lr", 0),
     ("train-unisid", "train.lr", "x"), ("train-unisid", "train.lam", -1),
@@ -190,27 +220,11 @@ def catalog_file(tmp_path_factory):
     ("train-unisid", "train.use_sid", "x"),
     ("train-unisid", "train.use_emb", 0),
     ("train-unisid", "train.decoder_frozen_after_warmup", 1.5),
-    ("eval", "eval.include_hr", 1), ("eval", "eval.include_recall", None),
     ("sweep-lambda", "sweep.include_hr", "x")])
 def test_config_errors(catalog_file, tmp_path, capsys, command, field,
                        value):
-    cfg = json.loads(json.dumps(SMALL))
-    *parents, name = field.split(".")
-    section = cfg
-    for key in parents:
-        section = section.setdefault(key, {})
-    section[name] = value
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    # a directory with a catalog, so only the config can stop the command
-    out = tmp_path / "run"
-    out.mkdir()
-    catalog = catalog_file.read_bytes()
-    (out / "catalog.json").write_bytes(catalog)
-    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith(f"config error: {field} ")
-    assert os.listdir(out) == ["catalog.json"]
-    assert (out / "catalog.json").read_bytes() == catalog
+    _assert_config_error(catalog_file, tmp_path, capsys, command, field,
+                         value)
 
 
 def _sections(section, name):
