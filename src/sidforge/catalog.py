@@ -184,10 +184,11 @@ class GranularPositives:
 
 
 def build_positive_sets(catalog: ItemCatalog,
-                        batch: list[int]) -> GranularPositives:
-    if len(set(batch)) != len(batch):
-        raise InputError("duplicate ids in batch")
+                        batch: list[int] | np.ndarray) -> GranularPositives:
     ids = np.asarray(batch, dtype=np.int64)
+    id_list = ids.tolist()
+    if len(set(id_list)) != len(id_list):
+        raise InputError("duplicate ids in batch")
     outside = ids[(ids < 0) | (ids >= len(catalog.labels))]
     if outside.size:
         raise InputError(f"item id {outside[0]} not in catalog")
@@ -199,7 +200,7 @@ def build_positive_sets(catalog: ItemCatalog,
         agree = labels[:, level][:, None] == labels[:, level][None, :]
         np.fill_diagonal(agree, False)
         masks.append(agree)
-    return GranularPositives(ids=list(batch), masks=masks)
+    return GranularPositives(ids=id_list, masks=masks)
 
 
 # --- JSON persistence -------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 from . import evalsuite, numkit, objectives, rq, summarizer, unisid
-from .catalog import (CatalogSpec, ItemCatalog, generate_catalog,
+from .catalog import (LEVELS, CatalogSpec, ItemCatalog, generate_catalog,
                       load_catalog, save_catalog)
 from .checkpoint import (RqKmeansBundle, RqVaeBundle, UniSidBundle,
                          load_checkpoint, save_checkpoint)
@@ -174,12 +174,29 @@ def check_config(cfg: dict) -> Config:
     for name, section in sections.items():
         numkit.check(section, name)
     # the rules that span fields
-    spec = sections["catalog"]
+    spec, train = sections["catalog"], sections["train"]
     spec.validate()
+    if round(spec.train_fraction * spec.n_items) >= spec.n_items:
+        raise ConfigurationError(
+            "catalog.train_fraction must leave a test item: "
+            "round(train_fraction * n_items) < n_items")
     if sections["eval"].T >= spec.n_items:
         raise ConfigurationError("eval.T must be below catalog.n_items")
+    if train.use_sid and train.L != LEVELS:
+        raise ConfigurationError(
+            f"train.L must be {LEVELS}, the taxonomy depth, while "
+            "train.use_sid is on")
     return Config(digest=config_digest(cfg), **{
         **sections, "catalog": replace(spec, branching=tuple(spec.branching))})
+
+
+def _check_recall_pool(cfg: Config) -> None:
+    """Recall ranks each test item against n_neg other items; the
+    commands that evaluate check that the catalog has them first."""
+    if cfg.eval.include_recall and cfg.eval.n_neg >= cfg.catalog.n_items:
+        raise ConfigurationError(
+            "eval.n_neg must be below catalog.n_items while "
+            "eval.include_recall is on")
 
 
 def _catalog_path(out: str) -> str:
@@ -265,7 +282,7 @@ def cmd_assign(cfg: Config, out: str, schemes=None,
                "sids": {str(i): list(t) for i, t in sorted(table.items())}}
         path = os.path.join(out, f"sids_{scheme}.json")
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, separators=(",", ":"), sort_keys=True)
+            f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True))
         print(f"wrote {path}")
 
 
@@ -319,6 +336,7 @@ def evaluate_scheme(cfg: Config, out: str, scheme: str, catalog: ItemCatalog,
 
 
 def cmd_eval(cfg: Config, out: str) -> None:
+    _check_recall_pool(cfg)
     schemes = _present_schemes(out, "sids_{}.json")
     if not schemes:
         raise SidforgeError("no SID tables found; run assign first")
@@ -353,6 +371,7 @@ def _unisid_sub_run(cfg: Config, sub: str, catalog: ItemCatalog,
 
 
 def cmd_sweep_lambda(cfg: Config, out: str) -> None:
+    _check_recall_pool(cfg)
     catalog = generate_catalog(cfg.catalog)
     for lam in cfg.sweep.lambdas:
         sub = os.path.join(out, "sweep", f"lambda_{lam:g}")
@@ -363,6 +382,7 @@ def cmd_sweep_lambda(cfg: Config, out: str) -> None:
 
 
 def cmd_ablate_joint(cfg: Config, out: str) -> None:
+    _check_recall_pool(cfg)
     variants = {
         "joint": {},
         "sid_only": {"use_emb": False, "lam": 0.0},

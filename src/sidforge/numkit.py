@@ -105,7 +105,8 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     cache = []
     h = x
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        pre = h @ w + b
+        pre = h @ w
+        pre += b  # in place: the same bits as h @ w + b
         cache.append((h, pre))
         h = np.maximum(pre, 0.0) if act == RELU else pre
     if not np.isfinite(h).all():
@@ -119,7 +120,11 @@ def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
     """Backward pass.  Returns (flat parameter gradients matching
     params.flat() order, gradient w.r.t. the input batch); with
     param_grads=False only the input gradient is computed and the first
-    value is None."""
+    value is None.
+
+    The final layer is identity, so `upstream` is never masked; every
+    gradient masked is one made here (`g @ w.T`), and masking it in place
+    gives the bits of `g * (pre > 0.0)`."""
     if len(cache) != len(params.weights):
         raise ShapeError("cache does not match network depth")
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
@@ -127,7 +132,7 @@ def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
     for i in range(len(params.weights) - 1, -1, -1):
         inp, pre = cache[i]
         if params.activations[i] == RELU:
-            g = g * (pre > 0.0)
+            g *= pre > 0.0
         if param_grads:
             grads[2 * i] = inp.T @ g
             grads[2 * i + 1] = g.sum(axis=0)

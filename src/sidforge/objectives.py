@@ -46,7 +46,8 @@ class ContrastBatch:
         return [mask_rows(m) for m in self.level_masks]
 
 
-def make_contrast_batch(catalog: ItemCatalog, batch_ids: list[int],
+def make_contrast_batch(catalog: ItemCatalog,
+                        batch_ids: list[int] | np.ndarray,
                         tau: float) -> ContrastBatch:
     """Positive sets for one batch.  SID level l is contrasted on
     taxonomy level l+1 (levels counted from 1), the last SID level on the
@@ -58,8 +59,9 @@ def make_contrast_batch(catalog: ItemCatalog, batch_ids: list[int],
     n_lv = len(gp.masks)
     level_masks = [gp.masks[min(lvl + 1, n_lv - 1)] for lvl in range(n_lv)]
     # positives must nest: anything positive at level l+1 is positive at l
-    masks = np.stack(level_masks)
-    if np.any(masks[1:] & ~masks[:-1]):
+    # (on booleans, fine > coarse is fine & ~coarse)
+    if any(np.any(fine > coarse)
+           for coarse, fine in zip(level_masks, level_masks[1:])):
         raise InputError("positive sets do not nest")
     # deterministic pairing: the same-leaf mate with the lowest item id
     mates = gp.masks[-1]
@@ -67,54 +69,82 @@ def make_contrast_batch(catalog: ItemCatalog, batch_ids: list[int],
     lowest = np.argmin(np.where(mates, ids[None, :], np.iinfo(np.int64).max),
                        axis=1)
     emb_pos = np.where(mates.any(axis=1), lowest, -1)
-    return ContrastBatch(ids=list(batch_ids), level_masks=level_masks,
+    return ContrastBatch(ids=gp.ids, level_masks=level_masks,
                          emb_pos=emb_pos, tau=tau)
 
 
 def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0.0):
+    """Unit vectors along the last axis, C-ordered in z's shape (so each
+    matrix of a stack is contiguous), and the norms (as np.linalg.norm
+    computes them)."""
+    norms = np.sqrt((z * z).sum(axis=-1))
+    if (norms == 0.0).any():
         raise NumericError("zero-norm vector: cosine similarity undefined")
-    return z / norms[:, None], norms
+    return np.divide(z, norms[..., None], out=np.empty(z.shape)), norms
 
 
-def _cosine_backprop(g_sim: np.ndarray, zh: np.ndarray,
-                     norms: np.ndarray) -> np.ndarray:
-    """Map a gradient w.r.t. the cosine matrix (zero diagonal) back to the
-    raw vectors."""
-    u = (g_sim + g_sim.T) @ zh
-    radial = np.sum(u * zh, axis=1, keepdims=True)
-    return (u - radial * zh) / norms[:, None]
+def _cosine_backprop(g_sim: np.ndarray, zh: np.ndarray, norms: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """Map a gradient w.r.t. each cosine matrix of a stack (zero
+    diagonal) back to the raw vectors, written into `out`."""
+    u = (g_sim + np.swapaxes(g_sim, -1, -2)) @ zh
+    radial = (u * zh).sum(axis=-1, keepdims=True)
+    u -= radial * zh
+    return np.divide(u, norms[..., None], out=out)
 
 
 def _infonce(sim: np.ndarray, tau: float, pos_mask: np.ndarray):
-    """Supervised InfoNCE over one similarity matrix (Khosla et al.,
-    Supervised Contrastive Learning, NeurIPS 2020).
+    """Supervised InfoNCE over an (L, n, n) stack of similarity matrices
+    (Khosla et al., Supervised Contrastive Learning, NeurIPS 2020).
 
-    Per query i with positives P (row i of the boolean mask, diagonal
-    false) and candidates everyone but i:
+    Per level and query i with positives P (row i of the boolean mask,
+    diagonal false) and candidates everyone but i:
     loss_i = logsumexp_{j != i}(s_ij/tau) - mean_P(s_ij/tau).  Queries
-    with empty P are skipped.  Returns (sum of query losses, gradient
-    w.r.t. sim, number of contributing queries).
+    with empty P are skipped: their gradient rows are zero and their
+    terms left out of each level's sum, which adds the contributing
+    queries in order as a level's own array would.  `sim` is consumed.
+    Returns (per-level sums of query losses, gradient w.r.t. sim,
+    per-level numbers of contributing queries).
     """
-    n_pos = pos_mask.sum(axis=1)
+    L, n, _ = sim.shape
+    n_pos = pos_mask.sum(axis=2)
     valid = n_pos > 0
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return 0.0, np.zeros_like(sim), 0
-    logits = sim[valid] / tau
-    rows = np.flatnonzero(valid)
-    logits[np.arange(n_valid), rows] = -np.inf   # a query is no candidate
-    m = logits.max(axis=1, keepdims=True)
-    soft = np.exp(logits - m)
-    z = soft.sum(axis=1, keepdims=True)
-    pos = pos_mask[valid]
-    k = n_pos[valid]
-    pos_mean = np.where(pos, logits, 0.0).sum(axis=1) / k
-    total = float(np.sum(m[:, 0] + np.log(z[:, 0]) - pos_mean))
-    g = np.zeros_like(sim)
-    g[valid] = (soft / z - pos / k[:, None]) / tau
-    return total, g, n_valid
+    logits = np.divide(sim, tau, out=sim)
+    logits.reshape(L, n * n)[:, ::n + 1] = -np.inf  # a query is no candidate
+    m = logits.max(axis=2, keepdims=True)
+    soft = np.subtract(logits, m)
+    np.exp(soft, out=soft)
+    z = soft.sum(axis=2, keepdims=True)
+    k = np.maximum(n_pos, 1)  # skipped queries divide by 1, then drop out
+    pos_mean = np.where(pos_mask, logits, 0.0).sum(axis=2) / k
+    terms = m[..., 0] + np.log(z[..., 0]) - pos_mean
+    totals = [float(t[v].sum()) for t, v in zip(terms, valid)]
+    soft /= z
+    soft -= pos_mask / k[..., None]
+    soft /= tau
+    soft[~valid] = 0.0
+    return totals, soft, valid.sum(axis=1)
+
+
+def _contrast_levels(z: np.ndarray, pos_masks: np.ndarray,
+                     tau: float) -> tuple[float, np.ndarray]:
+    """Cosine InfoNCE on each level of an (n, L, d) stack of vectors,
+    against (L, n, n) positive masks: each level's mean over its
+    contributing queries, averaged over the L levels (a level without
+    one adds nothing).  Returns (loss, gradient of z's shape)."""
+    n, L, d = z.shape
+    zh, norms = _normalize_rows(np.swapaxes(z, 0, 1))
+    totals, g_sim, n_valid = _infonce(zh @ np.swapaxes(zh, 1, 2), tau,
+                                      pos_masks)
+    scale = n_valid * L
+    g_sim /= np.maximum(scale, 1)[:, None, None]
+    grad = np.empty((n, L, d))
+    _cosine_backprop(g_sim, zh, norms, out=np.swapaxes(grad, 0, 1))
+    loss = 0.0
+    for total, count in zip(totals, scale.tolist()):
+        if count:
+            loss += total / count
+    return loss, grad
 
 
 def mg_contrastive_loss(level_logits: np.ndarray,
@@ -126,22 +156,10 @@ def mg_contrastive_loss(level_logits: np.ndarray,
     over levels.  Returns (loss, gradient of the same shape).
     """
     level_logits = np.asarray(level_logits, dtype=np.float64)
-    n, L, K = level_logits.shape
-    if len(batch.level_masks) != L:
+    if len(batch.level_masks) != level_logits.shape[1]:
         raise InputError("positive sets do not match level count")
-    grad = np.zeros_like(level_logits)
-    loss = 0.0
-    for lvl in range(L):
-        z = level_logits[:, lvl, :]
-        zh, norms = _normalize_rows(z)
-        sim = zh @ zh.T
-        lsum, g_sim, n_valid = _infonce(sim, batch.tau,
-                                        batch.level_masks[lvl])
-        if n_valid == 0:
-            continue
-        loss += lsum / (n_valid * L)
-        grad[:, lvl, :] = _cosine_backprop(g_sim / (n_valid * L), zh, norms)
-    return loss, grad
+    return _contrast_levels(level_logits, np.stack(batch.level_masks),
+                            batch.tau)
 
 
 def code_usage_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
@@ -181,12 +199,10 @@ def emb_contrastive_loss(embeddings: np.ndarray,
     has_mate = batch.emb_pos >= 0
     if not has_mate.any():
         raise InputError("no query has a same-leaf mate in this batch")
-    pos_mask = np.zeros((n, n), dtype=bool)
-    pos_mask[has_mate, batch.emb_pos[has_mate]] = True
-    zh, norms = _normalize_rows(z)
-    sim = zh @ zh.T
-    lsum, g_sim, n_valid = _infonce(sim, batch.tau, pos_mask)
-    return lsum / n_valid, _cosine_backprop(g_sim / n_valid, zh, norms)
+    pos_mask = np.zeros((1, n, n), dtype=bool)
+    pos_mask[0, has_mate, batch.emb_pos[has_mate]] = True
+    loss, grad = _contrast_levels(z[:, None, :], pos_mask, batch.tau)
+    return loss, grad[:, 0, :]
 
 
 def total_loss(l_sid: float, l_emb: float, l_rec: float, lam: float) -> float:
@@ -286,15 +302,17 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
     dec = numkit.ParamStore([pipeline.decoder], config.lr)
 
     features = catalog.features_matrix()
+    train_ids = np.asarray(catalog.train_ids, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     report = LossReport()
     n_lk = config.L * config.K
     for epoch in range(config.epochs):
         train_decoder = (not config.decoder_frozen_after_warmup
                          or epoch < config.warmup) and config.lam > 0
-        perm = rng.permutation(len(catalog.train_ids))
-        order = [catalog.train_ids[i] for i in perm]
+        order = train_ids[rng.permutation(len(train_ids))]
         for start in range(0, len(order), config.batch_size):
+            # one index array gathers the batch's features, targets and
+            # positive sets
             ids = order[start:start + config.batch_size]
             if len(ids) < 2:
                 continue

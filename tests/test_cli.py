@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 
 import pytest
 
@@ -220,11 +221,56 @@ def test_rq_config_errors(catalog_file, tmp_path, capsys, command, field,
     ("train-unisid", "train.use_sid", "x"),
     ("train-unisid", "train.use_emb", 0),
     ("train-unisid", "train.decoder_frozen_after_warmup", 1.5),
-    ("sweep-lambda", "sweep.include_hr", "x")])
+    ("sweep-lambda", "sweep.include_hr", "x"),
+    # rules that span fields: an L other than the taxonomy depth stopped
+    # train-unisid in its first batch, and a catalog without test items
+    # passed gen-data through assign and then stopped eval (exit 1 both)
+    ("train-unisid", "train.L", 1), ("train-unisid", "train.L", 2),
+    ("train-unisid", "train.L", 4), ("eval", "train.L", 2),
+    ("gen-data", "catalog.train_fraction", 1.0),
+    ("gen-data", "catalog.train_fraction", 0.995),
+    ("eval", "catalog.train_fraction", 1.0),
+    # the 64-item catalog has 63 negatives for each item; eval drew the
+    # users and trained before recall found too few
+    ("eval", "eval.n_neg", 64), ("eval", "eval.n_neg", 1000),
+    ("sweep-lambda", "eval.n_neg", 64), ("ablate-joint", "eval.n_neg", 99)])
 def test_config_errors(catalog_file, tmp_path, capsys, command, field,
                        value):
     _assert_config_error(catalog_file, tmp_path, capsys, command, field,
                          value)
+
+
+@pytest.mark.parametrize("command, edits", [
+    # train.L is free while the SID loss is off
+    ("train-unisid", {"train": {"L": 2, "use_sid": False}}),
+    ("gen-data", {"catalog": {"train_fraction": 0.99}}),
+    # commands that never evaluate keep any n_neg
+    ("gen-data", {"eval": {"n_neg": 99}}),
+    ("train-unisid", {"eval": {"n_neg": 99}})])
+def test_cross_field_rules_accept(tmp_path, command, edits):
+    cfg = json.loads(json.dumps(SMALL))
+    for section, fields in edits.items():
+        cfg[section].update(fields)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "run")
+    if command != "gen-data":
+        assert main(["gen-data", "--config", str(cfg_path),
+                     "--out", out]) == 0
+    assert main([command, "--config", str(cfg_path), "--out", out]) == 0
+
+
+def test_eval_without_recall_keeps_any_n_neg(run_dir, tmp_path):
+    out, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    cfg = json.loads(json.dumps(SMALL))
+    cfg["eval"].update(n_neg=64, include_recall=False, include_hr=False)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 0
+    doc = json.load(open(copy / "eval_unisid.json"))
+    assert doc["recall"] is None
 
 
 def _sections(section, name):

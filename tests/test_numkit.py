@@ -91,6 +91,48 @@ def test_mlp_grad_matches_finite_differences(rng):
     assert rep.passed, rep
 
 
+def _textbook_mlp(m, x, upstream):
+    """Forward and backward in the allocating textbook form."""
+    h, pres = x, []
+    for w, b, act in zip(m.weights, m.biases, m.activations):
+        pre = h @ w + b
+        pres.append(pre)
+        h = np.maximum(pre, 0.0) if act == "relu" else pre
+    g, grads = upstream, [None] * (2 * len(m.weights))
+    for i in range(len(m.weights) - 1, -1, -1):
+        if m.activations[i] == "relu":
+            g = g * (pres[i] > 0.0)
+        inp = x if i == 0 else np.maximum(pres[i - 1], 0.0)
+        grads[2 * i], grads[2 * i + 1] = inp.T @ g, g.sum(axis=0)
+        g = g @ m.weights[i].T
+    return h, pres, grads, g
+
+
+@pytest.mark.parametrize("dims", [[6, 5, 3], [6, 7, 5, 4, 2]])
+def test_in_place_layers_match_textbook_bits(rng, dims):
+    # integer weights, biases and inputs put exact zeros among the
+    # pre-activations, where a ReLU mask and its sign matter
+    m = MlpParams([rng.integers(-2, 3, size=(a, b)).astype(float)
+                   for a, b in zip(dims, dims[1:])],
+                  [rng.integers(-1, 2, size=b).astype(float)
+                   for b in dims[1:]],
+                  ["relu"] * (len(dims) - 2) + ["identity"])
+    x = rng.integers(-2, 3, size=(9, dims[0])).astype(float)
+    up = rng.normal(size=(9, dims[-1]))
+    up_before = up.copy()
+    y, cache = mlp_apply(m, x)
+    grads, gx = mlp_grad(m, cache, up)
+    want_y, want_pres, want_grads, want_gx = _textbook_mlp(m, x, up)
+    assert any(np.any(pre == 0.0) for pre in want_pres[:-1])
+    assert y.tobytes() == want_y.tobytes()
+    assert [pre.tobytes() for _, pre in cache] == [
+        pre.tobytes() for pre in want_pres]
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+    assert gx.tobytes() == want_gx.tobytes()
+    # the caller's upstream gradient is left as it was
+    assert up.tobytes() == up_before.tobytes()
+
+
 # --- adam -------------------------------------------------------------------
 
 def test_adam_zero_gradient_first_step():

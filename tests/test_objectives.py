@@ -43,9 +43,44 @@ def _oracle_mg(level_logits, batch):
     return total
 
 
+def _oracle_normalize_rows(z):
+    norms = np.linalg.norm(z, axis=1)
+    return z / norms[:, None], norms
+
+
+def _oracle_cosine_backprop(g_sim, zh, norms):
+    u = (g_sim + g_sim.T) @ zh
+    radial = np.sum(u * zh, axis=1, keepdims=True)
+    return (u - radial * zh) / norms[:, None]
+
+
+def _oracle_infonce(sim, tau, pos_mask):
+    """Supervised InfoNCE over one similarity matrix, on the contributing
+    queries only: (sum of query losses, gradient, their number)."""
+    n_pos = pos_mask.sum(axis=1)
+    valid = n_pos > 0
+    n_valid = int(valid.sum())
+    if n_valid == 0:
+        return 0.0, np.zeros_like(sim), 0
+    logits = sim[valid] / tau
+    rows = np.flatnonzero(valid)
+    logits[np.arange(n_valid), rows] = -np.inf
+    m = logits.max(axis=1, keepdims=True)
+    soft = np.exp(logits - m)
+    z = soft.sum(axis=1, keepdims=True)
+    pos = pos_mask[valid]
+    k = n_pos[valid]
+    pos_mean = np.where(pos, logits, 0.0).sum(axis=1) / k
+    total = float(np.sum(m[:, 0] + np.log(z[:, 0]) - pos_mean))
+    g = np.zeros_like(sim)
+    g[valid] = (soft / z - pos / k[:, None]) / tau
+    return total, g, n_valid
+
+
 def _oracle_mg_index_sets(level_logits, batch):
-    """mg_contrastive_loss as it was built, from per-row positive arrays
-    turned back into masks; the kernel must match it bit for bit."""
+    """mg_contrastive_loss as it was built, one level at a time with
+    early exits, from per-row positive arrays turned back into masks; the
+    stacked kernel must match it bit for bit."""
     level_logits = np.asarray(level_logits, dtype=np.float64)
     n, L, K = level_logits.shape
     grad = np.zeros_like(level_logits)
@@ -57,13 +92,12 @@ def _oracle_mg_index_sets(level_logits, batch):
         if sum(counts):
             mask[np.repeat(np.arange(n), counts),
                  np.concatenate(pos_sets)] = True
-        zh, norms = objectives._normalize_rows(level_logits[:, lvl, :])
-        lsum, g_sim, n_valid = objectives._infonce(zh @ zh.T, batch.tau,
-                                                   mask)
+        zh, norms = _oracle_normalize_rows(level_logits[:, lvl, :])
+        lsum, g_sim, n_valid = _oracle_infonce(zh @ zh.T, batch.tau, mask)
         if n_valid == 0:
             continue
         loss += lsum / (n_valid * L)
-        grad[:, lvl, :] = objectives._cosine_backprop(
+        grad[:, lvl, :] = _oracle_cosine_backprop(
             g_sim / (n_valid * L), zh, norms)
     return loss, grad
 
@@ -325,6 +359,39 @@ def test_mg_loss_bits_match_index_set_oracle(small_catalog, rng):
         loss, grad = mg_contrastive_loss(logits, cb)
         o_loss, o_grad = _oracle_mg_index_sets(logits, cb)
         assert loss == o_loss and np.array_equal(grad, o_grad)
+
+
+def _oracle_emb_bits(emb, batch):
+    """emb_contrastive_loss as it was built, on one similarity matrix."""
+    n = emb.shape[0]
+    mask = np.zeros((n, n), dtype=bool)
+    mate = batch.emb_pos >= 0
+    mask[mate, batch.emb_pos[mate]] = True
+    zh, norms = _oracle_normalize_rows(emb)
+    lsum, g_sim, n_valid = _oracle_infonce(zh @ zh.T, batch.tau, mask)
+    return lsum / n_valid, _oracle_cosine_backprop(g_sim / n_valid, zh, norms)
+
+
+@pytest.mark.parametrize("ids", [
+    list(range(8)),   # eight distinct leaves: SID levels 2 and 3 skip all
+    [0, 2, 4, 6],     # distinct level-2 nodes too: every level skips all
+    [0, 1], [0, 2], [0, 8],   # two items: some, none or all levels
+    [0, 8, 1, 9, 2, 3, 16]])  # a mix of skipped and contributing queries
+def test_mg_loss_bits_match_per_level_oracle_with_skipped_levels(
+        small_catalog, rng, ids):
+    cb = _batch(small_catalog, ids)
+    for K in (4, 16):
+        logits = rng.normal(size=(len(ids), 3, K))
+        loss, grad = mg_contrastive_loss(logits, cb)
+        o_loss, o_grad = _oracle_mg_index_sets(logits, cb)
+        assert loss == o_loss
+        assert grad.tobytes() == o_grad.tobytes()
+        if np.any(cb.emb_pos >= 0):
+            emb = rng.normal(size=(len(ids), 8))
+            e_loss, e_grad = emb_contrastive_loss(emb, cb)
+            o_loss, o_grad = _oracle_emb_bits(emb, cb)
+            assert e_loss == o_loss
+            assert e_grad.tobytes() == o_grad.tobytes()
 
 
 def _train_bytes(catalog, tc, path):
