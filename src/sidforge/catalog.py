@@ -164,27 +164,12 @@ def generate_catalog(spec: CatalogSpec) -> ItemCatalog:
                      np.sort(perm[n_train:]).tolist())
 
 
-def mask_rows(mask: np.ndarray) -> list[np.ndarray]:
-    """An (n, n) boolean mask as per-row arrays of its true columns."""
-    return [np.flatnonzero(row) for row in mask]
-
-
-@dataclass
-class GranularPositives:
-    """Batch-restricted positive sets: masks[l] is the (n, n) boolean
-    relation "batch positions i and j agree on levels 1..l+1", with a
-    false diagonal; positives[l][i] lists row i's true positions."""
-
-    ids: list[int]
-    masks: list[np.ndarray]            # [level] -> (n, n) bool
-
-    @property
-    def positives(self) -> list[list[np.ndarray]]:
-        return [mask_rows(m) for m in self.masks]
-
-
 def build_positive_sets(catalog: ItemCatalog,
-                        batch: list[int] | np.ndarray) -> GranularPositives:
+                        batch: list[int] | np.ndarray) -> np.ndarray:
+    """Batch-restricted positive sets as one (LEVELS, n, n) boolean
+    stack: [l, i, j] says batch positions i and j agree on levels
+    1..l+1, with a false diagonal.  The paths come from the tree, so
+    agreement at a level implies agreement at every coarser one."""
     ids = np.asarray(batch, dtype=np.int64)
     id_list = ids.tolist()
     if len(set(id_list)) != len(id_list):
@@ -192,15 +177,11 @@ def build_positive_sets(catalog: ItemCatalog,
     outside = ids[(ids < 0) | (ids >= len(catalog.labels))]
     if outside.size:
         raise InputError(f"item id {outside[0]} not in catalog")
-    labels = catalog.labels[ids]
-    masks = []
-    for level in range(LEVELS):
-        # the paths come from the tree, so agreement at a level implies
-        # agreement at every coarser level
-        agree = labels[:, level][:, None] == labels[:, level][None, :]
-        np.fill_diagonal(agree, False)
-        masks.append(agree)
-    return GranularPositives(ids=id_list, masks=masks)
+    n = len(id_list)
+    paths = np.ascontiguousarray(catalog.labels[ids].T)  # (LEVELS, n)
+    masks = paths[:, :, None] == paths[:, None, :]
+    masks.reshape(LEVELS, n * n)[:, ::n + 1] = False
+    return masks
 
 
 # --- JSON persistence -------------------------------------------------------

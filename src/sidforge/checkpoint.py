@@ -215,8 +215,11 @@ def load_checkpoint(path: str):
             if name == "codebook":
                 parts[name] = Codebook(levels=arrays[0])
             else:
-                parts[name] = MlpParams(arrays[0::2], arrays[1::2], list(
-                    meta["mlps"][name]["activations"]))
+                mlp = MlpParams(arrays[0::2], arrays[1::2])
+                if meta["mlps"][name]["activations"] != mlp.activations:
+                    raise ValueError(f"{name} is not ReLU hidden layers "
+                                     "with an identity output")
+                parts[name] = mlp
         return cls.from_parts(meta, parts, meta.get("digest", ""))
     except (KeyError, TypeError, ValueError, SidforgeError) as e:
         raise CheckpointCorruptionError(

@@ -176,10 +176,21 @@ def check_config(cfg: dict) -> Config:
     # the rules that span fields
     spec, train = sections["catalog"], sections["train"]
     spec.validate()
-    if round(spec.train_fraction * spec.n_items) >= spec.n_items:
+    if not 2 <= round(spec.train_fraction * spec.n_items) < spec.n_items:
         raise ConfigurationError(
-            "catalog.train_fraction must leave a test item: "
-            "round(train_fraction * n_items) < n_items")
+            "catalog.train_fraction must leave a batch of 2 training items "
+            "and a test item: 2 <= round(train_fraction * n_items) < n_items")
+    vocab = summarizer.vocab_size(spec.branching)
+    if vocab > summarizer.MAX_VOCAB:
+        raise ConfigurationError(
+            "catalog.branching must give a summary vocabulary of at most "
+            f"{summarizer.MAX_VOCAB} tokens, 21 + b1 + b1 * b2 * b3, "
+            f"not {vocab}")
+    for name in ("rq", "rqvae"):
+        if sections[name].K > spec.n_items:
+            raise ConfigurationError(
+                f"{name}.K must be at most catalog.n_items, the points "
+                "each level clusters")
     if sections["eval"].T >= spec.n_items:
         raise ConfigurationError("eval.T must be below catalog.n_items")
     if train.use_sid and train.L != LEVELS:
@@ -197,6 +208,20 @@ def _check_recall_pool(cfg: Config) -> None:
         raise ConfigurationError(
             "eval.n_neg must be below catalog.n_items while "
             "eval.include_recall is on")
+
+
+# the command that writes each scheme's checkpoint
+TRAINERS = {"unisid": "train-unisid", "rqkmeans": "fit-rqkmeans",
+            "rqvae": "train-rqvae"}
+
+
+def _load_bundle(out: str, scheme: str):
+    """The scheme's checkpoint bundle in `out`."""
+    path = os.path.join(out, f"{scheme}.ckpt")
+    if not os.path.exists(path):
+        raise SidforgeError(f"checkpoint not found at {path}; "
+                            f"run {TRAINERS[scheme]} first")
+    return load_checkpoint(path)
 
 
 def _catalog_path(out: str) -> str:
@@ -273,7 +298,7 @@ def cmd_assign(cfg: Config, out: str, schemes=None,
     if not schemes:
         raise SidforgeError("no checkpoints found; train a model first")
     for scheme in schemes:
-        bundle = load_checkpoint(os.path.join(out, f"{scheme}.ckpt"))
+        bundle = _load_bundle(out, scheme)
         sid_table, _, k_of = SCHEME_TABLE[scheme]
         table = sid_table(bundle, catalog)
         L = len(next(iter(table.values())))
@@ -327,7 +352,7 @@ def evaluate_scheme(cfg: Config, out: str, scheme: str, catalog: ItemCatalog,
         model = evalsuite.train_next_sid(train_seqs, table, nsc)
         report.hr = evalsuite.hr_at_k(model, test_seqs, table, e.k_list)
     if e.include_recall:
-        bundle = load_checkpoint(os.path.join(out, f"{scheme}.ckpt"))
+        bundle = _load_bundle(out, scheme)
         _, embed, _ = SCHEME_TABLE[scheme]
         report.recall = evalsuite.retrieval_recall(
             lambda x: embed(bundle, x), catalog, e.k_list,
@@ -401,7 +426,7 @@ def cmd_ablate_joint(cfg: Config, out: str) -> None:
 
 def cmd_case_study(cfg: Config, out: str) -> None:
     catalog = _load_catalog(out)
-    bundle = load_checkpoint(os.path.join(out, "unisid.ckpt"))
+    bundle = _load_bundle(out, "unisid")
     ids = catalog.test_ids[:cfg.case_study.n_items]
     fp = unisid.forward_batch(bundle.model, catalog.features_matrix(ids))
     h, _ = summarizer.recon_state(fp.logits, fp.embedding, bundle.pipeline)

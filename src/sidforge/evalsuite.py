@@ -19,22 +19,8 @@ from .numkit import MlpParams
 
 # --- V-measure --------------------------------------------------------------
 
-@dataclass
-class ContingencyTable:
-    counts: np.ndarray  # (n_clusters, n_labels)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def row_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def col_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-
-def make_contingency(clusters, labels) -> ContingencyTable:
+def make_contingency(clusters, labels) -> np.ndarray:
+    """(n_clusters, n_labels) counts of each (cluster, label) pair."""
     cl = list(clusters)
     la = list(labels)
     if len(cl) != len(la) or not cl:
@@ -46,7 +32,7 @@ def make_contingency(clusters, labels) -> ContingencyTable:
     counts = np.zeros((len(cvals), len(lvals)), dtype=np.int64)
     for c, l in zip(cl, la):
         counts[cidx[c], lidx[l]] += 1
-    return ContingencyTable(counts=counts)
+    return counts
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -68,11 +54,11 @@ def v_measure(clusters, labels) -> tuple[float, float, float]:
         ids = sorted(clusters)
         clusters = [clusters[i] for i in ids]
         labels = [labels[i] for i in ids]
-    table = make_contingency(clusters, labels)
-    n = table.total
-    joint = table.counts / n
-    h_label = _entropy(table.col_marginals() / n)
-    h_cluster = _entropy(table.row_marginals() / n)
+    counts = make_contingency(clusters, labels)
+    n = counts.sum()
+    joint = counts / n
+    h_label = _entropy(counts.sum(axis=0) / n)
+    h_cluster = _entropy(counts.sum(axis=1) / n)
     h_joint = _entropy(joint.reshape(-1))
     h_label_given_cluster = h_joint - h_cluster
     h_cluster_given_label = h_joint - h_label

@@ -16,34 +16,30 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
 
-RELU = "relu"
-IDENTITY = "identity"
-
 
 @dataclass
 class MlpParams:
-    """A feed-forward net: weights[i] is (fan_in, fan_out), biases[i] is
-    (fan_out,), activations[i] in {"relu", "identity"}.  The final layer
-    must use the identity activation."""
+    """A feed-forward net: weights[i] is (fan_in, fan_out) and biases[i]
+    is (fan_out,).  Every hidden layer is ReLU and the final layer is
+    identity."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activations: list[str]
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ShapeError("layer lists must have equal length")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ShapeError("layer lists must be nonempty, of equal length")
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeError(f"bad layer shapes {w.shape} / {b.shape}")
         for wa, wb in zip(self.weights, self.weights[1:]):
             if wa.shape[1] != wb.shape[0]:
                 raise ShapeError("consecutive layer dims do not chain")
-        if self.activations and self.activations[-1] != IDENTITY:
-            raise ConfigurationError("final layer must be identity")
-        for a in self.activations:
-            if a not in (RELU, IDENTITY):
-                raise ConfigurationError(f"unknown activation {a!r}")
+
+    @property
+    def activations(self) -> list[str]:
+        """Each layer's activation, as checkpoints record it."""
+        return ["relu"] * (len(self.weights) - 1) + ["identity"]
 
     @property
     def in_dim(self) -> int:
@@ -82,16 +78,14 @@ def quantize_f32(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float32).astype(np.float64)
 
 
-def mlp_init(dims: list[int], rng: np.random.Generator,
-             hidden_activation: str = RELU) -> MlpParams:
+def mlp_init(dims: list[int], rng: np.random.Generator) -> MlpParams:
     """Uniform +-1/sqrt(fan_in) init, quantized to the float32 grid."""
-    weights, biases, acts = [], [], []
-    for i, (din, dout) in enumerate(zip(dims, dims[1:])):
+    weights, biases = [], []
+    for din, dout in zip(dims, dims[1:]):
         bound = 1.0 / np.sqrt(din)
         weights.append(quantize_f32(rng.uniform(-bound, bound, size=(din, dout))))
         biases.append(quantize_f32(rng.uniform(-bound, bound, size=dout)))
-        acts.append(IDENTITY if i == len(dims) - 2 else hidden_activation)
-    return MlpParams(weights, biases, acts)
+    return MlpParams(weights, biases)
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -104,11 +98,12 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
         raise ShapeError(f"input dim {x.shape[1]} != {params.in_dim}")
     cache = []
     h = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         pre = h @ w
         pre += b  # in place: the same bits as h @ w + b
         cache.append((h, pre))
-        h = np.maximum(pre, 0.0) if act == RELU else pre
+        h = np.maximum(pre, 0.0) if i < last else pre
     if not np.isfinite(h).all():
         raise NumericError("non-finite MLP output")
     return h, cache
@@ -128,10 +123,11 @@ def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
     if len(cache) != len(params.weights):
         raise ShapeError("cache does not match network depth")
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+    last = len(params.weights) - 1
     grads: list[np.ndarray] = [None] * (2 * len(params.weights))
-    for i in range(len(params.weights) - 1, -1, -1):
+    for i in range(last, -1, -1):
         inp, pre = cache[i]
-        if params.activations[i] == RELU:
+        if i < last:
             g *= pre > 0.0
         if param_grads:
             grads[2 * i] = inp.T @ g

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit, summarizer, unisid
-from .catalog import ItemCatalog, build_positive_sets, mask_rows
+from .catalog import ItemCatalog, build_positive_sets
 from .errors import ConfigurationError, InputError, NumericError
 from .summarizer import ReconPipeline
 from .unisid import UniSidConfig, UniSidModel
@@ -26,13 +26,13 @@ USAGE_TAU = 0.1
 
 @dataclass
 class ContrastBatch:
-    """Per-SID-level positive masks ((n, n) bool over batch positions,
-    false diagonal; SID level l uses taxonomy level l+1, the last SID
-    level the leaves, and the masks nest), embedding positive pairing
-    (-1 = no same-leaf mate, query skipped), temperature."""
+    """Per-SID-level positive masks (an (L, n, n) bool stack over batch
+    positions, false diagonal; SID level l uses taxonomy level l+1, the
+    last SID level the leaves), embedding positive pairing (-1 = no
+    same-leaf mate, query skipped), temperature."""
 
     ids: list[int]
-    level_masks: list[np.ndarray]
+    level_masks: np.ndarray
     emb_pos: np.ndarray
     tau: float
 
@@ -43,7 +43,7 @@ class ContrastBatch:
     @property
     def level_pos(self) -> list[list[np.ndarray]]:
         """[SID level][batch position] -> positive batch positions."""
-        return [mask_rows(m) for m in self.level_masks]
+        return [[np.flatnonzero(row) for row in m] for m in self.level_masks]
 
 
 def make_contrast_batch(catalog: ItemCatalog,
@@ -55,21 +55,15 @@ def make_contrast_batch(catalog: ItemCatalog,
     to those few nodes and cap its leaf-label V-measure (homogeneity
     log 4 / log 64 on the 4-4-4 tree).  The embedding pairs each query
     with its lowest-id same-leaf mate."""
-    gp = build_positive_sets(catalog, batch_ids)
-    n_lv = len(gp.masks)
-    level_masks = [gp.masks[min(lvl + 1, n_lv - 1)] for lvl in range(n_lv)]
-    # positives must nest: anything positive at level l+1 is positive at l
-    # (on booleans, fine > coarse is fine & ~coarse)
-    if any(np.any(fine > coarse)
-           for coarse, fine in zip(level_masks, level_masks[1:])):
-        raise InputError("positive sets do not nest")
+    masks = build_positive_sets(catalog, batch_ids)
     # deterministic pairing: the same-leaf mate with the lowest item id
-    mates = gp.masks[-1]
+    mates = masks[-1]
     ids = np.asarray(batch_ids, dtype=np.int64)
     lowest = np.argmin(np.where(mates, ids[None, :], np.iinfo(np.int64).max),
                        axis=1)
     emb_pos = np.where(mates.any(axis=1), lowest, -1)
-    return ContrastBatch(ids=gp.ids, level_masks=level_masks,
+    return ContrastBatch(ids=ids.tolist(),
+                         level_masks=masks[[*range(1, len(masks)), -1]],
                          emb_pos=emb_pos, tau=tau)
 
 
@@ -158,8 +152,7 @@ def mg_contrastive_loss(level_logits: np.ndarray,
     level_logits = np.asarray(level_logits, dtype=np.float64)
     if len(batch.level_masks) != level_logits.shape[1]:
         raise InputError("positive sets do not match level count")
-    return _contrast_levels(level_logits, np.stack(batch.level_masks),
-                            batch.tau)
+    return _contrast_levels(level_logits, batch.level_masks, batch.tau)
 
 
 def code_usage_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:

@@ -57,6 +57,12 @@ def build_vocab(tree: CategoryTree) -> SummaryVocab:
     return SummaryVocab(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
 
 
+def vocab_size(branching: tuple[int, int, int]) -> int:
+    """len(build_vocab(build_tree(branching))), without building it."""
+    b1, b2, b3 = branching
+    return 3 + len(_GLUE) + TRAIT_COUNT + b1 + b1 * b2 * b3
+
+
 def trait_a(leaf: int) -> int:
     # affine map, injective mod 16, so sibling leaves get distinct traits
     return (leaf * 5 + 3) % TRAIT_COUNT
@@ -148,12 +154,8 @@ def _first_layer(h_rec: np.ndarray, pipeline: ReconPipeline):
     base = h_rec @ w0[:pipeline.d_r] + dec.biases[0]
     prefix_rows = w0[pipeline.d_r:].reshape(SUMMARY_LEN, len(pipeline.vocab),
                                             w0.shape[1])
-    tail = MlpParams(dec.weights[1:], dec.biases[1:], dec.activations[1:])
+    tail = MlpParams(dec.weights[1:], dec.biases[1:])
     return base, prefix_rows, tail
-
-
-def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
-    return np.maximum(pre, 0.0) if activation == numkit.RELU else pre
 
 
 def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
@@ -177,7 +179,6 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     if targets.min() < 0 or targets.max() >= v:
         raise InputError("target token out of vocabulary")
     n = h_rec.shape[0]
-    act0 = pipeline.decoder.activations[0]
     base, prefix_rows, tail = _first_layer(h_rec, pipeline)
     hidden = base.shape[1]
     # the last target is never part of a prefix
@@ -191,7 +192,7 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     pre[:, 0] = base
     np.add(base[:, None, :], picked, out=pre[:, 1:])
     logits, cache = numkit.mlp_apply(
-        tail, _activate(pre, act0).reshape(n * SUMMARY_LEN, -1))
+        tail, np.maximum(pre, 0.0).reshape(n * SUMMARY_LEN, -1))
     tok = targets.reshape(-1)
     rows = np.arange(n * SUMMARY_LEN)
     m = logits.max(axis=1, keepdims=True)
@@ -205,8 +206,7 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     tail_grads, g_act = numkit.mlp_grad(tail, cache, soft,
                                         param_grads=decoder_grads)
     g_pre = g_act.reshape(pre.shape)
-    if act0 == numkit.RELU:
-        g_pre *= pre > 0.0
+    g_pre *= pre > 0.0
     g_base = g_pre.sum(axis=1)
     w0 = pipeline.decoder.weights[0]
     g_h = g_base @ w0[:pipeline.d_r].T
@@ -231,12 +231,11 @@ def decode_summary(h_rec: np.ndarray, pipeline: ReconPipeline) -> np.ndarray:
     running first-layer pre-activation."""
     h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
     n = h_rec.shape[0]
-    act0 = pipeline.decoder.activations[0]
     pre, prefix_rows, tail = _first_layer(h_rec, pipeline)
     out = np.empty((n, SUMMARY_LEN), dtype=np.int64)
     done = np.zeros(n, dtype=bool)
     for t in range(SUMMARY_LEN):
-        logits, _ = numkit.mlp_apply(tail, _activate(pre, act0))
+        logits, _ = numkit.mlp_apply(tail, np.maximum(pre, 0.0))
         tok = np.argmax(logits, axis=1)
         tok[done] = EOS_ID
         out[:, t] = tok

@@ -189,13 +189,18 @@ def test_config_errors():
         generate_catalog(CatalogSpec(noise_std=-1.0))
 
 
+def _positives(catalog, batch):
+    """[level][batch position] -> the positive batch positions."""
+    return [[np.flatnonzero(row).tolist() for row in mask]
+            for mask in build_positive_sets(catalog, batch)]
+
+
 def test_positive_sets_full_agreement(small_catalog):
     # two items in the same leaf agree at every level
     a, b = np.flatnonzero(small_catalog.labels[:, 2] == 0)[:2].tolist()
-    gp = build_positive_sets(small_catalog, [a, b])
-    for lvl in range(3):
-        assert gp.positives[lvl][0].tolist() == [1]
-        assert gp.positives[lvl][1].tolist() == [0]
+    masks = build_positive_sets(small_catalog, [a, b])
+    assert masks.shape == (3, 2, 2) and masks.dtype == bool
+    assert _positives(small_catalog, [a, b]) == [[[1], [0]]] * 3
 
 
 def test_positive_sets_nesting_cut(small_catalog):
@@ -203,38 +208,38 @@ def test_positive_sets_nesting_cut(small_catalog):
     c1, c2, _ = small_catalog.labels.T
     i = int(np.flatnonzero((c1 == 0) & (c2 == 0))[0])
     j = int(np.flatnonzero((c1 == 0) & (c2 != 0))[0])
-    gp = build_positive_sets(small_catalog, [i, j])
-    assert gp.positives[0][0].tolist() == [1]
-    assert gp.positives[1][0].tolist() == []
-    assert gp.positives[2][0].tolist() == []
+    pos = _positives(small_catalog, [i, j])
+    assert pos[0][0] == [1]
+    assert pos[1][0] == []
+    assert pos[2][0] == []
 
 
 def test_positive_sets_match_bruteforce(medium_catalog, rng):
     batch = sorted(rng.choice(len(medium_catalog.items), size=64,
                               replace=False).tolist())
-    gp = build_positive_sets(medium_catalog, batch)
+    pos = _positives(medium_catalog, batch)
     labels = [tuple(medium_catalog.labels[i]) for i in batch]
     for lvl in range(3):
         for i in range(len(batch)):
             expected = sorted(
                 j for j in range(len(batch))
                 if j != i and labels[j][:lvl + 1] == labels[i][:lvl + 1])
-            assert gp.positives[lvl][i].tolist() == expected
+            assert pos[lvl][i] == expected
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=2,
                 max_size=16, unique=True))
 def test_positive_sets_nesting_and_symmetry(small_catalog, batch):
-    gp = build_positive_sets(small_catalog, batch)
+    pos = _positives(small_catalog, batch)
     n = len(batch)
     for lvl in range(3):
-        sets = [set(p.tolist()) for p in gp.positives[lvl]]
+        sets = [set(p) for p in pos[lvl]]
         for i in range(n):
             for j in sets[i]:
                 assert i in sets[j]
             if lvl:
-                assert sets[i] <= set(gp.positives[lvl - 1][i].tolist())
+                assert sets[i] <= set(pos[lvl - 1][i])
 
 
 def test_duplicate_batch_rejected(small_catalog):

@@ -205,6 +205,16 @@ def _keep(x):
     return x
 
 
+def _activations(name, stored):
+    """A metadata edit that records `stored` as the MLP `name`'s
+    activations."""
+    def edit(meta):
+        mlps = meta["mlps"]
+        return {**meta, "mlps": {**mlps, name: {**mlps[name],
+                                                "activations": stored}}}
+    return edit
+
+
 @pytest.mark.parametrize("kind, edit_meta, edit_body", [
     ("unisid", lambda m: {k: v for k, v in m.items() if k != "mlps"}, _keep),
     ("unisid", lambda m: {**m, "vocab": 5}, _keep),
@@ -212,8 +222,13 @@ def _keep(x):
     ("unisid", _keep, _nan_in_payload),
     ("unisid", lambda m: {**m, "config": {**m["config"], "d_e": 7}}, _keep),
     ("rqvae", lambda m: {**m, "beta": -0.25}, _keep),
+    # every hidden layer is ReLU: a hidden identity loaded silently once
+    ("unisid", _activations("encoder", ["identity", "identity"]), _keep),
+    ("unisid", _activations("encoder", ["relu", "relu", "identity"]), _keep),
+    ("rqvae", _activations("decoder", ["identity"]), _keep),
 ], ids=["mlps_missing", "vocab_not_a_list", "metadata_a_list",
-        "nan_in_payload", "d_e_mismatch", "negative_beta"])
+        "nan_in_payload", "d_e_mismatch", "negative_beta", "hidden_identity",
+        "activations_too_long", "activations_too_short"])
 def test_malformed_checkpoint_rejected(tmp_path, kind, edit_meta, edit_body):
     with pytest.raises(CheckpointCorruptionError):
         load_checkpoint(_rewrite(tmp_path, kind, edit_meta, edit_body))

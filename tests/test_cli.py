@@ -4,16 +4,17 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 
 import pytest
 
-from sidforge import cli, evalsuite, numkit
-from sidforge.catalog import load_catalog
+from sidforge import cli, evalsuite, numkit, summarizer
+from sidforge.catalog import build_tree, load_catalog
 from sidforge.cli import (DEFAULT_CONFIG, _apply_seed_override, _merge,
                           config_digest, evaluate_scheme, load_config,
                           load_sid_table, main)
-from sidforge.errors import ConfigurationError
+from sidforge.errors import ConfigurationError, SidforgeError
 
 SMALL = {
     "catalog": {"branching": [2, 2, 2], "n_items": 64, "dv": 4, "dt": 4,
@@ -233,7 +234,17 @@ def test_rq_config_errors(catalog_file, tmp_path, capsys, command, field,
     # the 64-item catalog has 63 negatives for each item; eval drew the
     # users and trained before recall found too few
     ("eval", "eval.n_neg", 64), ("eval", "eval.n_neg", 1000),
-    ("sweep-lambda", "eval.n_neg", 64), ("ablate-joint", "eval.n_neg", 99)])
+    ("sweep-lambda", "eval.n_neg", 64), ("ablate-joint", "eval.n_neg", 99),
+    # one training item trained nothing and every command exited 0; a K
+    # above the 64 items and a summary vocabulary above 128 tokens (here
+    # 21 + 64 + 64 and 21 + 60 + 60) passed gen-data and stopped a later
+    # command
+    ("gen-data", "catalog.train_fraction", 0.01),
+    ("train-unisid", "catalog.train_fraction", 0.02),
+    ("gen-data", "rq.K", 65), ("fit-rqkmeans", "rq.K", 100),
+    ("gen-data", "rqvae.K", 65), ("train-rqvae", "rqvae.K", 100),
+    ("gen-data", "catalog.branching", [64, 1, 1]),
+    ("train-unisid", "catalog.branching", [60, 1, 1])])
 def test_config_errors(catalog_file, tmp_path, capsys, command, field,
                        value):
     _assert_config_error(catalog_file, tmp_path, capsys, command, field,
@@ -246,7 +257,13 @@ def test_config_errors(catalog_file, tmp_path, capsys, command, field,
     ("gen-data", {"catalog": {"train_fraction": 0.99}}),
     # commands that never evaluate keep any n_neg
     ("gen-data", {"eval": {"n_neg": 99}}),
-    ("train-unisid", {"eval": {"n_neg": 99}})])
+    ("train-unisid", {"eval": {"n_neg": 99}}),
+    # the smallest train split, a K for every item, and a summary
+    # vocabulary of 127 tokens (21 + 53 + 53)
+    ("train-unisid", {"catalog": {"train_fraction": 0.03}}),
+    ("fit-rqkmeans", {"rq": {"K": 64}}),
+    ("train-rqvae", {"rqvae": {"K": 64}}),
+    ("train-unisid", {"catalog": {"branching": [53, 1, 1]}})])
 def test_cross_field_rules_accept(tmp_path, command, edits):
     cfg = json.loads(json.dumps(SMALL))
     for section, fields in edits.items():
@@ -271,6 +288,38 @@ def test_eval_without_recall_keeps_any_n_neg(run_dir, tmp_path):
     assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 0
     doc = json.load(open(copy / "eval_unisid.json"))
     assert doc["recall"] is None
+
+
+@pytest.mark.parametrize("branching, n_items", [
+    ((2, 2, 2), 64), ((4, 4, 4), 64), ((8, 8, 8), 512), ((53, 1, 1), 64),
+    ((54, 1, 1), 64), ((4, 4, 6), 96), ((4, 4, 7), 112)])
+def test_vocab_rule_matches_build_vocab(branching, n_items):
+    # check_config rejects a branching exactly when training would
+    cfg = load_config(None)
+    cfg["catalog"].update(branching=list(branching), n_items=n_items)
+    try:
+        vocab = summarizer.build_vocab(build_tree(branching))
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError,
+                           match=r"^catalog\.branching must "):
+            cli.check_config(cfg)
+    else:
+        assert summarizer.vocab_size(branching) == len(vocab)
+        cli.check_config(cfg)
+
+
+def test_missing_checkpoint_is_a_typed_error(run_dir, tmp_path, capsys):
+    out, cfg_path = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    os.remove(copy / "unisid.ckpt")
+    for command in ("case-study", "eval"):
+        assert main([command, "--config", cfg_path, "--out", str(copy)]) == 1
+        assert capsys.readouterr().err == (
+            "error [SidforgeError]: checkpoint not found at "
+            f"{copy / 'unisid.ckpt'}; run train-unisid first\n")
+    with pytest.raises(SidforgeError, match="run fit-rqkmeans first"):
+        cli._load_bundle(str(tmp_path), "rqkmeans")
 
 
 def _sections(section, name):
@@ -309,6 +358,28 @@ def test_every_config_field_declares_a_rule():
                                    match=rf"^{name}\.{f.name} must be "):
                     numkit.check(
                         dataclasses.replace(section, **{f.name: value}), name)
+
+
+def _leaf_fields(section, path=""):
+    """The dotted names of the plain values in a nested config dict."""
+    for key, value in section.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaf_fields(value, where)
+        else:
+            yield where
+
+
+def test_readme_field_table_names_every_field():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    named = set()
+    with open(readme, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("| `"):  # a table row; its first cell
+                named |= {name for name in re.findall(
+                    r"`([^`]+)`", line.split("|")[1]) if "." in name}
+    # paths.out_dir is described in the text above the table
+    assert named == set(_leaf_fields(DEFAULT_CONFIG)) - {"paths.out_dir"}
 
 
 def test_verbose_prints_traceback(tmp_path, monkeypatch, capsys):

@@ -20,15 +20,14 @@ def _random_mlp(dims, rng):
 # --- forward pass -----------------------------------------------------------
 
 def test_identity_layer():
-    m = MlpParams([np.eye(3)], [np.zeros(3)], ["identity"])
+    m = MlpParams([np.eye(3)], [np.zeros(3)])
     x = np.array([[1.0, -2.0, 3.0]])
     y, _ = mlp_apply(m, x)
     assert np.array_equal(y, x)
 
 
 def test_relu_kills_negative_input():
-    m = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)],
-                  ["relu", "identity"])
+    m = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
     y, _ = mlp_apply(m, np.array([[-1.0, -5.0]]))
     assert np.array_equal(y, np.zeros((1, 2)))
 
@@ -51,7 +50,7 @@ def test_forward_matches_independent_reimplementation(rng):
 
 
 def test_shape_error():
-    m = MlpParams([np.eye(3)], [np.zeros(3)], ["identity"])
+    m = MlpParams([np.eye(3)], [np.zeros(3)])
     with pytest.raises(ShapeError):
         mlp_apply(m, np.ones((2, 4)))
 
@@ -69,7 +68,7 @@ def test_zero_upstream_gives_zero_grads(rng):
 
 def test_linear_layer_weight_gradient():
     # scalar output w.x: dL/dw = x
-    m = MlpParams([np.array([[0.5], [2.0]])], [np.zeros(1)], ["identity"])
+    m = MlpParams([np.array([[0.5], [2.0]])], [np.zeros(1)])
     x = np.array([[3.0, -1.0]])
     _, cache = mlp_apply(m, x)
     grads, _ = mlp_grad(m, cache, np.ones((1, 1)))
@@ -115,8 +114,7 @@ def test_in_place_layers_match_textbook_bits(rng, dims):
     m = MlpParams([rng.integers(-2, 3, size=(a, b)).astype(float)
                    for a, b in zip(dims, dims[1:])],
                   [rng.integers(-1, 2, size=b).astype(float)
-                   for b in dims[1:]],
-                  ["relu"] * (len(dims) - 2) + ["identity"])
+                   for b in dims[1:]])
     x = rng.integers(-2, 3, size=(9, dims[0])).astype(float)
     up = rng.normal(size=(9, dims[-1]))
     up_before = up.copy()

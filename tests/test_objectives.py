@@ -169,10 +169,11 @@ def test_mg_loss_matches_loop_oracle(small_catalog, rng):
 
 def test_level_positives_are_one_taxonomy_level_finer(small_catalog):
     ids = list(range(24))
-    gp = build_positive_sets(small_catalog, ids)
+    masks = build_positive_sets(small_catalog, ids)
     cb = _batch(small_catalog, ids)
-    for got, want in zip(cb.level_pos, gp.positives[1:] + gp.positives[-1:]):
-        assert [p.tolist() for p in got] == [p.tolist() for p in want]
+    for got, want in zip(cb.level_pos, masks[[1, 2, 2]]):
+        assert [p.tolist() for p in got] == [
+            np.flatnonzero(row).tolist() for row in want]
 
 
 def _split_rows(mask):
@@ -187,18 +188,15 @@ def _split_rows(mask):
 def test_positive_rows_derived_from_masks(small_catalog, seed):
     rng = np.random.default_rng(seed)
     ids = rng.permutation(len(small_catalog.items))[:24].tolist()
-    gp = build_positive_sets(small_catalog, ids)
+    masks = build_positive_sets(small_catalog, ids)
     cb = _batch(small_catalog, ids)
-    finer = [1, 2, 2]
-    for rows, mask in zip(gp.positives + cb.level_pos,
-                          gp.masks + [gp.masks[f] for f in finer]):
+    np.testing.assert_array_equal(cb.level_masks, masks[[1, 2, 2]])
+    for rows, mask in zip(cb.level_pos, cb.level_masks):
         want = _split_rows(mask)
         assert len(rows) == len(want) == len(ids)
         for got, exp in zip(rows, want):
             assert got.dtype == exp.dtype
             np.testing.assert_array_equal(got, exp)
-    for lvl, mask in enumerate(cb.level_masks):
-        np.testing.assert_array_equal(mask, gp.masks[finer[lvl]])
 
 
 def test_usage_loss_matches_loop_oracle(rng):
@@ -495,7 +493,8 @@ def test_mg_loss_level_without_positives(rng):
     empty = np.zeros((5, 5), dtype=bool)
     pos0 = empty.copy()
     pos0[[0, 2, 3, 4], [3, 4, 0, 2]] = True   # query 1 has no positive
-    cb = ContrastBatch(ids=list(range(5)), level_masks=[pos0, empty, empty],
+    cb = ContrastBatch(ids=list(range(5)),
+                       level_masks=np.stack([pos0, empty, empty]),
                        emb_pos=np.full(5, -1), tau=0.07)
     logits = rng.normal(size=(5, 3, 8))
     loss, grad = mg_contrastive_loss(logits, cb)
@@ -505,7 +504,8 @@ def test_mg_loss_level_without_positives(rng):
     assert np.any(grad[1, 0, :] != 0.0)
     _fd_check(lambda x: mg_contrastive_loss(x, cb), logits, rng)
 
-    none = ContrastBatch(ids=list(range(5)), level_masks=[empty] * 3,
+    none = ContrastBatch(ids=list(range(5)),
+                         level_masks=np.stack([empty] * 3),
                          emb_pos=np.full(5, -1), tau=0.07)
     loss, grad = mg_contrastive_loss(logits, none)
     assert loss == 0.0
@@ -527,9 +527,6 @@ def test_mg_loss_partial_positives_match_oracle(small_catalog, rng):
 
 
 def test_positive_sets_nest_on_real_batches(medium_catalog):
-    gp = build_positive_sets(medium_catalog, list(range(40)))
-    for lvl in range(len(gp.positives) - 1):
-        for i in range(40):
-            fine = set(gp.positives[lvl + 1][i].tolist())
-            coarse = set(gp.positives[lvl][i].tolist())
-            assert fine <= coarse
+    masks = build_positive_sets(medium_catalog, list(range(40)))
+    # a pair positive at a finer level is positive at every coarser one
+    assert masks[-1].any() and not np.any(masks[1:] & ~masks[:-1])

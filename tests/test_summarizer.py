@@ -7,10 +7,10 @@ from sidforge import numkit
 from sidforge.catalog import build_tree
 from sidforge.errors import CatalogError, ConfigurationError, InputError, ShapeError
 from sidforge.summarizer import (BOS_ID, EOS_ID, MAX_VOCAB, SUMMARY_LEN,
-                                 TRAIT_COUNT, ReconPipeline, _activate,
-                                 _first_layer, build_vocab, decode_summary,
-                                 init_pipeline, recon_loss, recon_state,
-                                 summarize, summary_text, trait_a, trait_b)
+                                 TRAIT_COUNT, ReconPipeline, _first_layer,
+                                 build_vocab, decode_summary, init_pipeline,
+                                 recon_loss, recon_state, summarize,
+                                 summary_text, trait_a, trait_b)
 
 
 def test_vocab_layout():
@@ -130,14 +130,13 @@ def _oracle_recon_scatter(h_rec, targets, pipeline):
     h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
     n = h_rec.shape[0]
-    act0 = pipeline.decoder.activations[0]
     base, prefix_rows, tail = _first_layer(h_rec, pipeline)
     pos = np.arange(SUMMARY_LEN - 1)
     picked = prefix_rows[pos, targets[:, :-1]]
     pre = np.repeat(base[:, None, :], SUMMARY_LEN, axis=1)
     pre[:, 1:] += np.cumsum(picked, axis=1)
     logits, cache = numkit.mlp_apply(
-        tail, _activate(pre, act0).reshape(n * SUMMARY_LEN, -1))
+        tail, np.maximum(pre, 0.0).reshape(n * SUMMARY_LEN, -1))
     tok = targets.reshape(-1)
     rows = np.arange(n * SUMMARY_LEN)
     m = logits.max(axis=1, keepdims=True)
@@ -148,8 +147,7 @@ def _oracle_recon_scatter(h_rec, targets, pipeline):
     soft[rows, tok] -= 1.0
     tail_grads, g_act = numkit.mlp_grad(tail, cache, soft / n)
     g_pre = g_act.reshape(pre.shape)
-    if act0 == numkit.RELU:
-        g_pre *= pre > 0.0
+    g_pre *= pre > 0.0
     g_base = g_pre.sum(axis=1)
     g_picked = np.cumsum(g_pre[:, :0:-1], axis=1)[:, ::-1]
     g_rows = np.zeros_like(prefix_rows)
@@ -184,8 +182,6 @@ def test_pipeline_shape_validation(rng):
 def test_recon_loss_matches_loop_oracle(seed):
     rng = np.random.default_rng(seed)
     pipe, vocab = _pipeline(seed=seed, d_r=int(rng.integers(3, 9)))
-    if seed % 2:
-        pipe.decoder.activations[0] = numkit.IDENTITY
     n = int(rng.integers(1, 12))
     h = rng.normal(size=(n, pipe.d_r))
     targets = rng.integers(0, len(vocab), size=(n, SUMMARY_LEN))
@@ -205,8 +201,6 @@ def test_recon_loss_matches_loop_oracle(seed):
 def test_recon_loss_bits_match_scatter_oracle(seed):
     rng = np.random.default_rng(200 + seed)
     pipe, vocab = _pipeline(seed=seed, d_r=int(rng.integers(3, 9)))
-    if seed % 2:
-        pipe.decoder.activations[0] = numkit.IDENTITY
     n = int(rng.integers(20, 48))
     h = rng.normal(size=(n, pipe.d_r))
     if seed % 3:
