@@ -5,6 +5,7 @@ embedding retrieval recall.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass, field
@@ -194,8 +195,8 @@ def _tail_rows(sequences: list[UserSequence], sid_table: dict[int, tuple],
     tails = [seq.history[-c.history:] for seq in sequences]
     if not all(tails):
         raise InputError("a sequence has an empty history")
-    rows = (_sid_tokens([item for t in tails for item in t], sid_table, c.L)
-            + np.arange(c.L) * c.K)
+    rows = _sid_tokens([item for t in tails for item in t], sid_table, c.L)
+    rows += np.arange(0, c.L * c.K, c.K)  # level l's rows start at l*K
     return rows, np.array([len(t) for t in tails], dtype=np.int64)
 
 
@@ -203,7 +204,7 @@ def _mean_rows(table: np.ndarray, rows: np.ndarray,
                counts: np.ndarray) -> np.ndarray:
     """Per sequence, the mean over its tail items of their summed
     level-token embeddings."""
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
     return np.add.reduceat(table[rows].sum(axis=1), starts,
                            axis=0) / counts[:, None]
 
@@ -289,25 +290,34 @@ def train_next_sid(sequences: list[UserSequence],
     return model
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
                 beam_width: int) -> list[tuple[float, tuple[int, ...]]]:
     """Level-by-level beam search; returns up to beam_width full SID
     sequences sorted by total log-probability (ties by token order).
 
-    Each level scores all surviving beams in one scorer call.  Between
-    levels the beams are kept in lexicographic token order, so the flat
-    (beam, token) candidate index runs in that order too, and a stable
-    sort on the score alone breaks ties lexicographically; when every
-    candidate survives a non-final level, that order needs no sort.
+    Each level scores all surviving beams in one scorer call and turns
+    the scorer's fresh output into the candidates' totals in place: the
+    row max, then the log of the summed exponentials, are subtracted and
+    the beam scores added, the bits of `scores + log_softmax(logits)`.
+    Between levels the beams are kept in lexicographic token order, so
+    the flat (beam, token) candidate index runs in that order too.
+
+    When a level has more candidates than beam_width, one `np.partition`
+    finds the beam_width-th largest total, and the candidates at or above
+    it, taken in flat order, are the survivors.  Only when ties at that
+    threshold overflow the beam, or at the last level, are those few
+    sorted, stably by score, so ties go to the lexicographically smaller
+    SID; the first beam_width are kept, and at a non-final level put back
+    in token order.  This keeps the set and order of a stable argsort of
+    all the totals.
 
     Each beam's scorer input is one row of a full-width buffer: the
     history vector, then one one-hot block per decoded level; level l's
     scorer reads the first d_s + l*K columns."""
+    if beam_width < 1:
+        if beam_width < 0:
+            raise ConfigurationError("beam width must be >= 0")
+        return []
     c = model.config
     d_s = len(hist_vec)
     x = np.zeros((1, d_s + (c.L - 1) * c.K))
@@ -316,16 +326,24 @@ def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
     scores = np.zeros((1, 1))
     for lvl in range(c.L):
         width = d_s + lvl * c.K
-        logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl],
-                                             x[:, :width])[0])
-        total = (scores + logp).reshape(-1)
+        total = numkit.mlp_apply(model.scorers[lvl], x[:, :width])[0]
+        total -= total.max(axis=1, keepdims=True)
+        total -= np.log(np.exp(total).sum(axis=1, keepdims=True))
+        total += scores
+        total = total.reshape(-1)
         last = lvl + 1 == c.L
-        if not last and total.size <= beam_width:
-            keep = np.arange(total.size)
+        n = total.size
+        if n <= beam_width:
+            keep = (-total).argsort(kind="stable") if last else np.arange(n)
         else:
-            keep = np.argsort(-total, kind="stable")[:beam_width]
-            if not last:
-                keep.sort()  # back to lexicographic order for the next level
+            # the beam_width-th largest total lands at n - beam_width
+            ranked = total.copy()
+            ranked.partition(n - beam_width)
+            keep = (total >= ranked[n - beam_width]).nonzero()[0]
+            if last or len(keep) > beam_width:
+                keep = keep[(-total[keep]).argsort(kind="stable")[:beam_width]]
+                if not last:
+                    keep.sort()  # back to token order for the next level
         parent, tok = np.divmod(keep, c.K)
         scores = total[keep, None]
         tokens = tokens[parent]
@@ -342,20 +360,27 @@ def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
     """SID-level Hit Rate: a test case is a hit at K when the target's
     SID sequence appears among the top-K beam-decoded sequences."""
     numkit.require("k_list", k_list, "int", ">= 1", items="+")
+    top = max(k_list)
     if beam_width is None:
-        beam_width = max(k_list)
-    if beam_width < max(k_list):
-        raise ConfigurationError("beam width must cover max(K_list)")
+        beam_width = top
+    else:  # the beam must cover max(k_list)
+        numkit.require("beam_width", beam_width, "int", f">= {top}")
+    if not test_sequences:
+        raise InputError("no test sequences")
+    try:
+        truths = [tuple(sid_table[seq.target]) for seq in test_sequences]
+    except KeyError as e:
+        raise InputError(f"item {e.args[0]} has no SID") from None
     hist = _history_vectors(model, test_sequences, sid_table)
     # each user's 0-based hit rank; beam_width when the target is missed
     ranks = []
-    for i, seq in enumerate(test_sequences):
-        truth = tuple(sid_table[seq.target])
-        decoded = [s for _, s in beam_decode(model, hist[i], beam_width)]
+    for vec, truth in zip(hist, truths):
+        decoded = [s for _, s in beam_decode(model, vec, beam_width)]
         ranks.append(decoded.index(truth) if truth in decoded
                      else beam_width)
-    n = len(test_sequences)
-    return {k: sum(r < k for r in ranks) / n for k in k_list}
+    ranks.sort()
+    n = len(ranks)
+    return {k: bisect.bisect_left(ranks, k) / n for k in k_list}
 
 
 # --- retrieval recall -------------------------------------------------------

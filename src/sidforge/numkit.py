@@ -110,12 +110,13 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
-             param_grads: bool = True
-             ) -> tuple[list[np.ndarray] | None, np.ndarray]:
+             param_grads: bool = True, input_grad: bool = True
+             ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Backward pass.  Returns (flat parameter gradients matching
     params.flat() order, gradient w.r.t. the input batch); with
     param_grads=False only the input gradient is computed and the first
-    value is None.
+    value is None, and with input_grad=False the first layer's `g @ w.T`
+    is skipped and the second value is None.
 
     The final layer is identity, so `upstream` is never masked; every
     gradient masked is one made here (`g @ w.T`), and masking it in place
@@ -132,8 +133,9 @@ def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
         if param_grads:
             grads[2 * i] = inp.T @ g
             grads[2 * i + 1] = g.sum(axis=0)
-        g = g @ params.weights[i].T
-    return (grads if param_grads else None), g
+        if i or input_grad:
+            g = g @ params.weights[i].T
+    return (grads if param_grads else None), (g if input_grad else None)
 
 
 @dataclass

@@ -343,7 +343,7 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
             # hidden-state slice propagates to the encoder
             g_hidden = g_hidden + g_emb_in[:, :config.d_h]
             enc_grads, _ = numkit.mlp_grad(model.encoder, fp.enc_cache,
-                                           g_hidden)
+                                           g_hidden, input_grad=False)
 
             base.step(enc_grads + sid_grads + emb_grads + rec_grads)
             if train_decoder:

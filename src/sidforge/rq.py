@@ -142,7 +142,8 @@ def rq_vae_loss_grads(model: RqVaeModel, x: np.ndarray):
     dec_grads, g_q = numkit.mlp_grad(model.decoder, dec_cache,
                                      2.0 * (xhat - x) / n)
     g_z = g_q + model.beta * g_commit  # straight-through copy
-    enc_grads, _ = numkit.mlp_grad(model.encoder, enc_cache, g_z)
+    enc_grads, _ = numkit.mlp_grad(model.encoder, enc_cache, g_z,
+                                   input_grad=False)
     return loss, enc_grads, dec_grads, z, tokens
 
 

@@ -19,12 +19,12 @@ from sidforge.catalog import CatalogSpec, generate_catalog
 from sidforge.checkpoint import load_checkpoint, save_checkpoint
 from sidforge.cli import main
 from sidforge.evalsuite import (NextSidConfig, UserSequence, _history_vectors,
-                                _log_softmax, hr_at_k, retrieval_recall,
-                                train_next_sid, v_measure)
+                                hr_at_k, retrieval_recall, train_next_sid,
+                                v_measure)
 from sidforge.objectives import (TrainConfig, code_usage_loss,
                                  emb_contrastive_loss, make_contrast_batch,
                                  mg_contrastive_loss, train_unisid)
-from testkit import finite_diff_check, prefix_onehot
+from testkit import finite_diff_check, log_softmax, prefix_onehot
 
 SMALL_CFG = {
     "catalog": {"branching": [2, 2, 2], "n_items": 64, "dv": 4, "dt": 4,
@@ -367,7 +367,7 @@ def test_criterion_4_beam_equals_exhaustive():
             for lvl in range(L):
                 x = np.concatenate([hist[i],
                                     prefix_onehot(cand[:lvl], lvl, K)])
-                lp = _log_softmax(
+                lp = log_softmax(
                     numkit.mlp_apply(model.scorers[lvl], x[None, :])[0][0])
                 total += float(lp[cand[lvl]])
             scored.append((total, cand))

@@ -5,6 +5,7 @@ The per-sequence, per-beam and per-query loops that the batched kernels
 replaced are kept here as oracles (`_oracle_*`)."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 from sidforge import evalsuite, numkit
 from sidforge.errors import ConfigurationError, InputError, NumericError
 from sidforge.evalsuite import (EvalReport, NextSidConfig, UserSequence,
-                                _history_vectors, _log_softmax, beam_decode,
+                                _history_vectors, beam_decode,
                                 gen_user_sequences, hr_at_k, init_next_sid,
                                 load_report, make_contingency,
                                 next_sid_loss_grads, retrieval_recall,
                                 sid_level_vmeasure, train_next_sid, v_measure)
-from testkit import finite_diff_check, prefix_onehot
+from testkit import finite_diff_check, log_softmax, prefix_onehot
 
 
 def test_v_measure_identities():
@@ -285,7 +286,7 @@ def _oracle_beam_decode(model, hist_vec, beam_width):
         for score, prefix in beams:
             x = np.concatenate([hist_vec,
                                 prefix_onehot(prefix, lvl, c.K)])[None, :]
-            logp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
+            logp = log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
             for k in range(c.K):
                 expanded.append((score + float(logp[k]), prefix + (k,)))
         expanded.sort(key=lambda t: (-t[0], t[1]))
@@ -371,7 +372,7 @@ def test_beam_decode_matches_exhaustive(rng):
         for lvl in range(2):
             x = np.concatenate([hist[0],
                                 prefix_onehot(seq[:lvl], lvl, 4)])[None, :]
-            lp = _log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
+            lp = log_softmax(numkit.mlp_apply(model.scorers[lvl], x)[0][0])
             total += float(lp[seq[lvl]])
         scored.append((total, seq))
     scored.sort(key=lambda t: (-t[0], t[1]))
@@ -604,6 +605,88 @@ def test_beam_ties_after_a_pruned_level_lexicographic():
     assert wide[1][0] == wide[2][0]
 
 
+def _tied_model(L, bonus=0.0):
+    """K = 4; level 1 scores token 0 above three tied tokens, and level 2,
+    whatever the prefix, scores token 0 half as far above three tied
+    tokens, plus `bonus` after level-1 token 3; a third level scores all
+    four alike."""
+    model = init_next_sid(NextSidConfig(L=L, K=4, d_s=1, hidden=2))
+    model.scorers[0].biases[-1] = np.array([2.0, 1.0, 1.0, 1.0])
+    s1 = model.scorers[1]
+    s1.weights[0] = np.zeros((5, 2))
+    s1.weights[0][4, 0] = 1.0  # hidden unit 0 reads level-1 token 3
+    s1.weights[1] = np.zeros((2, 4))
+    s1.weights[1][0, 0] = bonus
+    s1.biases[-1] = np.array([1.5, 1.0, 1.0, 1.0])
+    return model
+
+
+@pytest.mark.parametrize("L, width, bonus, want", [
+    # level 1 keeps 0 and the first two of its three tied tokens; token 3
+    # would have led level 2.  Level 2 again keeps 0 and the first two of
+    # three ties inside beam 0
+    (2, 3, 3.0, [(0, 0), (0, 1), (0, 2)]),
+    # level 1 keeps all; at level 2 the first four are above the
+    # threshold and three beams' token 0 tie for the last slot
+    (2, 5, 0.0, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]),
+    # the same cross-beam tie at a non-final level, then twelve tied
+    # candidates of three tied beams for the last slot of the final one
+    (3, 5, 0.0, [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0)]),
+])
+def test_beam_threshold_ties_keep_lowest_flat_index(L, width, bonus, want):
+    model = _tied_model(L, bonus)
+    hist = np.zeros(1)
+    beams = beam_decode(model, hist, width)
+    assert [t for _, t in beams] == want
+    assert beams == _oracle_beam_decode(model, hist, width)
+    # some candidates score above the width-th total and more tie at it
+    # than there are slots left
+    everything = [v for v, _ in _oracle_beam_decode(model, hist, 4 ** L)]
+    assert everything[0] > everything[width - 1] == everything[width]
+
+
+def test_beam_decode_matches_argsort_on_integer_models():
+    # integer weights, biases and history vectors make whole rows of
+    # tied candidates, across beams too, at every level
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        K, L = (3, 4)[seed % 2], 3
+        model = init_next_sid(NextSidConfig(L=L, K=K, d_s=2, hidden=3))
+        for m in model.scorers:
+            m.weights = [r.integers(-1, 2, size=w.shape).astype(float)
+                         for w in m.weights]
+            m.biases = [r.integers(-1, 2, size=b.shape).astype(float)
+                        for b in m.biases]
+        hist = r.integers(-1, 2, size=2).astype(float)
+        for width in range(K ** L + 2):
+            got = beam_decode(model, hist, width)
+            assert got == _oracle_batched_beam_decode(model, hist, width)
+            want = _oracle_beam_decode(model, hist, width)
+            assert [t for _, t in got] == [t for _, t in want]
+
+
+# recorded from the decoder that sorted every level with one stable
+# argsort: any change to beam_decode must keep each beam's score bits
+# and tokens
+GOLDEN_BEAMS_SHA256 = (
+    "34e00d257f3dbd14904f5ee4f7da97c55b3a3039e628890f6358edd251c52a3c")
+
+
+def test_beam_decode_golden_bits():
+    cfg = NextSidConfig(L=3, K=16, d_s=8, hidden=16, history=3, epochs=3,
+                        batch_size=16, seed=7)
+    sid_table, seqs = _ragged_setup(7, cfg.L, cfg.K, n_items=60, n_seqs=200)
+    model = train_next_sid(seqs, sid_table, cfg)
+    h = hashlib.sha256()
+    for vec in _history_vectors(model, seqs, sid_table):
+        for width in (1, cfg.K - 1, cfg.K, cfg.K + 3, 20, cfg.K ** 2 + 1):
+            beams = beam_decode(model, vec, width)
+            h.update(np.array([width, len(beams)], dtype="<i8").tobytes())
+            h.update(np.array([s for s, _ in beams], dtype="<f8").tobytes())
+            h.update(np.array([t for _, t in beams], dtype="<i8").tobytes())
+    assert h.hexdigest() == GOLDEN_BEAMS_SHA256
+
+
 def test_beam_decode_call_structure(monkeypatch):
     # one beam_decode per user and one scorer call per level: the
     # benchmark's per-query clock and call ratio rely on both
@@ -649,6 +732,35 @@ def test_hr_at_k_degenerate_table(rng):
     for k_list in ([], [0, 1], [1.5], [True, 3]):
         with pytest.raises(ConfigurationError, match="k_list"):
             hr_at_k(model, seqs, sid_table, k_list)
+
+
+def test_hr_at_k_target_without_sid(rng):
+    sid_table, seqs = _toy_setup(rng)
+    seqs.append(UserSequence(history=[0, 1], target=99))
+    with pytest.raises(InputError, match="item 99 has no SID"):
+        hr_at_k(init_next_sid(CFG), seqs, sid_table, [1, 3])
+
+
+def test_hr_at_k_no_test_sequences(rng):
+    sid_table, _ = _toy_setup(rng)
+    with pytest.raises(InputError, match="no test sequences"):
+        hr_at_k(init_next_sid(CFG), [], sid_table, [1, 3])
+
+
+@pytest.mark.parametrize("beam_width", [2.5, 3.0, True, 0, -1, "4"])
+def test_hr_at_k_rejects_bad_beam_width(rng, beam_width):
+    # an integer covering max(k_list): checked once, before any decoding
+    sid_table, seqs = _toy_setup(rng)
+    with pytest.raises(ConfigurationError, match="beam_width must be an "
+                                                 "integer >= 1"):
+        hr_at_k(init_next_sid(CFG), seqs, sid_table, [1], beam_width)
+
+
+def test_beam_decode_width_zero_and_negative(rng):
+    model = init_next_sid(CFG)
+    assert beam_decode(model, np.ones(CFG.d_s), 0) == []
+    with pytest.raises(ConfigurationError, match="beam width"):
+        beam_decode(model, np.ones(CFG.d_s), -1)
 
 
 @pytest.mark.parametrize("field", ["history", "batch_size"])

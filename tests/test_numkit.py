@@ -247,6 +247,17 @@ def test_mlp_grad_input_only(rng):
     assert none is None and np.array_equal(g_only, g_in)
 
 
+@pytest.mark.parametrize("dims", [[4, 3], [4, 6, 5, 3]])
+def test_mlp_grad_params_only(rng, dims):
+    # the skipped first-layer input gradient changes no parameter bit
+    m = _random_mlp(dims, rng)
+    _, cache = mlp_apply(m, rng.normal(size=(7, 4)))
+    up = rng.normal(size=(7, 3))
+    grads, _ = mlp_grad(m, cache, up)
+    only, none = mlp_grad(m, cache, up, input_grad=False)
+    assert none is None
+    assert [g.tobytes() for g in only] == [g.tobytes() for g in grads]
+
 # --- finite-difference checker ---------------------------------------------
 
 def test_fd_check_quadratic():

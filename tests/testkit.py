@@ -1,5 +1,6 @@
 """Helpers used only by the tests: a finite-difference gradient checker
-that steps around kinks, and the one-hot prefix vector of a partial SID.
+that steps around kinks, the one-hot prefix vector of a partial SID, and
+a row-wise log-softmax.
 """
 
 from __future__ import annotations
@@ -108,3 +109,10 @@ def prefix_onehot(prefix: tuple[int, ...], lvl: int, K: int) -> np.ndarray:
     for j, t in enumerate(prefix):
         v[j * K + t] = 1.0
     return v
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, shifted by the row max: the expression whose
+    bits `evalsuite.beam_decode` computes in place."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
