@@ -199,10 +199,18 @@ class ParamStore:
     `flat()` order.  Each MLP weight and bias is rebound as a view into
     `vec`, and `extra` holds the views of the extra arrays.  Adam and the
     float32 rounding are elementwise, so one update of the whole vector
-    gives the same bits as one update per array."""
+    gives the same bits as one update per array.
+
+    `live` holds one boolean mask per stored array, in storage order and
+    broadcastable to its shape, of the entries that can receive a
+    nonzero gradient; by default every entry can.  `self.live` indexes
+    those entries of `vec` (the full slice by default), and Adam keeps
+    moments for them only.  An entry whose gradient is exactly zero at
+    every step would keep +0 moments, so the whole-vector update would
+    leave it at p - 0 = p: skipping it gives the same bits."""
 
     def __init__(self, mlps: list[MlpParams], lr: float,
-                 extra: list[np.ndarray] = ()):
+                 extra: list[np.ndarray] = (), live: list | None = None):
         arrays = list(extra) + [p for m in mlps for p in m.flat()]
         self.shapes = [a.shape for a in arrays]
         self.vec = np.concatenate([np.ravel(a) for a in arrays])
@@ -214,16 +222,30 @@ class ParamStore:
         rest = iter(views[len(extra):])
         for m in mlps:
             m.set_flat([next(rest) for _ in m.flat()])
-        self.opt = adam_init([self.vec], lr=lr)
+        if live is None:
+            self.live = slice(None)
+        elif len(live) != len(arrays):
+            raise ShapeError("need one live mask per stored array")
+        else:
+            self.live = np.flatnonzero(np.concatenate(
+                [np.broadcast_to(m, a.shape).ravel()
+                 for m, a in zip(live, arrays)]))
+        self.opt = adam_init([self.vec[self.live]], lr=lr)
 
     def step(self, grads: list[np.ndarray]) -> None:
-        """One Adam update from per-array gradients in storage order,
-        rounded to the float32 grid in place."""
+        """One Adam update of the live entries from per-array gradients in
+        storage order, rounded to the float32 grid in place.  Every
+        gradient entry, live or not, must be finite."""
         if [g.shape for g in grads] != self.shapes:
             raise ShapeError("gradients do not match the stored arrays")
         np.concatenate([np.ravel(g) for g in grads], out=self.grad)
-        new = adam_step(self.opt, [self.vec], [self.grad])[0]
-        self.vec[:] = new.astype(np.float32)
+        if not np.isfinite(self.grad).all():
+            i = next(i for i, g in enumerate(grads)
+                     if not np.isfinite(g).all())
+            raise NumericError(f"non-finite gradient for stored array {i}")
+        new = adam_step(self.opt, [self.vec[self.live]],
+                        [self.grad[self.live]])[0]
+        self.vec[self.live] = new.astype(np.float32)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int,

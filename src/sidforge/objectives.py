@@ -273,7 +273,10 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
 
     Deterministic given (catalog, config): seeded init, seeded epoch
     shuffles, fixed-order gradient accumulation, parameters kept on the
-    float32 grid after every optimizer step.
+    float32 grid after every optimizer step.  Adam steps only the
+    decoder weights that the training split's summaries reach
+    (`summarizer.reached_rows`); every other decoder gradient is exactly
+    zero, so the bits are those of stepping them all.
     """
     config.validate()
     spec = catalog.spec
@@ -289,13 +292,20 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
         summarizer.summarize(catalog.tree.path(leaf), catalog.tree, vocab)
         for leaf in range(catalog.spec.n_leaves)])
     targets = leaf_targets[catalog.labels[:, 2]]
+    train_ids = np.asarray(catalog.train_ids, dtype=np.int64)
 
     base = numkit.ParamStore([model.encoder, model.sid_head, model.emb_head,
                               pipeline.recon_head], config.lr)
-    dec = numkit.ParamStore([pipeline.decoder], config.lr)
+    # Adam steps only the decoder weights the training summaries reach
+    w0_live = summarizer.reached_rows(targets[train_ids], pipeline)
+    dec = numkit.ParamStore(
+        [pipeline.decoder], config.lr,
+        live=[w0_live[:, None]] + [True] * (len(pipeline.decoder.flat()) - 1))
+    # at lam = 0 the reconstruction term's gradients are all zero, so its
+    # backward pass is skipped
+    rec_zeros = [np.zeros_like(p) for p in pipeline.recon_head.flat()]
 
     features = catalog.features_matrix()
-    train_ids = np.asarray(catalog.train_ids, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     report = LossReport()
     n_lk = config.L * config.K
@@ -327,18 +337,22 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
             h_rec, rcache = summarizer.recon_state(fp.logits, fp.embedding,
                                                    pipeline)
             l_rec, g_h, dec_grads = summarizer.recon_loss(
-                h_rec, targets[ids], pipeline, decoder_grads=train_decoder)
+                h_rec, targets[ids], pipeline, decoder_grads=train_decoder,
+                input_grad=config.lam > 0)
             l_total = total_loss(l_sid, l_emb, l_rec, config.lam)
 
-            rec_grads, g_rin = numkit.mlp_grad(pipeline.recon_head, rcache,
-                                               config.lam * g_h)
-            g_logits_flat = (g_logits.reshape(len(ids), n_lk)
-                             + g_rin[:, :n_lk])
+            g_logits_flat = g_logits.reshape(len(ids), n_lk)
+            if config.lam > 0:
+                rec_grads, g_rin = numkit.mlp_grad(
+                    pipeline.recon_head, rcache, config.lam * g_h)
+                g_logits_flat += g_rin[:, :n_lk]
+                g_emb += g_rin[:, n_lk:]
+            else:
+                rec_grads = rec_zeros
             sid_grads, g_hidden = numkit.mlp_grad(model.sid_head,
                                                   fp.sid_cache, g_logits_flat)
-            g_emb_total = g_emb + g_rin[:, n_lk:]
             emb_grads, g_emb_in = numkit.mlp_grad(model.emb_head,
-                                                  fp.emb_cache, g_emb_total)
+                                                  fp.emb_cache, g_emb)
             # the one-hot token path is non-differentiable; only the
             # hidden-state slice propagates to the encoder
             g_hidden = g_hidden + g_emb_in[:, :config.d_h]
@@ -347,7 +361,9 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
 
             base.step(enc_grads + sid_grads + emb_grads + rec_grads)
             if train_decoder:
-                dec.step([config.lam * g for g in dec_grads])
+                for g in dec_grads:
+                    g *= config.lam
+                dec.step(dec_grads)
 
             report.record(l_sid, l_emb, l_rec, l_total, l_use)
     return model, pipeline, report

@@ -158,12 +158,33 @@ def _first_layer(h_rec: np.ndarray, pipeline: ReconPipeline):
     return base, prefix_rows, tail
 
 
+def _prefix_w0_rows(targets: np.ndarray, d_r: int, v: int) -> np.ndarray:
+    """The decoder W0 row each prefix token of the summaries `targets`
+    (n, SUMMARY_LEN) picks, (n, SUMMARY_LEN - 1): token k at position s
+    is row d_r + s * v + k.  The last position is never a prefix."""
+    return d_r + np.arange(SUMMARY_LEN - 1) * v + targets[:, :-1]
+
+
+def reached_rows(targets: np.ndarray, pipeline: ReconPipeline) -> np.ndarray:
+    """Mask of the decoder W0 rows that training on the summaries
+    `targets` can give a nonzero gradient: the d_r conditioning rows and
+    the prefix row of each of their tokens.  Every other W0 row's
+    gradient from recon_loss is exactly zero."""
+    rows = np.zeros(pipeline.decoder.in_dim, dtype=bool)
+    rows[:pipeline.d_r] = True
+    rows[_prefix_w0_rows(np.atleast_2d(targets), pipeline.d_r,
+                         len(pipeline.vocab))] = True
+    return rows
+
+
 def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
-               pipeline: ReconPipeline, decoder_grads: bool = True):
+               pipeline: ReconPipeline, decoder_grads: bool = True,
+               input_grad: bool = True):
     """Teacher-forced cross-entropy over all positions, averaged over the
     batch.  Returns (loss, grad w.r.t. h_rec, flat decoder gradients);
     with decoder_grads=False the decoder gradients are not computed and
-    the third value is None.
+    the third value is None, with input_grad=False the second value is
+    None, and with both False no backward pass runs.
 
     Position t's first-layer pre-activation is the empty-prefix one plus
     the exclusive cumulative sum of the prefix rows its targets pick; the
@@ -179,11 +200,11 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     if targets.min() < 0 or targets.max() >= v:
         raise InputError("target token out of vocabulary")
     n = h_rec.shape[0]
-    base, prefix_rows, tail = _first_layer(h_rec, pipeline)
+    base, _, tail = _first_layer(h_rec, pipeline)
     hidden = base.shape[1]
-    # the last target is never part of a prefix
-    pos = np.arange(SUMMARY_LEN - 1)
-    picked = prefix_rows[pos, targets[:, :-1]]            # (n, S-1, hidden)
+    w0 = pipeline.decoder.weights[0]
+    w0_rows = _prefix_w0_rows(targets, pipeline.d_r, v)
+    picked = w0[w0_rows]                                  # (n, S-1, hidden)
     # sum the picked rows first and add base last, as base + cumsum does;
     # adding each row into a running pre-activation rounds differently
     for s in range(1, SUMMARY_LEN - 1):
@@ -194,22 +215,26 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     logits, cache = numkit.mlp_apply(
         tail, np.maximum(pre, 0.0).reshape(n * SUMMARY_LEN, -1))
     tok = targets.reshape(-1)
-    rows = np.arange(n * SUMMARY_LEN)
+    at = np.arange(n * SUMMARY_LEN)
+    target_logits = logits[at, tok]
+    # the softmax runs in the logits buffer: the backward of the tail's
+    # identity output layer does not read it
     m = logits.max(axis=1, keepdims=True)
-    soft = logits - m
+    soft = np.subtract(logits, m, out=logits)
     np.exp(soft, out=soft)
     z = soft.sum(axis=1)
-    loss = float(np.sum(m[:, 0] + np.log(z) - logits[rows, tok])) / n
+    loss = float(np.sum(m[:, 0] + np.log(z) - target_logits)) / n
+    if not (decoder_grads or input_grad):
+        return loss, None, None
     soft /= z[:, None]
-    soft[rows, tok] -= 1.0
+    soft[at, tok] -= 1.0
     soft /= n
     tail_grads, g_act = numkit.mlp_grad(tail, cache, soft,
                                         param_grads=decoder_grads)
     g_pre = g_act.reshape(pre.shape)
     g_pre *= pre > 0.0
     g_base = g_pre.sum(axis=1)
-    w0 = pipeline.decoder.weights[0]
-    g_h = g_base @ w0[:pipeline.d_r].T
+    g_h = g_base @ w0[:pipeline.d_r].T if input_grad else None
     if not decoder_grads:
         return loss, g_h, None
     # prefix row (s, targets[:, s]) feeds every position after s: turn
@@ -217,9 +242,8 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     for s in range(SUMMARY_LEN - 2, 0, -1):
         g_pre[:, s] += g_pre[:, s + 1]
     # W0 entry (d_r + s * v + token, j) collects its rows in batch order
-    bins = ((pipeline.d_r + pos * v + targets[:, :-1]) * hidden)[:, :, None]
-    g_w0 = np.bincount((bins + np.arange(hidden)).ravel(),
-                       weights=g_pre[:, 1:].ravel(),
+    bins = (w0_rows * hidden)[:, :, None] + np.arange(hidden)
+    g_w0 = np.bincount(bins.ravel(), weights=g_pre[:, 1:].ravel(),
                        minlength=w0.size).reshape(w0.shape)
     np.matmul(h_rec.T, g_base, out=g_w0[:pipeline.d_r])
     return loss, g_h, [g_w0, g_base.sum(axis=0)] + tail_grads

@@ -182,11 +182,15 @@ def _oracle_adam_step(state, params, grads):
 
 
 def _oracle_store_step(store, grads):
-    """ParamStore.step as it was written: a fresh concatenated gradient and
-    a float64 copy of the rounded update."""
+    """ParamStore.step as it was written: a fresh concatenated gradient,
+    Adam over the whole vector with moments of its own (`oracle_opt`,
+    whatever entries the store keeps live) and a float64 copy of the
+    rounded update."""
+    if not hasattr(store, "oracle_opt"):
+        store.oracle_opt = adam_init([store.vec], lr=store.opt.lr)
     g = np.concatenate([np.ravel(g) for g in grads])
     store.vec[:] = numkit.quantize_f32(
-        numkit.adam_step(store.opt, [store.vec], [g])[0])
+        numkit.adam_step(store.oracle_opt, [store.vec], [g])[0])
 
 
 def _adam_grads(rng, shapes, step):
@@ -230,11 +234,59 @@ def test_param_store_step_matches_oracle(rng):
         got.step(grads)
         _oracle_store_step(want, grads)
         assert np.array_equal(got.vec, want.vec)
-        assert np.array_equal(got.opt.m[0], want.opt.m[0])
-        assert np.array_equal(got.opt.v[0], want.opt.v[0])
+        assert np.array_equal(got.opt.m[0], want.oracle_opt.m[0])
+        assert np.array_equal(got.opt.v[0], want.oracle_opt.v[0])
     # the MLP arrays are still views of the stored vector
     assert np.array_equal(a.weights[1], b.weights[1])
     assert np.shares_memory(a.weights[1], got.vec)
+
+
+def test_masked_param_store_matches_dense(rng):
+    # storage order: extra, w0, b0, w1, b1; masks broadcast to each shape
+    dims = [5, 7, 3]
+    live = [rng.random((4, 1)) < 0.5, rng.random((5, 7)) < 0.6, True,
+            rng.random((1, 3)) < 0.7, np.array([True, False, True])]
+    got, want = [numkit.ParamStore(
+        [mlp_init(dims, np.random.default_rng(1))], lr=0.01,
+        extra=[np.full((4, 3), 0.5)], live=mask) for mask in (live, None)]
+    full = [np.broadcast_to(m, s) for m, s in zip(live, got.shapes)]
+    # live entries whose gradient stays zero for many steps, then moves
+    late = [rng.random(s) < 0.3 for s in got.shapes]
+    dead = ~np.concatenate([m.ravel() for m in full])
+    assert dead.any() and got.live.size == dead.size - dead.sum()
+    start = got.vec.copy()
+    for step in range(50):
+        grads = _adam_grads(rng, got.shapes, step)
+        for g, m, quiet in zip(grads, full, late):
+            g[~m] = 0.0
+            if step < 30:
+                g[quiet] = 0.0
+        got.step(grads)
+        want.step(grads)
+        assert got.vec.tobytes() == want.vec.tobytes()
+        assert got.opt.step == want.opt.step
+        for mine, dense in ((got.opt.m[0], want.opt.m[0]),
+                            (got.opt.v[0], want.opt.v[0])):
+            assert mine.tobytes() == dense[got.live].tobytes()
+            assert dense[dead].tobytes() == bytes(8 * dead.sum())  # +0.0
+    assert np.array_equal(got.vec[dead], start[dead])
+    assert (got.vec[~dead] != start[~dead]).all()
+
+
+def test_param_store_live_masks_checked(rng):
+    def store(live):
+        return numkit.ParamStore([mlp_init([3, 2], rng)], lr=0.1, live=live)
+
+    assert store(None).live == slice(None)
+    with pytest.raises(ShapeError, match="one live mask"):
+        store([True])
+    with pytest.raises(ValueError):
+        store([np.ones((2, 3), bool), True])   # does not broadcast
+    # the finite check covers the entries Adam does not step
+    grads = [np.zeros((3, 2)), np.zeros(2)]
+    grads[0][1, 1] = np.nan
+    with pytest.raises(NumericError, match="stored array 0"):
+        store([False, True]).step(grads)
 
 
 def test_mlp_grad_input_only(rng):

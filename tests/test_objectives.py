@@ -406,7 +406,7 @@ def test_train_step_matches_oracle_kernels(small_catalog, tmp_path,
     got = _train_bytes(small_catalog, tc, tmp_path / "kernel.ckpt")
     monkeypatch.setattr(
         summarizer, "recon_loss",
-        lambda h, t, p, decoder_grads=True: _oracle_recon_scatter(h, t, p))
+        lambda h, t, p, **grads: _oracle_recon_scatter(h, t, p))
     monkeypatch.setattr(numkit, "adam_step", _oracle_adam_step)
     monkeypatch.setattr(numkit.ParamStore, "step", _oracle_store_step)
     monkeypatch.setattr(objectives, "mg_contrastive_loss",
@@ -414,6 +414,38 @@ def test_train_step_matches_oracle_kernels(small_catalog, tmp_path,
     want = _train_bytes(small_catalog, tc, tmp_path / "oracle.ckpt")
     assert got[0] == want[0]
     assert got[1] == want[1]
+
+
+def test_lam_zero_step_skips_only_zero_gradients(small_catalog, monkeypatch):
+    # lam = 0 skips the reconstruction backward pass.  The result is the
+    # lam > 0 run whose reconstruction gradient is zero and whose decoder
+    # never trains, and the head and decoder keep their initial bits.
+    tc = _tiny_config(epochs=2, lam=0.0)
+    model, pipe, report = train_unisid(small_catalog, tc)
+    recon_loss = summarizer.recon_loss
+
+    def zero_gradient(h, t, p, **grads):
+        loss, g_h, _ = recon_loss(h, t, p, decoder_grads=False)
+        return loss, np.zeros_like(g_h), None
+
+    monkeypatch.setattr(summarizer, "recon_loss", zero_gradient)
+    want_model, want_pipe, want_report = train_unisid(
+        small_catalog, _tiny_config(epochs=2, lam=0.5,
+                                    decoder_warmup_epochs=0))
+    init = init_pipeline(tc.L, tc.K, tc.d_e, tc.d_r,
+                         build_vocab(small_catalog.tree), tc.seed + 1)
+    for got, *want in ((model.encoder, want_model.encoder),
+                       (model.sid_head, want_model.sid_head),
+                       (model.emb_head, want_model.emb_head),
+                       (pipe.recon_head, want_pipe.recon_head,
+                        init.recon_head),
+                       (pipe.decoder, want_pipe.decoder, init.decoder)):
+        for w in want:
+            assert [p.tobytes() for p in got.flat()] == [
+                p.tobytes() for p in w.flat()]
+    # every column but L_total, which weighs L_rec by lam
+    assert [r[:3] + r[4:] for r in report.steps] == [
+        r[:3] + r[4:] for r in want_report.steps]
 
 
 def test_loss_report_csv(tmp_path):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from sidforge import numkit
-from sidforge.catalog import build_tree
+from sidforge.catalog import CatalogSpec, build_tree, generate_catalog
 from sidforge.errors import CatalogError, ConfigurationError, InputError, ShapeError
 from sidforge.summarizer import (BOS_ID, EOS_ID, MAX_VOCAB, SUMMARY_LEN,
                                  TRAIT_COUNT, ReconPipeline, _first_layer,
                                  build_vocab, decode_summary, init_pipeline,
-                                 recon_loss, recon_state, summarize,
-                                 summary_text, trait_a, trait_b)
+                                 reached_rows, recon_loss, recon_state,
+                                 summarize, summary_text, trait_a, trait_b)
 
 
 def test_vocab_layout():
@@ -221,6 +221,55 @@ def test_recon_loss_bits_match_scatter_oracle(seed):
     f_loss, f_g_h, f_dec = recon_loss(h, targets, pipe, decoder_grads=False)
     assert f_loss == o_loss and np.array_equal(f_g_h, o_g_h)
     assert f_dec is None
+
+
+def test_recon_loss_without_input_grad(rng):
+    pipe, vocab = _pipeline(seed=3)
+    h = rng.normal(size=(9, pipe.d_r))
+    targets = rng.integers(0, len(vocab), size=(9, SUMMARY_LEN))
+    loss, _, dec = recon_loss(h, targets, pipe)
+    d_loss, none, d_dec = recon_loss(h, targets, pipe, input_grad=False)
+    assert none is None and d_loss == loss
+    assert [g.tobytes() for g in d_dec] == [g.tobytes() for g in dec]
+    # the forward pass alone: the loss of the full pass, to the bit
+    assert recon_loss(h, targets, pipe, decoder_grads=False,
+                      input_grad=False) == (loss, None, None)
+
+
+@pytest.mark.parametrize("branching, n_items, train_fraction", [
+    ((2, 2, 2), 64, 0.9), ((4, 4, 4), 512, 0.9),
+    ((3, 3, 3), 60, 0.2)])    # the training split misses some leaves
+def test_decoder_gradient_zero_outside_reached_rows(branching, n_items,
+                                                    train_fraction):
+    cat = generate_catalog(CatalogSpec(
+        branching=branching, n_items=n_items, dv=4, dt=4,
+        train_fraction=train_fraction, seed=5))
+    vocab = build_vocab(cat.tree)
+    targets = np.stack([summarize(lab, cat.tree, vocab)
+                        for lab in cat.labels])
+    train = np.asarray(cat.train_ids)
+    pipe = init_pipeline(L=2, K=4, d_e=5, d_r=6, vocab=vocab, seed=1,
+                         decoder_hidden=16)
+    rows = reached_rows(targets[train], pipe)
+    want = np.zeros(pipe.decoder.in_dim, dtype=bool)
+    want[:pipe.d_r] = True
+    for t in targets[train]:
+        for s in range(SUMMARY_LEN - 1):
+            want[pipe.d_r + s * len(vocab) + t[s]] = True
+    assert np.array_equal(rows, want)
+    missing = set(range(cat.spec.n_leaves)) - set(cat.labels[train, 2])
+    assert bool(missing) == (train_fraction < 0.5)
+    for leaf in missing:   # a leaf's own content token is never reached
+        assert not rows[pipe.d_r + summarize(cat.tree.path(leaf), cat.tree,
+                                             vocab)[0]]
+    rng = np.random.default_rng(sum(branching))
+    for _ in range(12):
+        ids = rng.choice(train, size=int(rng.integers(1, len(train) + 1)),
+                         replace=False)
+        h = rng.normal(size=(len(ids), pipe.d_r))
+        g_w0 = recon_loss(h, targets[ids], pipe)[2][0]
+        assert g_w0[rows].any()
+        assert not g_w0[~rows].any()   # exactly zero, the last slot included
 
 
 def test_decode_summary_matches_loop_oracle():
