@@ -100,6 +100,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config is not valid JSON: {e}")
+    if not isinstance(user, dict):
+        raise ConfigurationError("config must be a JSON object")
     return _merge(DEFAULT_CONFIG, user)
 
 
@@ -173,6 +175,9 @@ def check_config(cfg: dict) -> Config:
     sections["eval"] = Eval(**e | {"next_sid": NextSidConfig(**e["next_sid"])})
     for name, section in sections.items():
         numkit.check(section, name)
+    out_dir = cfg["paths"]["out_dir"]
+    if not (isinstance(out_dir, str) and out_dir):
+        raise ConfigurationError("paths.out_dir must be a nonempty string")
     # the rules that span fields
     spec, train = sections["catalog"], sections["train"]
     spec.validate()

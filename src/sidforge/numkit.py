@@ -90,7 +90,10 @@ def mlp_init(dims: list[int], rng: np.random.Generator) -> MlpParams:
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass over a batch (n, in_dim).  Returns (output, cache);
-    the cache holds the layer inputs needed for exact gradients."""
+    the cache holds (layer input, layer output) per layer, which is all
+    exact gradients need.  Each hidden ReLU runs in place on its
+    pre-activation, so a hidden layer is held once, activated; the
+    output layer is identity, so its entry is its pre-activation."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         x = x.reshape(1, -1)
@@ -100,10 +103,12 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = h @ w
-        pre += b  # in place: the same bits as h @ w + b
-        cache.append((h, pre))
-        h = np.maximum(pre, 0.0) if i < last else pre
+        out = h @ w
+        out += b  # in place: the same bits as h @ w + b
+        if i < last:
+            np.maximum(out, 0.0, out=out)
+        cache.append((h, out))
+        h = out
     if not np.isfinite(h).all():
         raise NumericError("non-finite MLP output")
     return h, cache
@@ -119,17 +124,18 @@ def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
     is skipped and the second value is None.
 
     The final layer is identity, so `upstream` is never masked; every
-    gradient masked is one made here (`g @ w.T`), and masking it in place
-    gives the bits of `g * (pre > 0.0)`."""
+    gradient masked is one made here (`g @ w.T`).  A ReLU output is
+    positive exactly where its pre-activation is, so masking in place by
+    the cached output gives the bits of `g * (pre > 0.0)`."""
     if len(cache) != len(params.weights):
         raise ShapeError("cache does not match network depth")
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
     last = len(params.weights) - 1
     grads: list[np.ndarray] = [None] * (2 * len(params.weights))
     for i in range(last, -1, -1):
-        inp, pre = cache[i]
+        inp, out = cache[i]
         if i < last:
-            g *= pre > 0.0
+            g *= out > 0.0
         if param_grads:
             grads[2 * i] = inp.T @ g
             grads[2 * i + 1] = g.sum(axis=0)
@@ -235,17 +241,27 @@ class ParamStore:
     def step(self, grads: list[np.ndarray]) -> None:
         """One Adam update of the live entries from per-array gradients in
         storage order, rounded to the float32 grid in place.  Every
-        gradient entry, live or not, must be finite."""
+        gradient entry, live or not, must be finite: a masked store checks
+        the whole vector first, and a dense store's whole vector is what
+        adam_step checks, once, before it changes a moment."""
         if [g.shape for g in grads] != self.shapes:
             raise ShapeError("gradients do not match the stored arrays")
         np.concatenate([np.ravel(g) for g in grads], out=self.grad)
-        if not np.isfinite(self.grad).all():
-            i = next(i for i, g in enumerate(grads)
-                     if not np.isfinite(g).all())
-            raise NumericError(f"non-finite gradient for stored array {i}")
-        new = adam_step(self.opt, [self.vec[self.live]],
-                        [self.grad[self.live]])[0]
+        if not (isinstance(self.live, slice) or np.isfinite(self.grad).all()):
+            raise _nonfinite(grads)
+        try:
+            new = adam_step(self.opt, [self.vec[self.live]],
+                            [self.grad[self.live]])[0]
+        except NumericError:
+            raise _nonfinite(grads) from None
         self.vec[self.live] = new.astype(np.float32)
+
+
+def _nonfinite(grads: list[np.ndarray]) -> NumericError:
+    """The error that names the first stored array with a non-finite
+    gradient entry."""
+    i = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
+    return NumericError(f"non-finite gradient for stored array {i}")
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int,

@@ -212,8 +212,10 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     pre = np.empty((n, SUMMARY_LEN, hidden))
     pre[:, 0] = base
     np.add(base[:, None, :], picked, out=pre[:, 1:])
-    logits, cache = numkit.mlp_apply(
-        tail, np.maximum(pre, 0.0).reshape(n * SUMMARY_LEN, -1))
+    # the ReLU in place: it is positive exactly where the pre-activation
+    # is, so the backward mask `pre > 0.0` below keeps its bits
+    np.maximum(pre, 0.0, out=pre)
+    logits, cache = numkit.mlp_apply(tail, pre.reshape(n * SUMMARY_LEN, -1))
     tok = targets.reshape(-1)
     at = np.arange(n * SUMMARY_LEN)
     target_logits = logits[at, tok]

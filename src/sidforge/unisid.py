@@ -73,30 +73,46 @@ def tokens_onehot(tokens: np.ndarray, K: int) -> np.ndarray:
 
 @dataclass
 class ForwardPass:
-    hidden: np.ndarray        # (n, d_h)
-    logits: np.ndarray        # (n, L, K)
-    tokens: np.ndarray        # (n, L)
-    embedding: np.ndarray     # (n, d_e)
-    enc_cache: list
-    sid_cache: list
-    emb_cache: list
+    """One batch's forward pass.  Without caches only `tokens` and
+    `embedding` are kept; the other fields are None."""
+
+    hidden: np.ndarray | None      # (n, d_h)
+    logits: np.ndarray | None      # (n, L, K)
+    tokens: np.ndarray             # (n, L)
+    embedding: np.ndarray          # (n, d_e)
+    enc_cache: list | None
+    sid_cache: list | None
+    emb_cache: list | None
 
 
-def forward_batch(model: UniSidModel, x: np.ndarray) -> ForwardPass:
+def forward_batch(model: UniSidModel, x: np.ndarray,
+                  caches: bool = True) -> ForwardPass:
+    """Encoder, SID head and embedding head over the batch `x`.  Training
+    keeps the hidden state, logits and each MLP's cache for its backward
+    pass.  With caches=False (catalog inference) each MLP's cache is
+    dropped on return, and the hidden state and logits once the
+    embedding head's input is built, so nothing is held for a backward
+    pass that never runs; tokens and embedding have the same bits."""
+    def apply(mlp: MlpParams, inp: np.ndarray):
+        out, cache = numkit.mlp_apply(mlp, inp)
+        return out, cache if caches else None
+
     c = model.config
-    hidden, enc_cache = numkit.mlp_apply(model.encoder, x)
-    flat, sid_cache = numkit.mlp_apply(model.sid_head, hidden)
+    hidden, enc_cache = apply(model.encoder, x)
+    flat, sid_cache = apply(model.sid_head, hidden)
     logits = flat.reshape(-1, c.L, c.K)
     tokens = assign_sid(logits)
     emb_in = np.concatenate([hidden, tokens_onehot(tokens, c.K)], axis=1)
-    emb, emb_cache = numkit.mlp_apply(model.emb_head, emb_in)
+    if not caches:
+        hidden = logits = flat = None
+    emb, emb_cache = apply(model.emb_head, emb_in)
     return ForwardPass(hidden=hidden, logits=logits, tokens=tokens,
                        embedding=emb, enc_cache=enc_cache,
                        sid_cache=sid_cache, emb_cache=emb_cache)
 
 
 def embed_batch(model: UniSidModel, x: np.ndarray) -> np.ndarray:
-    return forward_batch(model, x).embedding
+    return forward_batch(model, x, caches=False).embedding
 
 
 def collision_stats(sid_table: dict[int, tuple]) -> dict:
@@ -128,5 +144,5 @@ def assign_catalog(model: UniSidModel,
         raise ShapeError(
             f"catalog feature dim {x.shape[1]} != encoder input "
             f"{model.encoder.in_dim}")
-    table = token_table(forward_batch(model, x).tokens)
+    table = token_table(forward_batch(model, x, caches=False).tokens)
     return table, collision_stats(table)

@@ -62,6 +62,32 @@ def test_load_config_errors(tmp_path):
     assert load_config(None) == DEFAULT_CONFIG
 
 
+@pytest.mark.parametrize("text", ["[]", "5", '"x"', "null"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, text):
+    # each ended in "runtime error: ... has no attribute 'items'", exit 1
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
+        load_config(str(path))
+    out = tmp_path / "run"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: config must be a JSON object\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [5, "", None, ["a"]])
+def test_bad_out_dir_without_out_writes_nothing(tmp_path, monkeypatch,
+                                                capsys, value):
+    cfg = json.loads(json.dumps(SMALL)) | {"paths": {"out_dir": value}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", "--config", "config.json"]) == 3
+    assert capsys.readouterr().err == (
+        "config error: paths.out_dir must be a nonempty string\n")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_config_digest_canonical():
     a = {"x": 1, "y": {"a": 2, "b": 3}}
     b = {"y": {"b": 3, "a": 2}, "x": 1}
@@ -244,7 +270,11 @@ def test_rq_config_errors(catalog_file, tmp_path, capsys, command, field,
     ("gen-data", "rq.K", 65), ("fit-rqkmeans", "rq.K", 100),
     ("gen-data", "rqvae.K", 65), ("train-rqvae", "rqvae.K", 100),
     ("gen-data", "catalog.branching", [64, 1, 1]),
-    ("train-unisid", "catalog.branching", [60, 1, 1])])
+    ("train-unisid", "catalog.branching", [60, 1, 1]),
+    # without --out these ended in a bare runtime error (exit 1)
+    ("gen-data", "paths.out_dir", 5), ("gen-data", "paths.out_dir", ""),
+    ("train-unisid", "paths.out_dir", None),
+    ("gen-data", "paths.out_dir", ["a"])])
 def test_config_errors(catalog_file, tmp_path, capsys, command, field,
                        value):
     _assert_config_error(catalog_file, tmp_path, capsys, command, field,

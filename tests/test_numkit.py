@@ -123,8 +123,11 @@ def test_in_place_layers_match_textbook_bits(rng, dims):
     want_y, want_pres, want_grads, want_gx = _textbook_mlp(m, x, up)
     assert any(np.any(pre == 0.0) for pre in want_pres[:-1])
     assert y.tobytes() == want_y.tobytes()
-    assert [pre.tobytes() for _, pre in cache] == [
-        pre.tobytes() for pre in want_pres]
+    # each hidden entry is the ReLU output; the identity output layer's
+    # entry is its pre-activation
+    assert [out.tobytes() for _, out in cache] == [
+        np.maximum(pre, 0.0).tobytes() for pre in want_pres[:-1]] + [
+        want_pres[-1].tobytes()]
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
     assert gx.tobytes() == want_gx.tobytes()
     # the caller's upstream gradient is left as it was
@@ -287,6 +290,41 @@ def test_param_store_live_masks_checked(rng):
     grads[0][1, 1] = np.nan
     with pytest.raises(NumericError, match="stored array 0"):
         store([False, True]).step(grads)
+
+
+def test_param_store_checks_each_gradient_entry_once(rng, monkeypatch):
+    dense = numkit.ParamStore([mlp_init([3, 4, 2], rng)], lr=0.1,
+                              extra=[np.ones(5)])
+    masked = numkit.ParamStore([mlp_init([3, 2], rng)], lr=0.1,
+                               live=[np.array([[True], [False], [True]]),
+                                     True])
+    checked = []
+    isfinite = np.isfinite
+
+    def counted(a, *args, **kwargs):
+        checked.append(np.size(a))
+        return isfinite(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "isfinite", counted)
+        dense.step([np.ones(s) for s in dense.shapes])
+        assert checked == [dense.vec.size]
+        checked.clear()
+        # a masked store checks its whole vector; Adam then checks the
+        # live entries it steps
+        masked.step([np.ones(s) for s in masked.shapes])
+        assert checked == [masked.vec.size, masked.live.size]
+    # a non-finite entry, live or not, names its array and changes nothing
+    for store, array, entry in ((dense, 3, (2, 1)), (dense, 0, (4,)),
+                                (masked, 0, (1, 0)), (masked, 1, (0,))):
+        before = (store.vec.copy(), store.opt.m[0].copy(),
+                  store.opt.v[0].copy(), store.opt.step)
+        grads = [np.ones(s) for s in store.shapes]
+        grads[array][entry] = np.nan
+        with pytest.raises(NumericError, match=f"stored array {array}$"):
+            store.step(grads)
+        after = (store.vec, store.opt.m[0], store.opt.v[0], store.opt.step)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_mlp_grad_input_only(rng):

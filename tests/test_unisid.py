@@ -1,10 +1,12 @@
 """Tests for the unified model forward pass and SID assignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sidforge.errors import NumericError, ShapeError
-from sidforge.numkit import mlp_init
+from sidforge.numkit import MlpParams, mlp_init
 from sidforge.unisid import (UniSidConfig, UniSidModel, assign_catalog,
                              assign_sid, collision_stats, embed_batch,
                              forward_batch, init_model, tokens_onehot)
@@ -64,6 +66,66 @@ def test_forward_batch_consistency(small_catalog):
     assert fp.logits.shape == (10, CFG.L, CFG.K)
     np.testing.assert_array_equal(fp.tokens, assign_sid(fp.logits))
     np.testing.assert_array_equal(fp.embedding, embed_batch(model, x))
+
+
+def _integer_model(feature_dim, c, rng):
+    """Integer weights and biases: with integer inputs they put exact
+    zeros among the pre-activations, where a ReLU's sign matters."""
+    def mlp(dims):
+        return MlpParams([rng.integers(-2, 3, size=(a, b)).astype(float)
+                          for a, b in zip(dims, dims[1:])],
+                         [rng.integers(-1, 2, size=b).astype(float)
+                          for b in dims[1:]])
+    return UniSidModel(encoder=mlp([feature_dim, c.d_h, c.d_h]),
+                       sid_head=mlp([c.d_h, c.L * c.K]),
+                       emb_head=mlp([c.d_h + c.L * c.K, c.d_e]), config=c)
+
+
+@pytest.mark.parametrize("n, feature_dim, config, integer", [
+    (1, 6, UniSidConfig(L=2, K=3, d_h=4, d_e=2), False),
+    (10, 24, CFG, False),
+    (300, 40, UniSidConfig(L=3, K=16, d_h=64, d_e=32), False),
+    (37, 12, UniSidConfig(L=3, K=5, d_h=9, d_e=7), True),
+    (64, 8, UniSidConfig(L=1, K=2, d_h=3, d_e=1), True)])
+def test_cache_free_forward_matches_cached(rng, n, feature_dim, config,
+                                           integer):
+    if integer:
+        model = _integer_model(feature_dim, config, rng)
+        x = rng.integers(-2, 3, size=(n, feature_dim)).astype(float)
+        enc = model.encoder
+        assert np.any(x @ enc.weights[0] + enc.biases[0] == 0.0)
+    else:
+        model = init_model(feature_dim, config, seed=5)
+        x = rng.normal(size=(n, feature_dim))
+    full = forward_batch(model, x)
+    lean = forward_batch(model, x, caches=False)
+    assert lean.tokens.tobytes() == full.tokens.tobytes()
+    assert lean.embedding.tobytes() == full.embedding.tobytes()
+    assert embed_batch(model, x).tobytes() == full.embedding.tobytes()
+    assert all(v is None for v in (lean.hidden, lean.logits, lean.enc_cache,
+                                   lean.sid_cache, lean.emb_cache))
+    assert all(v is not None for v in (full.hidden, full.logits,
+                                       full.enc_cache, full.sid_cache,
+                                       full.emb_cache))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_catalog_inference_holds_no_backprop_state(rng):
+    # a bound on memory, not on time: the cache-free pass never holds the
+    # training caches, so its traced peak stays below the cached pass's
+    model = init_model(40, UniSidConfig(L=3, K=16, d_h=64, d_e=32), seed=0)
+    x = rng.normal(size=(2048, 40))
+    cached = _traced_peak(lambda: forward_batch(model, x))
+    lean = _traced_peak(lambda: embed_batch(model, x))
+    assert lean < 0.85 * cached
 
 
 def test_embedding_depends_on_tokens(small_catalog):
