@@ -22,7 +22,7 @@ from .catalog import (LEVELS, CatalogSpec, ItemCatalog, generate_catalog,
                       load_catalog, save_catalog)
 from .checkpoint import (RqKmeansBundle, RqVaeBundle, UniSidBundle,
                          load_checkpoint, save_checkpoint)
-from .errors import ConfigurationError, SidforgeError
+from .errors import ConfigurationError, InputError, SidforgeError
 from .evalsuite import EvalReport, NextSidConfig
 from .objectives import TrainConfig
 
@@ -316,11 +316,43 @@ def cmd_assign(cfg: Config, out: str, schemes=None,
         print(f"wrote {path}")
 
 
-def _load_sid_doc(path: str) -> tuple[dict[int, tuple], int]:
-    """The SID table of a sids_*.json file and its codebook size K."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return {int(i): tuple(t) for i, t in doc["sids"].items()}, doc["K"]
+def _load_sid_doc(path: str, n_items: int | None = None
+                  ) -> tuple[dict[int, tuple], int]:
+    """The SID table of a sids_*.json file and its codebook size K.
+
+    The file must hold an object with integers `L` >= 1 and `K` >= 1 and a
+    nonempty `sids` object whose ids are exactly "0" .. "n-1" (n is
+    `n_items` when given, else the number of ids), each mapped to a list
+    of L integers in [0, K).  Any other file raises InputError naming the
+    file and the broken rule."""
+    def broken(rule: str) -> InputError:
+        return InputError(f"{path}: {rule}")
+
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise broken(f"not a JSON document ({e})") from None
+    if not isinstance(doc, dict):
+        raise broken("must hold a JSON object")
+    L, K, sids = doc.get("L"), doc.get("K"), doc.get("sids")
+    for name, v in (("L", L), ("K", K)):
+        if type(v) is not int or v < 1:
+            raise broken(f"{name} must be an integer >= 1")
+    if not isinstance(sids, dict):
+        raise broken("sids must be an object")
+    if not sids:
+        raise broken("sids must not be empty")
+    n = len(sids) if n_items is None else n_items
+    if sids.keys() != {str(i) for i in range(n)}:
+        raise broken(f"sids must have exactly the item ids 0..{n - 1} "
+                     f"(it has {len(sids)} ids)")
+    for i, t in sids.items():
+        if not (type(t) is list and len(t) == L
+                and all(type(v) is int and 0 <= v < K for v in t)):
+            raise broken(f"the SID of item {i} must be a list of {L} "
+                         f"integers in [0, {K})")
+    return {int(i): tuple(t) for i, t in sids.items()}, K
 
 
 def load_sid_table(path: str) -> dict[int, tuple]:
@@ -339,7 +371,8 @@ def evaluate_scheme(cfg: Config, out: str, scheme: str, catalog: ItemCatalog,
                     ) -> EvalReport:
     """V-measure, collisions and recall of one scheme, and its HR@K on the
     user sequences `seqs` of `_user_sequences` if they are given."""
-    table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"))
+    table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"),
+                             len(catalog.items))
     e = cfg.eval
     # each scheme has its own depth; the table's codes give it
     depth = len(next(iter(table.values())))

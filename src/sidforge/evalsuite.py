@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -212,9 +213,22 @@ def _mean_rows(table: np.ndarray, rows: np.ndarray,
 def _history_vectors(model: NextSidModel, sequences: list[UserSequence],
                      sid_table: dict[int, tuple]) -> np.ndarray:
     """Mean over the last H history items of their summed level-token
-    embeddings."""
-    return _mean_rows(model.table,
-                      *_tail_rows(sequences, sid_table, model.config))
+    embeddings.
+
+    One sequence, a served query, gathers its rows without the
+    per-sequence counts and offsets, but sums them with the same
+    `np.add.reduceat`: its summation order is not `np.add.reduce`'s, and
+    off the float32 grid the two round differently."""
+    c = model.config
+    if len(sequences) != 1:
+        return _mean_rows(model.table, *_tail_rows(sequences, sid_table, c))
+    tail = sequences[0].history[-c.history:]
+    if not tail:
+        raise InputError("a sequence has an empty history")
+    rows = _sid_tokens(tail, sid_table, c.L)
+    rows += np.arange(0, c.L * c.K, c.K)
+    return np.add.reduceat(model.table[rows].sum(axis=1), [0],
+                           axis=0) / len(tail)
 
 
 def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
@@ -290,6 +304,15 @@ def train_next_sid(sequences: list[UserSequence],
     return model
 
 
+@functools.cache
+def _child_blocks(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The K tokens and the K x K one-hot block of a beam's children, in
+    token order; shared by every call, so never written."""
+    col, eye = np.arange(K), np.eye(K)
+    col.flags.writeable = eye.flags.writeable = False
+    return col, eye
+
+
 def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
                 beam_width: int) -> list[tuple[float, tuple[int, ...]]]:
     """Level-by-level beam search; returns up to beam_width full SID
@@ -299,17 +322,24 @@ def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
     the scorer's fresh output into the candidates' totals in place: the
     row max, then the log of the summed exponentials, are subtracted and
     the beam scores added, the bits of `scores + log_softmax(logits)`.
+    Level 0 adds nothing.  Its beam score is 0.0, and `v + 0.0` is `v`
+    unless v is -0.0, which no log-softmax entry is: `l - max` is +0.0
+    at the max (`x - x` is +0.0) and nonzero elsewhere (distinct floats
+    never subtract to zero), and the log of a sum >= 1 is >= +0.0.
     Between levels the beams are kept in lexicographic token order, so
     the flat (beam, token) candidate index runs in that order too.
 
-    When a level has more candidates than beam_width, one `np.partition`
-    finds the beam_width-th largest total, and the candidates at or above
-    it, taken in flat order, are the survivors.  Only when ties at that
-    threshold overflow the beam, or at the last level, are those few
-    sorted, stably by score, so ties go to the lexicographically smaller
-    SID; the first beam_width are kept, and at a non-final level put back
-    in token order.  This keeps the set and order of a stable argsort of
-    all the totals.
+    A non-final level with at most beam_width candidates keeps them all,
+    already in that order: each beam row is repeated K times and its
+    children's one-hot block is the K x K identity, with no index
+    bookkeeping.  When a level has more candidates than beam_width, one
+    `np.partition` finds the beam_width-th largest total, and the
+    candidates at or above it, taken in flat order, are the survivors.
+    Only when ties at that threshold overflow the beam, or at the last
+    level, are those few sorted, stably by score, so ties go to the
+    lexicographically smaller SID; the first beam_width are kept, and at
+    a non-final level put back in token order.  This keeps the set and
+    order of a stable argsort of all the totals.
 
     Each beam's scorer input is one row of a full-width buffer: the
     history vector, then one one-hot block per decoded level; level l's
@@ -318,23 +348,33 @@ def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
         if beam_width < 0:
             raise ConfigurationError("beam width must be >= 0")
         return []
-    c = model.config
+    K, L = model.config.K, model.config.L
     d_s = len(hist_vec)
-    x = np.zeros((1, d_s + (c.L - 1) * c.K))
+    x = np.zeros((1, d_s + (L - 1) * K))
     x[0, :d_s] = hist_vec
-    tokens = np.zeros((1, c.L), dtype=np.int64)
-    scores = np.zeros((1, 1))
-    for lvl in range(c.L):
-        width = d_s + lvl * c.K
+    tokens = np.zeros((1, L), dtype=np.int64)
+    col, eye = _child_blocks(K)
+    for lvl in range(L):
+        width = d_s + lvl * K
         total = numkit.mlp_apply(model.scorers[lvl], x[:, :width])[0]
-        total -= total.max(axis=1, keepdims=True)
-        total -= np.log(np.exp(total).sum(axis=1, keepdims=True))
-        total += scores
+        total -= np.maximum.reduce(total, axis=1, keepdims=True)
+        total -= np.log(np.add.reduce(np.exp(total), axis=1, keepdims=True))
+        if lvl:
+            total += scores
         total = total.reshape(-1)
-        last = lvl + 1 == c.L
+        last = lvl + 1 == L
         n = total.size
+        if n <= beam_width and not last:
+            # beam b's children are candidates b*K .. b*K + K - 1
+            beams = len(x)
+            scores = total[:, None]
+            tokens = tokens.repeat(K, axis=0)
+            tokens.reshape(beams, K, L)[:, :, lvl] = col
+            x = x.repeat(K, axis=0)
+            x.reshape(beams, K, -1)[:, :, width:width + K] = eye
+            continue
         if n <= beam_width:
-            keep = (-total).argsort(kind="stable") if last else np.arange(n)
+            keep = (-total).argsort(kind="stable")
         else:
             # the beam_width-th largest total lands at n - beam_width
             ranked = total.copy()
@@ -344,14 +384,15 @@ def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
                 keep = keep[(-total[keep]).argsort(kind="stable")[:beam_width]]
                 if not last:
                     keep.sort()  # back to token order for the next level
-        parent, tok = np.divmod(keep, c.K)
-        scores = total[keep, None]
+        parent, tok = np.divmod(keep, K)
         tokens = tokens[parent]
         tokens[:, lvl] = tok
-        if not last:
-            x = x[parent]
-            x[np.arange(len(keep)), width + tok] = 1.0
-    return list(zip(scores.reshape(-1).tolist(), map(tuple, tokens.tolist())))
+        if last:
+            return list(zip(total[keep].tolist(),
+                            map(tuple, tokens.tolist())))
+        scores = total[keep, None]
+        x = x[parent]
+        x[:, width:width + K] = eye[tok]
 
 
 def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],

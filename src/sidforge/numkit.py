@@ -97,19 +97,21 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         x = x.reshape(1, -1)
-    if x.shape[1] != params.in_dim:
-        raise ShapeError(f"input dim {x.shape[1]} != {params.in_dim}")
+    weights, biases = params.weights, params.biases
+    if x.shape[1] != weights[0].shape[0]:
+        raise ShapeError(f"input dim {x.shape[1]} != {weights[0].shape[0]}")
     cache = []
     h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(weights) - 1
+    for i, w in enumerate(weights):
         out = h @ w
-        out += b  # in place: the same bits as h @ w + b
+        out += biases[i]  # in place: the same bits as h @ w + b
         if i < last:
             np.maximum(out, 0.0, out=out)
         cache.append((h, out))
         h = out
-    if not np.isfinite(h).all():
+    # the reduction `.all()` wraps, without its Python frame
+    if not np.logical_and.reduce(np.isfinite(h), axis=None):
         raise NumericError("non-finite MLP output")
     return h, cache
 

@@ -464,6 +464,69 @@ def test_sid_tables_are_valid(run_dir):
                    for t in table.values())
 
 
+def _sid_edit(change):
+    """A corruption of sids_unisid.json that edits the parsed document."""
+    def corrupt(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
+def _set_token(item, value, pos=0):
+    return _sid_edit(lambda d: d["sids"][item].__setitem__(pos, value))
+
+
+IDS = "exactly the item ids 0.."
+SID_CORRUPTIONS = {
+    # (corruption, words the error must contain)
+    "token_negative": (_set_token("3", -3), "item 3"),
+    "token_is_K": (_set_token("3", 16), "item 3"),
+    "token_far_out": (_set_token("3", 99), "item 3"),
+    "token_float": (_set_token("3", 4.5), "item 3"),
+    "token_bool": (_set_token("3", True), "item 3"),
+    "sid_short": (_sid_edit(lambda d: d["sids"]["3"].pop()), "item 3"),
+    "sid_not_list": (_sid_edit(lambda d: d["sids"].update({"3": 5})),
+                     "item 3"),
+    "K_below_tokens": (_sid_edit(lambda d: d.update(K=1)), "[0, 1)"),
+    "K_zero": (_sid_edit(lambda d: d.update(K=0)), "K must"),
+    "L_missing": (_sid_edit(lambda d: d.pop("L")), "L must"),
+    "L_float": (_sid_edit(lambda d: d.update(L=3.0)), "L must"),
+    "item_missing": (_sid_edit(lambda d: d["sids"].pop("7")), IDS),
+    "item_extra": (_sid_edit(lambda d: d["sids"].update({"64": [0, 0, 0]})),
+                   IDS),
+    "item_renamed": (_sid_edit(lambda d: d["sids"].update(
+        {"07": d["sids"].pop("7")})), IDS),
+    "sids_empty": (_sid_edit(lambda d: d.update(sids={})), "not be empty"),
+    "sids_not_object": (_sid_edit(lambda d: d.update(sids=[[0, 0, 0]])),
+                        "sids must be an object"),
+    "not_an_object": (lambda text: json.dumps([json.loads(text)]),
+                      "JSON object"),
+    "truncated": (lambda text: text[:len(text) // 2], "not a JSON document"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SID_CORRUPTIONS))
+def test_corrupt_sid_file_rejected(run_dir, tmp_path, capsys, case):
+    src, cfg_path = run_dir
+    out = str(tmp_path / "run")
+    shutil.copytree(src, out)
+    path = os.path.join(out, "sids_unisid.json")
+    corrupt, words = SID_CORRUPTIONS[case]
+    with open(path, encoding="utf-8") as f:
+        text = corrupt(f.read())
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    if case != "item_extra":  # only the catalog knows n is 64
+        with pytest.raises(SidforgeError, match=re.escape(words)):
+            load_sid_table(path)
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [InputError]: {path}: "), err
+    assert words in err
+
+
 def test_eval_rerun_is_byte_identical(run_dir):
     out, cfg_path = run_dir
     path = os.path.join(out, "eval_unisid.json")

@@ -563,6 +563,74 @@ def test_hr_at_k_matches_slice_counting(L, K):
                                               k_list, width)
 
 
+def _long_history_setup(seed, L, K, n_items=30, n_seqs=24, longest=14):
+    """Like `_ragged_setup`, with histories of 1 to `longest` items."""
+    r = np.random.default_rng(seed)
+    table = {i: tuple(int(t) for t in r.integers(K, size=L))
+             for i in range(n_items)}
+    seqs = [UserSequence(history=[int(v) for v in r.integers(
+                n_items, size=r.integers(1, longest + 1))],
+                         target=int(r.integers(n_items)))
+            for _ in range(n_seqs)]
+    return table, seqs
+
+
+@pytest.mark.parametrize("L, K, history", [(1, 4, 3), (1, 16, 9),
+                                           (2, 4, 9), (3, 4, 12)])
+def test_beam_decode_matches_loop_edge_shapes(L, K, history):
+    # L = 1: level 0 is the last level, so every width up to K must still
+    # sort; history windows longer than 8, and histories shorter than,
+    # equal to and longer than the window
+    cfg = NextSidConfig(L=L, K=K, d_s=8, hidden=16, history=history,
+                        epochs=3, batch_size=8)
+    for seed in range(2):
+        sid_table, seqs = _long_history_setup(seed, L, K)
+        lengths = {len(s.history) for s in seqs}
+        assert min(lengths) < history < max(lengths)
+        for model in _next_sid_models(cfg, seqs, sid_table, seed):
+            want_hist, _ = _oracle_history_vectors(model, seqs, sid_table)
+            assert np.array_equal(
+                _history_vectors(model, seqs, sid_table), want_hist)
+            for seq, want_h in zip(seqs[:8], want_hist):
+                h = _history_vectors(model, [seq], sid_table)
+                assert np.array_equal(h, want_h[None, :])
+                for width in sorted({1, K - 1, K, K + 3, K ** L,
+                                     K ** L + 5} - {0}):
+                    got = beam_decode(model, h[0], width)
+                    assert got == _oracle_batched_beam_decode(model, h[0],
+                                                              width)
+                    want = _oracle_beam_decode(model, h[0], width)
+                    assert [t for _, t in got] == [t for _, t in want]
+                    assert len(got) == min(width, K ** L)
+
+
+def test_single_query_history_bits_off_the_float32_grid():
+    # trained tables sit on the float32 grid, where any summation order
+    # gives the same bits; off it, a served query must still sum its
+    # history as the batched path does, or its beams can differ from a
+    # batch hr_at_k over the same users
+    cfg = NextSidConfig(L=3, K=16, d_s=8, hidden=16, history=6, epochs=2,
+                        batch_size=16, seed=4)
+    sid_table, seqs = _long_history_setup(4, cfg.L, cfg.K, n_items=60,
+                                          n_seqs=200, longest=10)
+    model = train_next_sid(seqs, sid_table, cfg)
+    r = np.random.default_rng(4)
+    model.table = model.table * (1.0 + 1e-3 * r.random(model.table.shape))
+    assert not np.array_equal(model.table, numkit.quantize_f32(model.table))
+    batched = _history_vectors(model, seqs, sid_table)
+    for seq, row in zip(seqs, batched):
+        assert np.array_equal(_history_vectors(model, [seq], sid_table)[0],
+                              row)
+    k_list = [1, 5, 10, 20]
+    batch = hr_at_k(model, seqs, sid_table, k_list, beam_width=20)
+    summed = {k: 0.0 for k in k_list}
+    for seq in seqs:
+        for k, v in hr_at_k(model, [seq], sid_table, k_list,
+                            beam_width=20).items():
+            summed[k] += v
+    assert summed == {k: batch[k] * len(seqs) for k in k_list}
+
+
 def test_beam_ties_across_beams_lexicographic():
     # level 1 ranks token 1 first; level 2 mirrors the level-1 log-probs
     # per prefix, so (0, 0) and (1, 0) tie exactly although their prefixes
