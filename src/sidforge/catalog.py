@@ -12,6 +12,7 @@ validated JSON catalog file.
 
 from __future__ import annotations
 
+import array
 import json
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -113,22 +114,21 @@ class ItemCatalog:
         return self.features if ids is None else self.features[ids]
 
 
-def _attr_onehot(spec: CatalogSpec, labels: np.ndarray) -> np.ndarray:
-    """(n, 3) category paths -> (n, attr_dim) one-hots, one per level."""
-    b1, b2, _ = spec.branching
-    attr = np.zeros((len(labels), spec.attr_dim), dtype=np.float64)
-    rows = np.arange(len(labels))[:, None]
-    attr[rows, labels + np.array([0, b1, b1 + b1 * b2])] = 1.0
-    return attr
-
-
 def _assemble(spec: CatalogSpec, leaf: np.ndarray, visual: np.ndarray,
               text: np.ndarray, train_ids: list[int],
               test_ids: list[int]) -> ItemCatalog:
+    """Writes the visual, text and attribute one-hot columns into one
+    (n, feature_dim) buffer; the attribute block has one one-hot per
+    level of the category path."""
     tree = build_tree(spec.branching)
     labels = np.stack(tree.path(leaf), axis=1)
-    features = np.concatenate([visual, text, _attr_onehot(spec, labels)],
-                              axis=1)
+    b1, b2, _ = spec.branching
+    dv, dt = spec.dv, spec.dt
+    features = np.zeros((len(labels), spec.feature_dim))
+    features[:, :dv] = visual
+    features[:, dv:dv + dt] = text
+    features[np.arange(len(labels))[:, None],
+             dv + dt + labels + np.array([0, b1, b1 + b1 * b2])] = 1.0
     features.flags.writeable = labels.flags.writeable = False
     return ItemCatalog(spec=spec, tree=tree, features=features,
                        labels=labels, train_ids=train_ids, test_ids=test_ids)
@@ -262,9 +262,12 @@ def load_catalog(path: str) -> ItemCatalog:
         raise CatalogError("split is not a disjoint cover of the items")
     blocks = []
     for name, width in (("visual", spec.dv), ("text", spec.dt)):
+        # array.array takes JSON numbers only: a quoted number, null or
+        # nested list raises TypeError, an int past float range
+        # OverflowError
         try:
-            block = np.array(doc[name], dtype=np.float64)
-        except (TypeError, ValueError) as e:
+            block = np.frombuffer(array.array("d", doc[name]))
+        except (TypeError, OverflowError) as e:
             raise CatalogError(f"{name} is not a list of numbers") from e
         if block.shape != (n * width,):
             raise CatalogError(f"{name} holds {block.size} values, "

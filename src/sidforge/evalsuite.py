@@ -187,6 +187,20 @@ def _sid_tokens(items: list[int], sid_table: dict[int, tuple],
     return np.array(sids, dtype=np.int64).reshape(len(items), L)
 
 
+@functools.cache
+def _level_offsets(L: int, K: int) -> np.ndarray:
+    """Level l's table rows start at l*K; shared by every call, so never
+    written."""
+    offsets = np.arange(0, L * K, K)
+    offsets.flags.writeable = False
+    return offsets
+
+
+# the reduceat start of a single sequence's rows
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+_FIRST_ROW.flags.writeable = False
+
+
 def _tail_rows(sequences: list[UserSequence], sid_table: dict[int, tuple],
                config: NextSidConfig):
     """The (m, L) table rows of all m items in the last H history items
@@ -197,7 +211,7 @@ def _tail_rows(sequences: list[UserSequence], sid_table: dict[int, tuple],
     if not all(tails):
         raise InputError("a sequence has an empty history")
     rows = _sid_tokens([item for t in tails for item in t], sid_table, c.L)
-    rows += np.arange(0, c.L * c.K, c.K)  # level l's rows start at l*K
+    rows += _level_offsets(c.L, c.K)
     return rows, np.array([len(t) for t in tails], dtype=np.int64)
 
 
@@ -216,9 +230,10 @@ def _history_vectors(model: NextSidModel, sequences: list[UserSequence],
     embeddings.
 
     One sequence, a served query, gathers its rows without the
-    per-sequence counts and offsets, but sums them with the same
-    `np.add.reduceat`: its summation order is not `np.add.reduce`'s, and
-    off the float32 grid the two round differently."""
+    per-sequence counts and offsets (its level offsets and reduceat
+    start are cached), but sums them with the same `np.add.reduceat`:
+    its summation order is not `np.add.reduce`'s, and off the float32
+    grid the two round differently."""
     c = model.config
     if len(sequences) != 1:
         return _mean_rows(model.table, *_tail_rows(sequences, sid_table, c))
@@ -226,34 +241,44 @@ def _history_vectors(model: NextSidModel, sequences: list[UserSequence],
     if not tail:
         raise InputError("a sequence has an empty history")
     rows = _sid_tokens(tail, sid_table, c.L)
-    rows += np.arange(0, c.L * c.K, c.K)
-    return np.add.reduceat(model.table[rows].sum(axis=1), [0],
+    rows += _level_offsets(c.L, c.K)
+    return np.add.reduceat(model.table[rows].sum(axis=1), _FIRST_ROW,
                            axis=0) / len(tail)
 
 
 def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
-                targets: np.ndarray):
+                targets: np.ndarray, loss: bool = True):
     """`next_sid_loss_grads` on index arrays: the tail rows and counts of
-    `_tail_rows` and the (n, L) target tokens."""
+    `_tail_rows` and the (n, L) target tokens.  With loss=False the
+    log-sum-exp and the loss are skipped and the loss is None.
+
+    Each sequence's scorer input is one row of a full-width buffer, as
+    in `beam_decode`: the history vector, then the one-hot blocks of the
+    target's first L - 1 tokens; level l's scorer reads the first
+    d_s + l*K columns.  The row max's shifted exp is taken once per
+    level and serves the log-sum-exp and the softmax alike."""
     c = model.config
     n = len(counts)
-    hist = _mean_rows(model.table, rows, counts)
-    loss = 0.0
-    g_hist = np.zeros_like(hist)
+    at = np.arange(n)
+    x = np.zeros((n, c.d_s + (c.L - 1) * c.K))
+    x[:, :c.d_s] = _mean_rows(model.table, rows, counts)
+    x[at[:, None], c.d_s + _level_offsets(c.L - 1, c.K)
+      + targets[:, :-1]] = 1.0
+    total = 0.0 if loss else None
+    g_hist = np.zeros((n, c.d_s))
     scorer_grads = []
     for lvl in range(c.L):
-        prefix = np.zeros((n, lvl * c.K))
-        for j in range(lvl):
-            prefix[np.arange(n), j * c.K + targets[:, j]] = 1.0
-        x = np.concatenate([hist, prefix], axis=1)
-        logits, cache = numkit.mlp_apply(model.scorers[lvl], x)
+        logits, cache = numkit.mlp_apply(model.scorers[lvl],
+                                         x[:, :c.d_s + lvl * c.K])
         m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-        tok = targets[:, lvl]
-        loss += float(np.mean(lse - logits[np.arange(n), tok]))
         soft = np.exp(logits - m)
-        soft /= soft.sum(axis=1, keepdims=True)
-        soft[np.arange(n), tok] -= 1.0
+        norm = soft.sum(axis=1, keepdims=True)
+        tok = targets[:, lvl]
+        if loss:
+            lse = m[:, 0] + np.log(norm[:, 0])
+            total += float(np.mean(lse - logits[at, tok]))
+        soft /= norm
+        soft[at, tok] -= 1.0
         grads, gx = numkit.mlp_grad(model.scorers[lvl], cache, soft / n)
         scorer_grads.append(grads)
         g_hist += gx[:, :c.d_s]
@@ -264,7 +289,7 @@ def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
     flat = rows.reshape(-1, 1) * c.d_s + np.arange(c.d_s)
     g_table = np.bincount(flat.reshape(-1), weights=share.reshape(-1),
                           minlength=model.table.size)
-    return loss, g_table.reshape(model.table.shape), scorer_grads
+    return total, g_table.reshape(model.table.shape), scorer_grads
 
 
 def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
@@ -298,8 +323,8 @@ def train_next_sid(sequences: list[UserSequence],
             n_tail = counts[batch]
             at = (np.repeat(starts[batch] - (np.cumsum(n_tail) - n_tail),
                             n_tail) + np.arange(n_tail.sum()))
-            _, g_table, scorer_grads = _loss_grads(model, rows[at], n_tail,
-                                                   targets[batch])
+            _, g_table, scorer_grads = _loss_grads(
+                model, rows[at], n_tail, targets[batch], loss=False)
             store.step([g_table] + [g for gs in scorer_grads for g in gs])
     return model
 
@@ -395,17 +420,42 @@ def beam_decode(model: NextSidModel, hist_vec: np.ndarray,
         x[:, width:width + K] = eye[tok]
 
 
+def _checked_width(k_list: list[int], beam_width: int | None) -> int:
+    """The beam width `hr_at_k` decodes with, beam_width or max(k_list),
+    after holding both to `numkit.require`'s rule: k_list a nonempty
+    list of integers >= 1 and the beam an integer covering max(k_list).
+
+    A plain list of ints and an int width, which a served query passes,
+    take a test of well under a microsecond; anything else, np.int64 or
+    a tuple too, goes through `numkit.require`, which accepts it or
+    raises its own message.  `require` compares with float(max(k_list)),
+    which equals max(k_list) up to 2**53."""
+    if type(k_list) is list and k_list:
+        for k in k_list:
+            if type(k) is not int or k < 1:
+                break
+        else:
+            top = max(k_list)
+            if beam_width is None:
+                return top
+            if (type(beam_width) is int and beam_width >= top
+                    and top <= 2 ** 53):
+                return beam_width
+    numkit.require("k_list", k_list, "int", ">= 1", items="+")
+    top = max(k_list)
+    if beam_width is None:
+        return top
+    numkit.require("beam_width", beam_width, "int", f">= {top}")
+    return beam_width
+
+
 def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
             sid_table: dict[int, tuple], k_list: list[int],
             beam_width: int | None = None) -> dict[int, float]:
     """SID-level Hit Rate: a test case is a hit at K when the target's
-    SID sequence appears among the top-K beam-decoded sequences."""
-    numkit.require("k_list", k_list, "int", ">= 1", items="+")
-    top = max(k_list)
-    if beam_width is None:
-        beam_width = top
-    else:  # the beam must cover max(k_list)
-        numkit.require("beam_width", beam_width, "int", f">= {top}")
+    SID sequence appears among the top-K beam-decoded sequences.  The
+    beam, max(k_list) by default, must cover max(k_list)."""
+    beam_width = _checked_width(k_list, beam_width)
     if not test_sequences:
         raise InputError("no test sequences")
     try:
@@ -429,7 +479,9 @@ def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
 def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
                      n_neg: int = 99, seed: int = 0,
                      query_ids: list[int] | None = None) -> dict[int, float]:
-    """Sampled-negative retrieval over the test split.
+    """Sampled-negative retrieval over the test split, or over
+    `query_ids`, a nonempty list of item ids; `k_list` follows `hr_at_k`'s
+    rule.
 
     The query view of an item zeroes its attribute block and re-noises
     its text block (seeded); candidates are the unperturbed embeddings of
@@ -437,12 +489,16 @@ def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
     broken by item id.  `embed_fn` maps a (n, feature_dim) matrix to
     (n, d) embeddings.
     """
+    numkit.require("k_list", k_list, "int", ">= 1", items="+")
     numkit.require("n_neg", n_neg, "int", ">= 0")
     n_items = len(catalog.items)
     if n_neg >= n_items:
         raise ConfigurationError("n_neg must be smaller than the catalog")
     if query_ids is None:
         query_ids = catalog.test_ids
+    else:
+        numkit.require("query_ids", query_ids, "int", ">= 0",
+                       f"< {n_items}", items="+")
     rng = np.random.default_rng(seed)
     spec = catalog.spec
     queries = catalog.features_matrix(query_ids)

@@ -287,9 +287,10 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
         idx = int(np.searchsorted(cum, rng.random(), side="right"))
         idx = min(idx, n - 1)
         centroids[j] = points[idx]
-        np.subtract(points, centroids[j], out=buf)
-        buf *= buf
-        np.minimum(d2, buf.sum(axis=1), out=d2)
+        if j + 1 < k:  # no draw reads the distances to the last one
+            np.subtract(points, centroids[j], out=buf)
+            buf *= buf
+            np.minimum(d2, buf.sum(axis=1), out=d2)
     return centroids
 
 

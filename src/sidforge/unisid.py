@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numkit
 from .catalog import ItemCatalog
-from .errors import NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError
 from .numkit import MlpParams
 
 
@@ -115,20 +115,32 @@ def embed_batch(model: UniSidModel, x: np.ndarray) -> np.ndarray:
     return forward_batch(model, x, caches=False).embedding
 
 
-def collision_stats(sid_table: dict[int, tuple]) -> dict:
-    """Fraction of items sharing their full SID, plus distinct prefix
-    counts per level."""
-    if not sid_table:
+def token_stats(tokens: np.ndarray) -> dict:
+    """Fraction of the (n, L) token rows that share their full SID with
+    another row, plus distinct prefix counts per level.  The rows are
+    sorted lexicographically, so equal prefixes sit next to each other:
+    a row starts a new level-l prefix where it differs from the row
+    before in one of its first l + 1 tokens."""
+    n, L = tokens.shape
+    if not n:
         return {"collision_rate": 0.0, "distinct_prefixes": []}
-    seqs = list(sid_table.values())
-    L = len(seqs[0])
-    counts: dict[tuple, int] = {}
-    for s in seqs:
-        counts[tuple(s)] = counts.get(tuple(s), 0) + 1
-    colliding = sum(c for c in counts.values() if c > 1)
-    distinct = [len({tuple(s[:l + 1]) for s in seqs}) for l in range(L)]
-    return {"collision_rate": colliding / len(seqs),
-            "distinct_prefixes": distinct}
+    rows = tokens[np.lexsort(tokens.T[::-1])] if L else tokens
+    new = np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1)
+    starts = np.flatnonzero(np.r_[True, new.any(axis=1)])
+    sizes = np.diff(np.r_[starts, n])
+    return {"collision_rate": int(sizes[sizes > 1].sum()) / n,
+            "distinct_prefixes": (1 + new.sum(axis=0)).tolist()}
+
+
+def collision_stats(sid_table: dict[int, tuple]) -> dict:
+    """`token_stats` of a SID table; InputError unless every SID has the
+    same length."""
+    lengths = set(map(len, sid_table.values()))
+    if len(lengths) > 1:
+        raise InputError(f"SIDs differ in length: {sorted(lengths)}")
+    (L,) = lengths or {0}
+    tokens = np.array(list(sid_table.values()), dtype=np.int64)
+    return token_stats(tokens.reshape(len(sid_table), L))
 
 
 def token_table(tokens: np.ndarray) -> dict[int, tuple]:
@@ -138,11 +150,17 @@ def token_table(tokens: np.ndarray) -> dict[int, tuple]:
 
 def assign_catalog(model: UniSidModel,
                    catalog: ItemCatalog) -> tuple[dict[int, tuple], dict]:
-    """Full-catalog SID assignment plus collision statistics."""
+    """Full-catalog SID assignment plus collision statistics.  Runs the
+    encoder and the SID head only, the two `mlp_apply` calls whose output
+    `forward_batch` turns into tokens, so the tokens have its bits; the
+    embedding head's output would be dropped."""
     x = catalog.features_matrix()
     if x.shape[1] != model.encoder.in_dim:
         raise ShapeError(
             f"catalog feature dim {x.shape[1]} != encoder input "
             f"{model.encoder.in_dim}")
-    table = token_table(forward_batch(model, x, caches=False).tokens)
-    return table, collision_stats(table)
+    c = model.config
+    hidden = numkit.mlp_apply(model.encoder, x)[0]
+    flat = numkit.mlp_apply(model.sid_head, hidden)[0]
+    tokens = assign_sid(flat.reshape(-1, c.L, c.K))
+    return token_table(tokens), token_stats(tokens)

@@ -312,6 +312,11 @@ CORRUPTIONS = {
     "visual_short": _edit(lambda d: d["visual"].pop()),
     "text_long": _edit(lambda d: d["text"].append(0.5)),
     "text_not_numbers": _edit(lambda d: d["text"].__setitem__(0, [1, 2])),
+    # not JSON numbers, or past float range: "0.5" once loaded as 0.5
+    "visual_quoted": _edit(lambda d: d["visual"].__setitem__(2, "0.5")),
+    "text_null": _edit(lambda d: d["text"].__setitem__(1, None)),
+    "visual_nested": _edit(lambda d: d["visual"].__setitem__(0, [0.5])),
+    "text_huge_int": _edit(lambda d: d["text"].__setitem__(4, 10 ** 400)),
     "visual_nan": _edit(lambda d: d["visual"].__setitem__(3, float("nan"))),
     "text_infinite": _edit(lambda d: d["text"].__setitem__(0, float("inf"))),
     "n_items_mismatch": _edit(lambda d: d["spec"].update(n_items=65)),

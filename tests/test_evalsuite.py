@@ -427,6 +427,45 @@ def _oracle_train_next_sid(sequences, sid_table, config):
     return model
 
 
+def _trained_next_sid_digest(L, K):
+    """SHA-256 of a seeded model's trained table and scorer bytes; 25
+    sequences in batches of 8 leave a last batch of one sequence."""
+    cfg = NextSidConfig(L=L, K=K, d_s=6, hidden=8, history=4, epochs=3,
+                        batch_size=8, seed=L + K)
+    sid_table, seqs = _ragged_setup(10 * L + K, L, K, n_seqs=25)
+    model = train_next_sid(seqs, sid_table, cfg)
+    h = hashlib.sha256(model.table.astype("<f8").tobytes())
+    for s in model.scorers:
+        for p in s.flat():
+            h.update(p.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+# recorded from the step that built a zeroed prefix and concatenated it
+# to the history vector at every level, with two exps per level: the
+# one-buffer step must train the same bits
+GOLDEN_NEXT_SID_SHA256 = {
+    (1, 1): "6c8410e19ce62b49be04905f0b6b1948d8b838f767ff84ccab8a362454744afd",
+    (1, 5): "7919d6de595353e7be68a39810bcdb6536f124e1518423c29886b29be20291ff",
+    (1, 16): "b4280a3fb73c6b6c3b5f727a15c0afff754a5ed67f501d3ad833274f7d9ecddf",
+    (2, 1): "7b074af94da6616a32dd3dbb99db4339c61272ac488e7c183974ecf05ec7c2a4",
+    (2, 5): "cba07062def87ea8db073c51415dd3014710f059fd81143b797ad7c805fce238",
+    (2, 16): "36d0cb8fdcd54e4ee182726d4a399b7b051962c3484f62b0ac9d2325ba599413",
+    (3, 1): "6ac43d6e75565095f833b2bd427b23a502f240b37df68abddaf0ab7036efeb91",
+    (3, 5): "498fc24395cea7b591e65fcd9691ca5eceaa4fa20d6b9ed6debcc7386973dd06",
+    (3, 16): "5e8474834a350887d6f401f192c89b1635d0ccc7000b13382ee7760ebf3dbe6f",
+    (4, 1): "1f2dc4d2e2ab456b00e9a5b846bd8f41c0c1fbaf36cf5e79ceb1f2d7b7a2f0b8",
+    (4, 5): "ca73b8fd63314fe43608e44603bbd72c828743a80ab75aa917543fc18dd100f5",
+    (4, 16): "7eb6681c303f18f30c6ada468da21af26628d6ec353da644d1299e88e4140a8b",
+}
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 5, 16])
+def test_train_next_sid_golden_bits(L, K):
+    assert _trained_next_sid_digest(L, K) == GOLDEN_NEXT_SID_SHA256[L, K]
+
+
 def test_train_next_sid_matches_batch_loop(monkeypatch):
     # every step's gradients too: the float32 rounding of the parameters
     # can hide a last-bit difference in one of them
@@ -822,6 +861,73 @@ def test_hr_at_k_rejects_bad_beam_width(rng, beam_width):
     with pytest.raises(ConfigurationError, match="beam_width must be an "
                                                  "integer >= 1"):
         hr_at_k(init_next_sid(CFG), seqs, sid_table, [1], beam_width)
+
+
+# values a k_list entry or a beam width might take: ints around the
+# float-exact limit 2**53 too, where require compares with float(max)
+_CHECK_VALUES = st.one_of(
+    st.integers(-2, 25), st.integers(2 ** 53 - 2, 2 ** 53 + 5),
+    st.just(10 ** 400), st.booleans(), st.none(),
+    st.integers(-1, 25).map(np.int64), st.floats(allow_nan=True),
+    st.just("4"))
+
+
+def _require_outcome(k_list, beam_width):
+    """The error `numkit.require`'s rule gives, or None."""
+    try:
+        numkit.require("k_list", k_list, "int", ">= 1", items="+")
+        if beam_width is not None:
+            numkit.require("beam_width", beam_width, "int",
+                           f">= {max(k_list)}")
+    except ConfigurationError as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(k_list=st.one_of(st.lists(_CHECK_VALUES, max_size=4),
+                        st.lists(_CHECK_VALUES, max_size=4).map(tuple),
+                        _CHECK_VALUES),
+       beam_width=_CHECK_VALUES)
+def test_hr_at_k_checks_as_require(k_list, beam_width):
+    # the cheap test for plain lists of ints must accept and reject
+    # exactly what require does, with require's exception and message
+    model = init_next_sid(NextSidConfig(L=2, K=2, d_s=2, hidden=2))
+    table = {0: (0, 1), 1: (1, 0)}
+    seqs = [UserSequence(history=[0], target=1)]
+    want = _require_outcome(k_list, beam_width)
+    try:
+        hr = hr_at_k(model, seqs, table, k_list, beam_width)
+    except Exception as e:  # noqa: BLE001 - compared with require's
+        assert (type(e), str(e)) == want
+    else:
+        assert want is None
+        assert set(hr) == set(k_list)
+
+
+def test_retrieval_recall_rejects_bad_query_ids(small_catalog):
+    # an id past the catalog or a float once ended in IndexError, -1
+    # scored the last item and [] divided by zero
+    dv = small_catalog.spec.dv
+    for query_ids in ([999], [64], [0.5], [-1], [], [True], "0"):
+        with pytest.raises(ConfigurationError,
+                           match="query_ids must be a nonempty list of "
+                                 "integers >= 0 and < 64"):
+            retrieval_recall(lambda x: x[:, :dv], small_catalog, [1],
+                             n_neg=5, query_ids=query_ids)
+    assert retrieval_recall(lambda x: x[:, :dv], small_catalog, [1],
+                            n_neg=5, query_ids=[0, 63]) == {1: 1.0}
+
+
+@pytest.mark.parametrize("k_list", [[], [0], [1, -5], [2.0], [True], (),
+                                    None])
+def test_retrieval_recall_rejects_bad_k_list(small_catalog, k_list):
+    # [] once returned {} and [0] returned {0: 0.0}
+    dv = small_catalog.spec.dv
+    with pytest.raises(ConfigurationError, match="k_list must be a "
+                                                 "nonempty list of integers"):
+        retrieval_recall(lambda x: x[:, :dv], small_catalog, k_list,
+                         n_neg=5)
 
 
 def test_beam_decode_width_zero_and_negative(rng):

@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sidforge.errors import NumericError, ShapeError
+from sidforge import numkit
+from sidforge.errors import InputError, NumericError, ShapeError
 from sidforge.numkit import MlpParams, mlp_init
 from sidforge.unisid import (UniSidConfig, UniSidModel, assign_catalog,
                              assign_sid, collision_stats, embed_batch,
-                             forward_batch, init_model, tokens_onehot)
+                             forward_batch, init_model, token_stats,
+                             token_table, tokens_onehot)
+from testkit import collision_stats_oracle
 
 CFG = UniSidConfig(L=3, K=16, d_h=16, d_e=8)
 
@@ -157,6 +160,57 @@ def test_collision_stats_all_unique():
     stats = collision_stats(table)
     assert stats["collision_rate"] == 0.0
     assert stats["distinct_prefixes"] == [5, 5, 5]
+
+
+def test_collision_stats_rejects_ragged_sids():
+    # one short SID once counted as a distinct level-1 prefix and no more
+    with pytest.raises(InputError, match="differ in length"):
+        collision_stats({0: (1, 2), 1: (1,)})
+
+
+def _random_tokens(seed):
+    """(n, L) token arrays of depth 1-4 whose rows collide often, never,
+    or all alike, and an empty one per depth."""
+    r = np.random.default_rng(seed)
+    for L in (1, 2, 3, 4):
+        n = int(r.integers(1, 40))
+        yield np.zeros((0, L), dtype=np.int64)
+        yield r.integers(int(r.integers(1, 4)), size=(n, L))
+        yield np.repeat(r.integers(5, size=(1, L)), n, axis=0)
+        yield np.column_stack(
+            [r.permutation(n)] + [r.integers(3, size=n)] * (L - 1))
+
+
+def test_collision_stats_matches_counter():
+    for seed in range(20):
+        for tokens in _random_tokens(seed):
+            table = token_table(tokens)
+            want = collision_stats_oracle(table)
+            got = collision_stats(table)
+            assert got == want == token_stats(tokens)
+            assert type(got["collision_rate"]) is float
+            assert all(type(d) is int for d in got["distinct_prefixes"])
+
+
+def test_assign_catalog_runs_encoder_and_sid_head_only(small_catalog,
+                                                       monkeypatch):
+    # the same tokens as the full forward pass, from two MLP calls:
+    # the embedding head's output would be dropped
+    model = init_model(small_catalog.spec.feature_dim, CFG, seed=4)
+    want = token_table(forward_batch(model, small_catalog.features_matrix(),
+                                     caches=False).tokens)
+    calls = []
+    apply = numkit.mlp_apply
+
+    def counted(*a, **kw):
+        calls.append(a[0])
+        return apply(*a, **kw)
+
+    monkeypatch.setattr(numkit, "mlp_apply", counted)
+    table, stats = assign_catalog(model, small_catalog)
+    assert table == want
+    assert calls == [model.encoder, model.sid_head]
+    assert stats == collision_stats_oracle(want)
 
 
 def test_assign_catalog(small_catalog):

@@ -1,6 +1,6 @@
 """Helpers used only by the tests: a finite-difference gradient checker
-that steps around kinks, the one-hot prefix vector of a partial SID, and
-a row-wise log-softmax.
+that steps around kinks, the one-hot prefix vector of a partial SID, a
+row-wise log-softmax, and the per-SID collision counter.
 """
 
 from __future__ import annotations
@@ -116,3 +116,19 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     bits `evalsuite.beam_decode` computes in place."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def collision_stats_oracle(sid_table: dict[int, tuple]) -> dict:
+    """The Python counter that `unisid.collision_stats` replaced: counts
+    each full SID in a dict and each level's prefixes in a set."""
+    if not sid_table:
+        return {"collision_rate": 0.0, "distinct_prefixes": []}
+    seqs = list(sid_table.values())
+    L = len(seqs[0])
+    counts: dict[tuple, int] = {}
+    for s in seqs:
+        counts[tuple(s)] = counts.get(tuple(s), 0) + 1
+    colliding = sum(c for c in counts.values() if c > 1)
+    distinct = [len({tuple(s[:l + 1]) for s in seqs}) for l in range(L)]
+    return {"collision_rate": colliding / len(seqs),
+            "distinct_prefixes": distinct}
