@@ -9,6 +9,7 @@ nearest-centroid are always broken toward the lowest index.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -359,25 +360,36 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     restarts (best objective wins, first winner kept on ties).
 
     Each assignment is exactly `argmin(np.sum((x - c) ** 2, axis=-1))`,
-    ties to the lowest centroid index (see `nearest_centroid`); each
-    centroid is the mean of its points summed in row order.  Empty
-    clusters are re-seeded to the farthest point.
+    ties to the lowest centroid index; each centroid is the mean of its
+    points summed in row order.  Empty clusters are re-seeded to the
+    farthest point.  One `CentroidScreen` of the points serves every
+    Lloyd step of every restart: the float32 screen settles each point
+    whose nearest centroid is clear by more than its rounding bound, and
+    the float64 broadcast form settles the rest, so the screen moves no
+    bit of the result.
     Returns (centroids (k, d), assignments (n,)).
+
+    Raises ShapeError unless `points` is an (n, d >= 1) array, and
+    NumericError if a point is not finite.
     """
     require("K", k, "int", ">= 1")
     require("iterations", iterations, "int", ">= 0")
     require("seed", seed, "int", ">= 0")
     require("n_init", n_init, "int", ">= 1")
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ShapeError(f"points must be an (n, d >= 1) array, "
+                         f"not of shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise NumericError("non-finite point")
     if k > points.shape[0]:
         raise ConfigurationError(
             f"K={k} exceeds number of points {points.shape[0]}")
-    sq_norms = np.sum(points ** 2, axis=1)
+    screen = CentroidScreen(points)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        centroids, assign = _kmeans_single(points, sq_norms, k, iterations,
-                                           rng)
+        centroids, assign = _kmeans_single(points, screen, k, iterations, rng)
         obj = kmeans_objective(points, centroids, assign)
         if best is None or obj < best[0] - 1e-12:
             best = (obj, centroids, assign)
@@ -389,47 +401,176 @@ def nearest_centroid(points: np.ndarray, sq_norms: np.ndarray,
     """Index of the nearest centroid for each row of `points`, exactly as
     `argmin(np.sum((x - c) ** 2, axis=-1))` gives it: lowest index on ties.
 
-    `sq_norms` holds `np.sum(points ** 2, axis=1)`.  The GEMM form
-    ||x||^2 - 2 x.c + ||c||^2 (Johnson, Douze & Jegou, "Billion-scale
-    similarity search with GPUs") screens all pairs.  In float64 with
-    unit roundoff u, it and the broadcast form each stay within
-    (d + 2) u (||x|| + ||c||)^2 of the true squared distance, to first
-    order.  So the broadcast argmin, and every column tied with it, lies
-    within the errors of both forms at it and at the screened argmin,
-    4 (d + 2) u (||x|| + max ||c||)^2 in all, of the screened minimum.  The tolerance below is twice that with
-    d + 4 for d + 2 (eps = 2u), which covers the second-order terms and
-    the rounding of the comparison.  A row with one column inside it has
-    that column as its answer; the others, rare outside exact ties, are
-    recomputed in the broadcast form.
+    A one-call `CentroidScreen` of both sets.  `sq_norms`, the points'
+    `np.sum(points ** 2, axis=1)`, is not read: the screen's form
+    ||c||^2 - 2 c.x leaves it out, as it moves no argmin."""
+    return CentroidScreen(points, centroids).nearest(centroids)
 
-    The screen is laid out (k, n), one row per centroid, so the minimum
-    and the close-column count reduce over long contiguous rows rather
-    than across the short k axis.  Each entry is still the sum
-    (||x||^2 - 2 x.c) + ||c||^2: scaling c by -2 before the product is
-    exact, and the bound holds for any order BLAS sums the products in.
-    One small GEMM of [1; 0..k-1] against the 0/1 close mask gives each
-    point its close-column count and, when that is 1, the column's
-    index; both are small integers, so exact.
-    """
-    k = centroids.shape[0]
-    c_sq = np.sum(centroids ** 2, axis=1)
-    screen = (-2.0 * centroids) @ points.T
-    screen += sq_norms
-    screen += c_sq[:, None]
-    span = (np.sqrt(sq_norms) + np.sqrt(c_sq.max())) ** 2
-    bound = np.minimum.reduce(screen, axis=0)
-    bound += 2.0 * (points.shape[1] + 4) * np.finfo(np.float64).eps * span
-    close = np.less_equal(screen, bound, out=screen)  # 0.0 / 1.0 in place
-    weights = np.ones((2, k))
+
+_U32 = 2.0 ** -24  # float32 unit roundoff
+
+
+@functools.cache
+def _tie_weights(k: int) -> np.ndarray:
+    """[1; 0..k-1] in float32.  Against a (k, n) 0/1 mask it gives each
+    column's count and, where that is 1, the index of its 1: small
+    integers, so exact."""
+    weights = np.ones((2, k), dtype=np.float32)
     weights[1] = np.arange(k)
-    count, index = weights @ close
-    nearest = index.astype(np.int64)
-    rows = np.flatnonzero(count > 1)
-    if rows.size:
-        d2 = np.sum((points[rows, None, :] - centroids[None, :, :]) ** 2,
+    weights.flags.writeable = False
+    return weights
+
+
+class CentroidScreen:
+    """The nearest centroid of each point of one point set, exactly as
+    `argmin(np.sum((x - c) ** 2, axis=-1))` gives it, for any centroids:
+    `CentroidScreen(points).nearest(centroids)`, lowest index on ties.
+
+    **The screen.**  Both sets are shifted by one vector m (the points'
+    mean, or the midpoint of the centroids' bounding box when
+    `centroids` are given) and scaled by the power of two 2^e that brings
+    the largest |component| of the points (and those centroids) below 1:
+    A = (x - m) 2^e and B = (c - m) 2^e.  Both are rounded to float32,
+    and one GEMM of [-2B, ||B||^2] against [A; 1] (the GEMM form of
+    Johnson, Douze & Jegou, "Billion-scale similarity search with GPUs")
+    gives, for every pair, s = ||B||^2 - 2 B.A.  That is the squared
+    distance ||A - B||^2 less ||A||^2, which is the same for every
+    centroid and so moves no argmin.
+    The shift keeps clouds far from the origin from cancelling, and the
+    scale keeps magnitudes past float32's range, or below its normal
+    range, from overflowing or losing bits.  The points' side, [A; 1] as
+    one contiguous (d + 1, n) float32 array and the norms ||A||, is
+    prepared once, here.  The screen is laid out (k, n), so the minimum
+    and the close-column count reduce over long contiguous rows; one
+    small GEMM of `_tie_weights` against the 0/1 close mask gives each
+    point its close-column count and, where that is 1, the column.
+
+    **The bound.**  Let u = 2^-24, v = 2^-53, a = ||A||, b = ||B|| and
+    S = (a + b)^2; gamma_m = m u / (1 - m u).  To first order in u, and
+    for any order the GEMM sums in:
+      - rounding x - m and c - m to float64 and then to float32 moves s
+        by at most 2u (b^2 + 2ab) <= 2u S;
+      - rounding ||B||^2 to float32 moves it by u b^2 <= u S;
+      - the float32 dot product of d + 1 terms errs by at most
+        gamma_{d+1} (2ab + b^2) <= gamma_{d+1} S.
+    So each screen entry is within E = (gamma_{d+1} + 3u) S of s, and the
+    float64 broadcast form within F = (d + 2) v S of the true squared
+    distance (in the same scaled units).  The broadcast argmin j and the
+    screened minimum i then satisfy screen[j] <= screen[i] + E_j + E_i +
+    F_j + F_i, and so does every column tied with j.  The tolerance takes
+    S per point with the largest b; its factor covers the rounding of the
+    float32 arithmetic that evaluates it (and of adding it to the
+    minimum) and the second-order terms; its slack covers underflow, in
+    float32 (flushed to zero or not) and in the broadcast form's squares
+    (d 2^-1075 each, unscaled):
+        tol = (2 (d + 1) / (1 - (d + 1) u) + 8) u (1 + 2^-6) S + slack,
+        slack = d 2^-96 + d 2^-1073 4^e.
+    A point with exactly one column within tol of its screened minimum
+    has that column as its answer.  Every other point, rare outside
+    exact ties and degenerate clouds, is recomputed in the broadcast
+    form, and `fallback_rows` counts them.  So is every point whose span
+    reaches 2^1016 unscaled, where the broadcast form may overflow, and,
+    through the slack, every near tie of a cloud whose squares underflow
+    in float64.  For d > 2^16, or a non-finite point, every point is
+    recomputed.  Centroids with a scaled component past 2^20 get a screen
+    of their own, fitted to both sets.
+    """
+
+    def __init__(self, points: np.ndarray,
+                 centroids: np.ndarray | None = None):
+        self.points = points
+        self.fallback_rows = 0
+        n, d = points.shape
+        self.exact = n == 0 or d > 2 ** 16
+        if self.exact:
+            return
+        if centroids is None:
+            center = np.full(n, 1.0 / n) @ points
+        else:
+            center = 0.5 * centroids.min(axis=0) + 0.5 * centroids.max(axis=0)
+        a = points - center
+        parts = [a.max(), -a.min()]
+        if centroids is not None:
+            b = centroids - center
+            parts += [b.max(), -b.min()]
+        if not all(map(math.isfinite, parts)):
+            self.exact = True
+            return
+        self.center = center
+        # every |component| < 2^p; a cloud too small is scaled short of 1
+        p = math.frexp(max(parts))[1]
+        shift = min(-p, 1000)
+        a *= math.ldexp(1.0, shift)  # exact unless a product is subnormal
+        self.points_t = np.empty((d + 1, n), dtype=np.float32)
+        self.points_t[:d] = a.T
+        self.points_t[d] = 1.0
+        norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+        self.norms = norms.astype(np.float32)
+        self.max_norm = float(norms.max())
+        self.twice_scale = math.ldexp(1.0, shift + 1)
+        self.gain = ((2 * (d + 1) / (1 - (d + 1) * _U32) + 8) * _U32
+                     * (1 + 2 ** -6))
+        self.slack = d * 2.0 ** -96 + d * math.ldexp(1.0, min(2 * shift - 1073,
+                                                              200))
+        # a span at or past this, scaled, may overflow the broadcast form
+        self.ceiling = math.ldexp(1.0, min(1016 + 2 * shift, 1000))
+        # centroids past this, unscaled, would pass 2^20 scaled
+        self.far = math.ldexp(1.0, p + 20) if p + 20 < 1024 else math.inf
+
+    def nearest(self, centroids: np.ndarray) -> np.ndarray:
+        """Index of each point's nearest centroid, lowest on ties."""
+        if self.exact:
+            return self._recompute(centroids)
+        b = self.center - centroids
+        if not np.abs(b).max() <= self.far:  # far, or not finite
+            own = CentroidScreen(self.points, centroids)
+            nearest = own.nearest(centroids)
+            self.fallback_rows += own.fallback_rows
+            return nearest
+        k, d = b.shape
+        b *= self.twice_scale
+        rows = np.empty((k, d + 1), dtype=np.float32)
+        rows[:, :d] = b  # -2B
+        sq = np.einsum("ij,ij->i", rows[:, :d], rows[:, :d],
+                       dtype=np.float64)  # 4 ||B||^2
+        rows[:, d] = 0.25 * sq
+        b_norm = 0.5 * math.sqrt(sq.max())
+        # the slack folded into the gain, as S >= max |B|^2; past float32's
+        # range, or with every centroid at the center, it settles nothing
+        gain = self.gain + self.slack / b_norm / b_norm if b_norm else math.inf
+        if not gain < 2.0 ** 127:
+            return self._recompute(centroids)
+        screen = rows @ self.points_t
+        # the bound, in place: min + gain (|A| + max |B|)^2
+        bound = self.norms + np.float32(b_norm)
+        if (self.max_norm + b_norm) ** 2 >= self.ceiling:
+            bound[(self.norms.astype(np.float64) + b_norm) ** 2
+                  >= self.ceiling] = np.inf
+        bound *= bound
+        bound *= np.float32(gain)
+        bound += np.minimum.reduce(screen, axis=0)
+        close = np.less_equal(screen, bound, out=screen)  # 0.0 / 1.0
+        count, index = _tie_weights(k) @ close
+        return self._recompute(centroids, index.astype(np.int64),
+                               np.flatnonzero(count != 1))
+
+    def _recompute(self, centroids: np.ndarray,
+                   nearest: np.ndarray | None = None,
+                   rows: np.ndarray | None = None) -> np.ndarray:
+        """`nearest` with `rows` settled in the broadcast form; by default,
+        every row."""
+        if nearest is None:
+            rows = slice(None)
+        elif not rows.size:
+            return nearest
+        d2 = np.sum((self.points[rows, None, :] - centroids[None, :, :]) ** 2,
                     axis=2)
-        nearest[rows] = np.argmin(d2, axis=1)
-    return nearest
+        found = np.argmin(d2, axis=1)
+        self.fallback_rows += found.size
+        if nearest is None:
+            return found
+        nearest[rows] = found
+        return nearest
 
 
 def _cluster_means(points: np.ndarray, assign: np.ndarray,
@@ -450,7 +591,7 @@ def _cluster_means(points: np.ndarray, assign: np.ndarray,
     return sums / counts[:, None]
 
 
-def _kmeans_single(points: np.ndarray, sq_norms: np.ndarray, k: int,
+def _kmeans_single(points: np.ndarray, screen: CentroidScreen, k: int,
                    iterations: int, rng: np.random.Generator
                    ) -> tuple[np.ndarray, np.ndarray]:
     """One seeded Lloyd run.  Each update is the plain means of the
@@ -466,7 +607,7 @@ def _kmeans_single(points: np.ndarray, sq_norms: np.ndarray, k: int,
     assign = np.zeros(points.shape[0], dtype=np.int64)
     plain = False  # whether centroids are the plain means of `assign`
     for _ in range(iterations):
-        new_assign = nearest_centroid(points, sq_norms, centroids)
+        new_assign = screen.nearest(centroids)
         if plain and np.array_equal(new_assign, assign):
             return centroids, new_assign
         counts = np.bincount(new_assign, minlength=k)
@@ -479,7 +620,7 @@ def _kmeans_single(points: np.ndarray, sq_norms: np.ndarray, k: int,
             assign = new_assign
             break
         assign = new_assign
-    return centroids, nearest_centroid(points, sq_norms, centroids)
+    return centroids, screen.nearest(centroids)
 
 
 def _reseed_update(points: np.ndarray, centroids: np.ndarray,

@@ -67,18 +67,23 @@ def rq_assign_batch(codebook: Codebook, x: np.ndarray) -> np.ndarray:
     assignment with residual update.
 
     Each token is exactly the index `argmin(np.sum((r - c) ** 2, axis=-1))`
-    gives for the level's residual r, lowest index on ties (see
-    `numkit.nearest_centroid`).
+    gives for the level's residual r, lowest index on ties: one
+    `numkit.CentroidScreen` of the residuals and codewords per level.
+    Raises ShapeError for a shape other than (n, d) and NumericError for
+    a non-finite row.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != codebook.dim:
         raise ShapeError(f"input shape {x.shape} != (n, {codebook.dim})")
+    finite = np.isfinite(x)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise NumericError(f"non-finite input row {row}")
     tokens = np.empty((x.shape[0], codebook.L), dtype=np.int64)
     r = x.copy()
-    for lvl in range(codebook.L):
-        tokens[:, lvl] = numkit.nearest_centroid(r, np.sum(r ** 2, axis=1),
-                                                 codebook.levels[lvl])
-        r -= codebook.levels[lvl][tokens[:, lvl]]
+    for lvl, words in enumerate(codebook.levels):
+        tokens[:, lvl] = numkit.CentroidScreen(r, words).nearest(words)
+        r -= words[tokens[:, lvl]]
     return tokens
 
 

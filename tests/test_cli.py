@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,8 @@ from sidforge.cli import (DEFAULT_CONFIG, _apply_seed_override, _merge,
                           config_digest, evaluate_scheme, load_config,
                           load_sid_table, main)
 from sidforge.errors import ConfigurationError, SidforgeError
+
+import golden
 
 SMALL = {
     "catalog": {"branching": [2, 2, 2], "n_items": 64, "dv": 4, "dt": 4,
@@ -644,3 +648,41 @@ def test_eval_with_shallower_baselines(tmp_path):
         assert float(row["hr@1"]) == pytest.approx(eval_doc["hr"]["1"],
                                                    abs=5e-5), row
         assert row["collision"] != "", row
+
+
+# --- golden artifacts --------------------------------------------------------
+
+def test_pipeline_matches_golden_manifest(run_dir):
+    assert golden.mismatch("small", golden.digests(run_dir[0])) is None
+
+
+@pytest.mark.parametrize("name", ["small-sweep", "small-ablate", "wide"])
+def test_run_matches_golden_manifest(tmp_path, name):
+    got = golden.run(*golden.runs(SMALL)[name], str(tmp_path))
+    assert golden.mismatch(name, got) is None
+
+
+@pytest.mark.parametrize("name", ["small", "wide"])
+def test_golden_manifest_at_two_blas_threads(tmp_path, name):
+    # the thread count is read when NumPy loads, so it takes a new process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, golden.__file__, "--run", name, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert golden.mismatch(name, got) is None
+
+
+def test_golden_mismatch_names_files_and_stack(monkeypatch):
+    with open(golden.MANIFEST) as f:
+        want = json.load(f)["runs"]["small"]
+    got = dict(want, **{"report.csv": "0" * 64, "extra.txt": "0" * 64})
+    del got["catalog.json"]
+    monkeypatch.setattr(golden, "stack", lambda: {"numpy": "0.0"})
+    message = golden.mismatch("small", got)
+    assert "moved: report.csv" in message
+    assert "missing: catalog.json" in message
+    assert "new: extra.txt" in message
+    assert "made with numpy 2" in message and "running 0.0" in message

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidforge import numkit
@@ -10,7 +10,7 @@ from sidforge.errors import ConfigurationError, NumericError, ShapeError
 from sidforge.numkit import (AdamState, MlpParams, adam_init, adam_step,
                              kmeans_fit, kmeans_objective, mlp_apply,
                              mlp_grad, mlp_init)
-from testkit import finite_diff_check
+from testkit import finite_diff_check, near_float32_ties
 
 
 def _random_mlp(dims, rng):
@@ -680,3 +680,113 @@ def test_kmeans_k_too_large():
 def test_kmeans_rejects_bad_arguments(args):
     with pytest.raises(ConfigurationError):
         kmeans_fit(np.zeros((3, 2)), **{"k": 2, **args})
+
+
+# --- the float32 screen -----------------------------------------------------
+
+def _broadcast_nearest(x, c):
+    return np.argmin(np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=2),
+                     axis=1)
+
+
+_SCALES = [1e-300, 1e-150, 1e-40, 1e-3, 1.0, 1e40, 1e150, 1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+       d=st.integers(1, 10), k=st.integers(1, 12), k_is_n=st.booleans(),
+       scale=st.sampled_from(_SCALES),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+def test_screen_matches_broadcast_on_float32_near_ties(seed, n, d, k, k_is_n,
+                                                       scale, offset):
+    # points on bisectors, 1-4 float32 ulps off, with repeated points and
+    # centroids, far from the origin and at magnitudes float32 cannot hold
+    r = np.random.default_rng(seed)
+    k = n if k_is_n else k
+    c = r.normal(size=(k, d))
+    c[k // 2:] = c[r.integers(0, max(1, k // 2), size=k - k // 2)]
+    x = near_float32_ties(r, c, n, 4)
+    x[n // 2:] = x[r.integers(0, max(1, n // 2), size=n - n // 2)]
+    x, c = (x + offset) * scale, (c + offset) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        want = _broadcast_nearest(x, c)
+        np.testing.assert_array_equal(
+            numkit.nearest_centroid(x, np.sum(x ** 2, axis=1), c), want)
+        np.testing.assert_array_equal(numkit.CentroidScreen(x).nearest(c),
+                                      want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 120),
+       d=st.integers(1, 4), k=st.integers(1, 16), k_is_n=st.booleans(),
+       scale=st.sampled_from(_SCALES), offset=st.sampled_from([0.0, 1e3, 1e6]))
+@example(seed=0, n=40, d=3, k=6, k_is_n=False, scale=1.0, offset=1e3)
+def test_kmeans_matches_broadcast_oracle_at_any_scale(seed, n, d, k, k_is_n,
+                                                      scale, offset):
+    # a few grid points, each repeated: centroids that are means of them
+    # leave many points at exact distance ties, which float32 rounding
+    # of the shifted sets would break either way; k = n up to 30 points
+    r = np.random.default_rng(seed)
+    n = min(n, 30) if k_is_n else n
+    k = n if k_is_n else min(k, n)
+    x = (r.integers(0, 3, size=(n, d)) + offset) * scale
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want_c, want_a = _oracle_kmeans_fit(x, k, seed % 7, [])
+        centroids, assign = kmeans_fit(x, k, seed=seed % 7)
+    assert np.array_equal(centroids, want_c, equal_nan=True)
+    assert np.array_equal(assign, want_a)
+
+
+@pytest.mark.parametrize("scale, offset", [
+    (1.0, 0.0), (1e-40, 0.0), (1e40, 0.0), (1.0, 1e3), (1.0, 1e6),
+    (1e-150, 0.0), (1e150, 0.0), (1e-30, 1e6)])
+def test_screen_settles_clouds_float32_cannot_hold(scale, offset):
+    # shifted and scaled, such clouds screen as a unit cloud does: only a
+    # handful of points, if any, are recomputed in the broadcast form
+    r = np.random.default_rng(3)
+    x = _clustered(r, 500, 16, 12)
+    c = x[r.choice(500, size=12, replace=False)] + 0.1
+    x, c = (x + offset) * scale, (c + offset) * scale
+    screen = numkit.CentroidScreen(x)
+    np.testing.assert_array_equal(screen.nearest(c), _broadcast_nearest(x, c))
+    assert screen.fallback_rows <= 5
+
+
+def test_screen_counts_recomputed_rows():
+    # every point is equidistant from two identical centroids: an exact
+    # tie, so every row is recomputed, and the lower index wins
+    x = np.random.default_rng(0).normal(size=(30, 4))
+    c = np.array([[5.0, 0, 0, 0], [1.0, 1, 1, 1], [1.0, 1, 1, 1]]) * 10
+    x[:, :] += c[1]
+    screen = numkit.CentroidScreen(x)
+    assert screen.nearest(c).tolist() == [1] * 30
+    assert screen.fallback_rows == 30
+    screen.nearest(c[:2])  # no tie left: nothing recomputed
+    assert screen.fallback_rows == 30
+
+
+def test_screen_takes_centroids_past_its_range():
+    # centroids 2^30 times farther than the points reach get a screen of
+    # their own, fitted to both sets; non-finite ones are recomputed
+    r = np.random.default_rng(4)
+    x = r.normal(size=(50, 3))
+    c = np.vstack([r.normal(size=(3, 3)), [[2.0 ** 30, 0, 0]]])
+    screen = numkit.CentroidScreen(x)
+    np.testing.assert_array_equal(screen.nearest(c), _broadcast_nearest(x, c))
+    c[0, 0] = np.nan
+    np.testing.assert_array_equal(screen.nearest(c), _broadcast_nearest(x, c))
+
+
+@pytest.mark.parametrize("points", [np.zeros(6), np.zeros((2, 3, 2)),
+                                    np.zeros((6, 0))])
+def test_kmeans_rejects_points_of_wrong_rank(points):
+    with pytest.raises(ShapeError, match="points must be an"):
+        kmeans_fit(points, k=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    x = np.random.default_rng(0).normal(size=(10, 3))
+    x[4, 1] = bad
+    with pytest.raises(NumericError, match="non-finite point"):
+        kmeans_fit(x, k=2)

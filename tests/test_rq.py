@@ -10,7 +10,7 @@ from sidforge.errors import ConfigurationError, NumericError, ShapeError
 from sidforge.rq import (Codebook, RqVaeConfig, RqVaeModel, _ema_update,
                          quantize, rq_assign_batch, rq_kmeans_fit, rq_vae_fit,
                          rq_vae_loss_grads)
-from testkit import finite_diff_check
+from testkit import finite_diff_check, near_float32_ties
 
 
 def _oracle_assign(levels, v):
@@ -318,3 +318,55 @@ def test_rqvae_fit_zero_epochs_still_seeds_codebook(rng):
     assert losses == []
     assert model.codebook.levels.shape == (2, 4, 4)
     assert np.all(np.isfinite(model.codebook.levels))
+
+
+# --- the float32 screen -----------------------------------------------------
+
+def _broadcast_assign(levels, x):
+    """Greedy per-level argmin of the broadcast squared distances."""
+    r, tokens = x.copy(), []
+    for words in levels:
+        t = np.argmin(np.sum((r[:, None, :] - words[None, :, :]) ** 2,
+                             axis=2), axis=1)
+        tokens.append(t)
+        r = r - words[t]
+    return np.stack(tokens, axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       dim=st.integers(1, 8), K=st.integers(1, 10),
+       scale=st.sampled_from([1e-300, 1e-150, 1e-40, 1.0, 1e40, 1e150,
+                              1e300]),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+def test_rq_assign_matches_broadcast_on_float32_near_ties(seed, n, dim, K,
+                                                          scale, offset):
+    # half the rows at a float32 near tie of two level-1 codewords, half
+    # at one of two level-2 codewords (level 1 clear), with repeated
+    # codewords, far from the origin and at any magnitude
+    r = np.random.default_rng(seed)
+    levels = np.stack([10.0 * r.normal(size=(K, dim)),
+                       r.normal(size=(K, dim)), r.normal(size=(K, dim))])
+    levels[1, K // 2:] = levels[1, r.integers(0, max(1, K // 2),
+                                              size=K - K // 2)]
+    x = near_float32_ties(r, levels[0], n, 4)
+    half = n // 2
+    x[:half] = (levels[0, r.integers(0, K, size=half)]
+                + near_float32_ties(r, levels[1], half, 4))
+    levels[0] += offset
+    x += offset
+    levels, x = levels * scale, x * scale
+    with np.errstate(over="ignore", under="ignore"):
+        want = _broadcast_assign(levels, x)
+        got = rq_assign_batch(Codebook(levels=levels), x)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rq_assign_rejects_non_finite_rows(bad):
+    cb = Codebook(levels=np.zeros((2, 3, 4)))
+    x = np.zeros((5, 4))
+    x[3, 2] = bad
+    with pytest.raises(NumericError, match="non-finite input row 3"):
+        rq_assign_batch(cb, x)
+

@@ -1,6 +1,7 @@
 """Helpers used only by the tests: a finite-difference gradient checker
 that steps around kinks, the one-hot prefix vector of a partial SID, a
-row-wise log-softmax, and the per-SID collision counter.
+row-wise log-softmax, the per-SID collision counter, and points at
+float32 near ties.
 """
 
 from __future__ import annotations
@@ -132,3 +133,24 @@ def collision_stats_oracle(sid_table: dict[int, tuple]) -> dict:
     distinct = [len({tuple(s[:l + 1]) for s in seqs}) for l in range(L)]
     return {"collision_rate": colliding / len(seqs),
             "distinct_prefixes": distinct}
+
+
+def near_float32_ties(r, c, n, max_ulps):
+    """n points, each on the bisector of a random pair of rows of the unit
+    scale `c`, then moved toward one of the two until its squared
+    distances to them differ by 1 to `max_ulps` float32 ulps of their
+    size: closer than the float32 screen can tell apart, not closer than
+    the float64 broadcast form can."""
+    k, d = c.shape
+    i, j = r.integers(0, k, size=n), r.integers(0, k, size=n)
+    u = c[i] - c[j]
+    length = np.sqrt(np.sum(u * u, axis=1, keepdims=True))
+    unit = u / np.maximum(length, 1e-12)
+    w = r.normal(size=(n, d))
+    w -= np.sum(w * unit, axis=1, keepdims=True) * unit
+    x = (c[i] + c[j]) / 2 + 0.1 * w
+    dist = np.sum((x - c[i]) ** 2, axis=1, keepdims=True)
+    ulps = r.integers(1, max_ulps + 1, size=(n, 1)) * r.choice([-1, 1],
+                                                              size=(n, 1))
+    # moving by t along u changes the squared-distance gap by 2 |u| t
+    return x + ulps * 2.0 ** -24 * dist / np.maximum(length, 1e-12) * unit
