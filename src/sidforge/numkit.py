@@ -267,17 +267,22 @@ def _nonfinite(grads: list[np.ndarray]) -> NumericError:
     return NumericError(f"non-finite gradient for stored array {i}")
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int,
+def _kmeans_pp_init(screen: CentroidScreen, k: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding via inverse-CDF draws (stable under point
-    duplication)."""
+    """k-means++ seeding of `screen.points` via inverse-CDF draws (stable
+    under point duplication).  Each round lowers every point's squared
+    distance to its nearest centroid so far exactly as
+    `np.minimum(d2, np.sum((x - c) ** 2, axis=1))` does, through
+    `CentroidScreen.lower`, which skips the points the new centroid is
+    provably no nearer to."""
+    points = screen.points
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    centroids[0] = points[int(rng.random() * n)]
-    # buf holds (points - c) ** 2; squaring in place gives the same bits
-    buf = np.subtract(points, centroids[0])
-    buf *= buf
-    d2 = buf.sum(axis=1)
+    idx = int(rng.random() * n)
+    centroids[0] = points[idx]
+    d2 = np.full(n, np.inf)
+    bound = np.full(n, np.inf, dtype=np.float32)
+    screen.lower(idx, d2, bound)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -289,9 +294,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
         idx = min(idx, n - 1)
         centroids[j] = points[idx]
         if j + 1 < k:  # no draw reads the distances to the last one
-            np.subtract(points, centroids[j], out=buf)
-            buf *= buf
-            np.minimum(d2, buf.sum(axis=1), out=d2)
+            screen.lower(idx, d2, bound)
     return centroids
 
 
@@ -363,10 +366,10 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     ties to the lowest centroid index; each centroid is the mean of its
     points summed in row order.  Empty clusters are re-seeded to the
     farthest point.  One `CentroidScreen` of the points serves every
-    Lloyd step of every restart: the float32 screen settles each point
-    whose nearest centroid is clear by more than its rounding bound, and
-    the float64 broadcast form settles the rest, so the screen moves no
-    bit of the result.
+    seeding round and Lloyd step of every restart: the float32 screen
+    settles each point whose nearest centroid is clear by more than its
+    rounding bound, and the float64 broadcast form settles the rest, so
+    the screen moves no bit of the result.
     Returns (centroids (k, d), assignments (n,)).
 
     Raises ShapeError unless `points` is an (n, d >= 1) array, and
@@ -396,17 +399,6 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     return best[1], best[2]
 
 
-def nearest_centroid(points: np.ndarray, sq_norms: np.ndarray,
-                     centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid for each row of `points`, exactly as
-    `argmin(np.sum((x - c) ** 2, axis=-1))` gives it: lowest index on ties.
-
-    A one-call `CentroidScreen` of both sets.  `sq_norms`, the points'
-    `np.sum(points ** 2, axis=1)`, is not read: the screen's form
-    ||c||^2 - 2 c.x leaves it out, as it moves no argmin."""
-    return CentroidScreen(points, centroids).nearest(centroids)
-
-
 _U32 = 2.0 ** -24  # float32 unit roundoff
 
 
@@ -424,7 +416,8 @@ def _tie_weights(k: int) -> np.ndarray:
 class CentroidScreen:
     """The nearest centroid of each point of one point set, exactly as
     `argmin(np.sum((x - c) ** 2, axis=-1))` gives it, for any centroids:
-    `CentroidScreen(points).nearest(centroids)`, lowest index on ties.
+    `CentroidScreen(points).nearest(centroids)`, lowest index on ties;
+    and, through `lower`, the k-means++ rounds of the same points.
 
     **The screen.**  Both sets are shifted by one vector m (the points'
     mean, or the midpoint of the centroids' bounding box when
@@ -534,25 +527,81 @@ class CentroidScreen:
         sq = np.einsum("ij,ij->i", rows[:, :d], rows[:, :d],
                        dtype=np.float64)  # 4 ||B||^2
         rows[:, d] = 0.25 * sq
-        b_norm = 0.5 * math.sqrt(sq.max())
-        # the slack folded into the gain, as S >= max |B|^2; past float32's
-        # range, or with every centroid at the center, it settles nothing
-        gain = self.gain + self.slack / b_norm / b_norm if b_norm else math.inf
-        if not gain < 2.0 ** 127:
+        bound = self._tolerance(0.5 * math.sqrt(sq.max()))
+        if bound is None:
             return self._recompute(centroids)
         screen = rows @ self.points_t
-        # the bound, in place: min + gain (|A| + max |B|)^2
-        bound = self.norms + np.float32(b_norm)
-        if (self.max_norm + b_norm) ** 2 >= self.ceiling:
-            bound[(self.norms.astype(np.float64) + b_norm) ** 2
-                  >= self.ceiling] = np.inf
-        bound *= bound
-        bound *= np.float32(gain)
-        bound += np.minimum.reduce(screen, axis=0)
+        bound += np.minimum.reduce(screen, axis=0)  # in place: min + tol
         close = np.less_equal(screen, bound, out=screen)  # 0.0 / 1.0
         count, index = _tie_weights(k) @ close
         return self._recompute(centroids, index.astype(np.int64),
                                np.flatnonzero(count != 1))
+
+    def lower(self, i: int, d2: np.ndarray, bound: np.ndarray) -> None:
+        """Lowers `d2` in place to each point's squared distance to point
+        `i` where that is smaller, exactly as `np.minimum(d2,
+        np.sum((x - x[i]) ** 2, axis=1), out=d2)` does: the k-means++
+        round of a new centroid x[i].
+
+        Point i's screen entries are one GEMV of its [-2B, ||B||^2] row
+        against the prepared points.  `bound`, float32 and +inf for every
+        point before the first call, holds each point's entry s_q for the
+        point q whose distance `d2` holds, plus its tolerance tol.  With
+        E and F the errors of the class docstring, the broadcast
+        distances to x[i] and x[q] differ by at least s_i - s_q - (E_i +
+        E_q + F_i + F_q), and tol covers that sum and the float32 sum
+        s_q + tol, as in `nearest`.  So where s_i > s_q + tol, the
+        distance to x[i] exceeds `d2`, and `d2` stands; every other point
+        is recomputed in the broadcast form and counted in
+        `fallback_rows`, and `d2` and `bound` take the new values where
+        the distance fell.  tol takes b = `max_norm`: every centroid is a
+        point, so its b is at most that to float32 rounding, which the
+        tolerance's factor covers, and one tolerance serves every call.
+        It keeps `nearest`'s overflow ceiling and underflow slack, and an
+        `exact` screen recomputes every point."""
+        if self.exact:
+            rows, screen = np.arange(self.points.shape[0]), None
+        else:
+            row = self.points_t[:, i] * np.float32(-2.0)  # [-2B, -2]
+            b = row[:-1].astype(np.float64)
+            row[-1] = 0.25 * np.dot(b, b)  # ||B||^2
+            screen = row @ self.points_t
+            rows = np.flatnonzero(screen <= bound)
+        diff = self.points[rows]
+        diff -= self.points[i]
+        diff *= diff
+        new = diff.sum(axis=1)
+        self.fallback_rows += rows.size
+        nearer = new < d2[rows]
+        rows = rows[nearer]
+        d2[rows] = new[nearer]
+        if screen is not None:
+            bound[rows] = screen[rows] + self._point_tolerance[rows]
+
+    @functools.cached_property
+    def _point_tolerance(self) -> np.ndarray:
+        """`_tolerance` for centroids that are points, +inf where it
+        settles nothing."""
+        tol = self._tolerance(self.max_norm)
+        return np.full_like(self.norms, np.inf) if tol is None else tol
+
+    def _tolerance(self, b_norm: float) -> np.ndarray | None:
+        """Each point's tolerance against centroids of norm at most
+        `b_norm`, gain (|A| + b_norm)^2 in float32, and +inf where the
+        span may overflow the broadcast form; None where it settles no
+        point."""
+        # the slack folded into the gain, as S >= b_norm^2; past float32's
+        # range, or with every centroid at the center, it settles nothing
+        gain = self.gain + self.slack / b_norm / b_norm if b_norm else math.inf
+        if not gain < 2.0 ** 127:
+            return None
+        tol = self.norms + np.float32(b_norm)
+        if (self.max_norm + b_norm) ** 2 >= self.ceiling:
+            tol[(self.norms.astype(np.float64) + b_norm) ** 2
+                >= self.ceiling] = np.inf
+        tol *= tol
+        tol *= np.float32(gain)
+        return tol
 
     def _recompute(self, centroids: np.ndarray,
                    nearest: np.ndarray | None = None,
@@ -573,20 +622,20 @@ class CentroidScreen:
         return nearest
 
 
-def _cluster_means(points: np.ndarray, assign: np.ndarray,
+def _cluster_means(points: np.ndarray, bins: np.ndarray,
                    counts: np.ndarray) -> np.ndarray:
     """Each cluster's mean, its rows summed in row order from +0.0 as
-    `points[assign == j].sum(axis=0)` sums them; every count is >= 1."""
+    `points[assign == j].sum(axis=0)` sums them; every count is >= 1.
+    `bins` is the (n, d) scatter index `assign[:, None] * d + column`."""
     k, d = counts.shape[0], points.shape[1]
     if d == 1:
         # NumPy sums a single column pairwise, so sum sorted slices
-        grouped = points[np.argsort(assign, kind="stable")]
+        grouped = points[np.argsort(bins.ravel(), kind="stable")]
         ends = np.cumsum(counts)
         sums = np.stack([grouped[e - c:e].sum(axis=0)
                          for c, e in zip(counts, ends)])
     else:
-        bins = (assign[:, None] * d + np.arange(d)).ravel()
-        sums = np.bincount(bins, weights=points.ravel(),
+        sums = np.bincount(bins.ravel(), weights=points.ravel(),
                            minlength=k * d).reshape(k, d)
     return sums / counts[:, None]
 
@@ -598,28 +647,39 @@ def _kmeans_single(points: np.ndarray, screen: CentroidScreen, k: int,
     assignment (`_cluster_means`: one bincount for d >= 2, sorted-slice
     sums for d = 1), or `_reseed_update` when a cluster is empty.
 
+    The scatter index `bins` that `_cluster_means` reads is kept for the
+    whole run: each step rewrites only the rows whose cluster moved, and
+    an empty moved set is the convergence test.  A re-seed moves rows of
+    the new assignment in place, so after one the moved rows are found
+    again.
+
     A step whose assignment repeats the one before ends the run.  If the
     update before it took the plain means, the centroids already are
     this assignment's means, and this assignment is their nearest
     centroids, so both are returned as they stand.  After a re-seed the
     update and the final assignment are computed again."""
-    centroids = _kmeans_pp_init(points, k, rng)
-    assign = np.zeros(points.shape[0], dtype=np.int64)
+    centroids = _kmeans_pp_init(screen, k, rng)
+    n, d = points.shape
+    assign = np.zeros(n, dtype=np.int64)
+    columns = np.arange(d)
+    bins = np.tile(columns, (n, 1))  # `assign`'s index
     plain = False  # whether centroids are the plain means of `assign`
     for _ in range(iterations):
         new_assign = screen.nearest(centroids)
-        if plain and np.array_equal(new_assign, assign):
+        moved = np.flatnonzero(new_assign != assign)
+        if plain and not moved.size:
             return centroids, new_assign
         counts = np.bincount(new_assign, minlength=k)
         plain = bool(counts.all())
-        if plain:
-            centroids = _cluster_means(points, new_assign, counts)
-        else:
+        if not plain:
             _reseed_update(points, centroids, new_assign)
-        if np.array_equal(new_assign, assign):
-            assign = new_assign
-            break
+            moved = np.flatnonzero(new_assign != assign)
+        bins[moved] = new_assign[moved, None] * d + columns
+        if plain:
+            centroids = _cluster_means(points, bins, counts)
         assign = new_assign
+        if not moved.size:
+            break
     return centroids, screen.nearest(centroids)
 
 
@@ -643,4 +703,9 @@ def _reseed_update(points: np.ndarray, centroids: np.ndarray,
 
 def kmeans_objective(points: np.ndarray, centroids: np.ndarray,
                      assign: np.ndarray) -> float:
-    return float(np.sum((points - centroids[assign]) ** 2))
+    """`np.sum((points - centroids[assign]) ** 2)`, in the one buffer the
+    gather makes."""
+    buf = centroids[assign]
+    np.subtract(points, buf, out=buf)
+    buf *= buf
+    return float(buf.sum())

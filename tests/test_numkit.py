@@ -10,7 +10,7 @@ from sidforge.errors import ConfigurationError, NumericError, ShapeError
 from sidforge.numkit import (AdamState, MlpParams, adam_init, adam_step,
                              kmeans_fit, kmeans_objective, mlp_apply,
                              mlp_grad, mlp_init)
-from testkit import finite_diff_check, near_float32_ties
+from testkit import finite_diff_check, near_float32_ties, nearest_centroid
 
 
 def _random_mlp(dims, rng):
@@ -516,7 +516,8 @@ def test_kmeans_pp_init_matches_oracle(dup):
             x = x[r.integers(0, 5, size=60)]
         k = int(r.integers(1, 13))
         got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
-        _assert_same_bits(numkit._kmeans_pp_init(x, k, got_rng),
+        _assert_same_bits(numkit._kmeans_pp_init(numkit.CentroidScreen(x),
+                                                 k, got_rng),
                           _oracle_kmeans_pp_init(x, k, want_rng))
         assert got_rng.random() == want_rng.random()
 
@@ -597,7 +598,7 @@ def test_kmeans_converging_right_after_reseed(monkeypatch, d):
     init = np.zeros((3, d))
     init[:, 0] = [1.0, 100.0, 20.0]
     monkeypatch.setattr(numkit, "_kmeans_pp_init",
-                        lambda points, k, rng: init.copy())
+                        lambda screen, k, rng: init.copy())
     centroids, assign = kmeans_fit(x, 3, n_init=1)
     want = np.zeros((3, d))
     want[:, 0] = [0.0, 4.0, 20.5]
@@ -632,14 +633,11 @@ def test_nearest_centroid_matches_broadcast_on_near_ties(offset):
     w -= (np.sum(w * u, axis=1)
           / np.maximum(np.sum(u * u, axis=1), 1e-300))[:, None] * u
     x = (c[a] + c[b]) / 2 + 0.1 * w
-    sq_norms = np.sum(x ** 2, axis=1)
     want = np.argmin(np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=2),
                      axis=1)
-    screen_only = np.argmin(sq_norms[:, None] - 2.0 * (x @ c.T)
-                            + np.sum(c ** 2, axis=1), axis=1)
-    assert np.any(screen_only != want)  # the data does exercise the bound
-    np.testing.assert_array_equal(
-        numkit.nearest_centroid(x, sq_norms, c), want)
+    screen = numkit.CentroidScreen(x, c)
+    np.testing.assert_array_equal(screen.nearest(c), want)
+    assert screen.fallback_rows > 0  # the data does exercise the bound
 
 
 @settings(max_examples=80, deadline=None)
@@ -665,8 +663,7 @@ def test_nearest_centroid_matches_broadcast_argmin(seed, n, d, k, offset,
     c += offset
     want = np.argmin(np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=2),
                      axis=1)
-    np.testing.assert_array_equal(
-        numkit.nearest_centroid(x, np.sum(x ** 2, axis=1), c), want)
+    np.testing.assert_array_equal(nearest_centroid(x, c), want)
 
 
 def test_kmeans_k_too_large():
@@ -710,8 +707,7 @@ def test_screen_matches_broadcast_on_float32_near_ties(seed, n, d, k, k_is_n,
     x, c = (x + offset) * scale, (c + offset) * scale
     with np.errstate(over="ignore", under="ignore"):
         want = _broadcast_nearest(x, c)
-        np.testing.assert_array_equal(
-            numkit.nearest_centroid(x, np.sum(x ** 2, axis=1), c), want)
+        np.testing.assert_array_equal(nearest_centroid(x, c), want)
         np.testing.assert_array_equal(numkit.CentroidScreen(x).nearest(c),
                                       want)
 
@@ -775,6 +771,86 @@ def test_screen_takes_centroids_past_its_range():
     np.testing.assert_array_equal(screen.nearest(c), _broadcast_nearest(x, c))
     c[0, 0] = np.nan
     np.testing.assert_array_equal(screen.nearest(c), _broadcast_nearest(x, c))
+
+
+# --- the screened k-means++ seeding -----------------------------------------
+
+def _seeding_points(r, n, d, kind, scale, offset):
+    """n points whose distances to the ones the seeding draws tie: a
+    small integer grid (exact ties), or a few anchors with points 1-4
+    float32 ulps off their bisectors (near ties), or normal points; the
+    last quarter repeats earlier points."""
+    if kind == "grid":
+        x = r.integers(0, 3, size=(n, d)).astype(np.float64)
+    elif kind == "ties":
+        anchors = r.normal(size=(max(1, n // 8), d))
+        x = np.vstack([anchors, near_float32_ties(r, anchors,
+                                                  n - len(anchors), 4)])
+    else:
+        x = r.normal(size=(n, d))
+    x[n - n // 4:] = x[r.integers(0, n - n // 4, size=n // 4)]
+    return (x + offset) * scale
+
+
+_SEEDING_DATA = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+    d=st.sampled_from([1, 2, 3, 8]),
+    kind=st.sampled_from(["grid", "ties", "normal"]),
+    scale=st.sampled_from(_SCALES), offset=st.sampled_from([0.0, 1.0, 1e6]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_SEEDING_DATA, k=st.integers(1, 12), k_is_n=st.booleans())
+def test_kmeans_pp_init_matches_oracle_at_any_scale(seed, n, d, kind, scale,
+                                                    offset, k, k_is_n):
+    # the same centroids and the same draws, the rng's next one included
+    r = np.random.default_rng(seed)
+    x = _seeding_points(r, n, d, kind, scale, offset)
+    k = n if k_is_n else min(k, n)
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = numkit._kmeans_pp_init(numkit.CentroidScreen(x), k, got_rng)
+        want = _oracle_kmeans_pp_init(x, k, want_rng)
+    _assert_same_bits(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_SEEDING_DATA, order=st.randoms(use_true_random=False))
+def test_screen_lower_matches_broadcast_minimum(seed, n, d, kind, scale,
+                                                offset, order):
+    # every round's distances, bit for bit; the ties data lowers by its
+    # anchors, where each other point's new distance ties its d2 to
+    # within a few float32 ulps
+    r = np.random.default_rng(seed)
+    x = _seeding_points(r, n, d, kind, scale, offset)
+    picks = list(range(n))
+    order.shuffle(picks)
+    if kind == "ties":
+        picks.sort(key=lambda i: i >= max(1, n // 8))
+    screen = numkit.CentroidScreen(x)
+    d2 = np.full(n, np.inf)
+    bound = np.full(n, np.inf, dtype=np.float32)
+    want = np.full(n, np.inf)
+    with np.errstate(over="ignore", under="ignore"):
+        for i in picks[:12]:
+            screen.lower(i, d2, bound)
+            np.minimum(want, np.sum((x - x[i]) ** 2, axis=1), out=want)
+            _assert_same_bits(d2, want)
+
+
+def test_seeding_screen_settles_most_rows():
+    # on clustered points most rows are farther from each new centroid
+    # than from one drawn before, and the screen settles them
+    r = np.random.default_rng(6)
+    x = _clustered(r, 1000, 32, 16, offset=5.0)
+    screen = numkit.CentroidScreen(x)
+    got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(4):
+        _assert_same_bits(numkit._kmeans_pp_init(screen, 16, got_rng),
+                          _oracle_kmeans_pp_init(x, 16, want_rng))
+    # 15 rounds of 1,000 rows per seeding, the first one recomputed whole
+    assert screen.fallback_rows < 0.5 * 4 * 15 * 1000
 
 
 @pytest.mark.parametrize("points", [np.zeros(6), np.zeros((2, 3, 2)),

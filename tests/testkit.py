@@ -1,7 +1,7 @@
 """Helpers used only by the tests: a finite-difference gradient checker
 that steps around kinks, the one-hot prefix vector of a partial SID, a
-row-wise log-softmax, the per-SID collision counter, and points at
-float32 near ties.
+row-wise log-softmax, the per-SID collision counter, points at float32
+near ties, and the nearest centroid of each point.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from sidforge.numkit import CentroidScreen
 
 
 @dataclass
@@ -154,3 +156,10 @@ def near_float32_ties(r, c, n, max_ulps):
                                                               size=(n, 1))
     # moving by t along u changes the squared-distance gap by 2 |u| t
     return x + ulps * 2.0 ** -24 * dist / np.maximum(length, 1e-12) * unit
+
+
+def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid for each row of `points`, exactly as
+    `argmin(np.sum((x - c) ** 2, axis=-1))` gives it, from a one-call
+    screen of both sets."""
+    return CentroidScreen(points, centroids).nearest(centroids)
