@@ -213,17 +213,23 @@ class ParamStore:
     `live` holds one boolean mask per stored array, in storage order and
     broadcastable to its shape, of the entries that can receive a
     nonzero gradient; by default every entry can.  `self.live` indexes
-    those entries of `vec` (the full slice by default), and Adam keeps
-    moments for them only.  An entry whose gradient is exactly zero at
-    every step would keep +0 moments, so the whole-vector update would
-    leave it at p - 0 = p: skipping it gives the same bits."""
+    those entries of `vec` (the full slice when every entry is live), and
+    Adam keeps moments for them only.  An entry whose gradient is exactly
+    zero at every step would keep +0 moments, so the whole-vector update
+    would leave it at p - 0 = p: skipping it gives the same bits.
+
+    `step` takes each array's gradient as its live entries only, in
+    row-major order: `sizes[i]` values for stored array i, in any shape
+    (a dense array's gradient is the array-shaped gradient itself; see
+    summarizer.ReconBuffers for a W0 stored with live rows).  So a caller
+    makes only the live gradient, and the store never concatenates,
+    checks or gathers an entry Adam does not step."""
 
     def __init__(self, mlps: list[MlpParams], lr: float,
                  extra: list[np.ndarray] = (), live: list | None = None):
         arrays = list(extra) + [p for m in mlps for p in m.flat()]
         self.shapes = [a.shape for a in arrays]
         self.vec = np.concatenate([np.ravel(a) for a in arrays])
-        self.grad = np.empty_like(self.vec)
         ends = np.cumsum([a.size for a in arrays])[:-1]
         views = [v.reshape(a.shape)
                  for v, a in zip(np.split(self.vec, ends), arrays)]
@@ -232,29 +238,30 @@ class ParamStore:
         for m in mlps:
             m.set_flat([next(rest) for _ in m.flat()])
         if live is None:
-            self.live = slice(None)
+            live = [True] * len(arrays)
         elif len(live) != len(arrays):
             raise ShapeError("need one live mask per stored array")
+        masks = [np.broadcast_to(m, a.shape) for m, a in zip(live, arrays)]
+        self.sizes = [int(np.count_nonzero(m)) for m in masks]
+        if sum(self.sizes) == self.vec.size:
+            self.live = slice(None)
         else:
             self.live = np.flatnonzero(np.concatenate(
-                [np.broadcast_to(m, a.shape).ravel()
-                 for m, a in zip(live, arrays)]))
+                [m.ravel() for m in masks]))
+        self.grad = np.empty(sum(self.sizes))
         self.opt = adam_init([self.vec[self.live]], lr=lr)
 
     def step(self, grads: list[np.ndarray]) -> None:
-        """One Adam update of the live entries from per-array gradients in
-        storage order, rounded to the float32 grid in place.  Every
-        gradient entry, live or not, must be finite: a masked store checks
-        the whole vector first, and a dense store's whole vector is what
-        adam_step checks, once, before it changes a moment."""
-        if [g.shape for g in grads] != self.shapes:
-            raise ShapeError("gradients do not match the stored arrays")
+        """One Adam update of the live entries from the live-entry
+        gradients of each stored array, rounded to the float32 grid in
+        place.  adam_step checks every gradient entry for non-finite
+        values, once, before it changes a moment."""
+        if [g.size for g in grads] != self.sizes:
+            raise ShapeError("gradients do not match the live entries of "
+                             "the stored arrays")
         np.concatenate([np.ravel(g) for g in grads], out=self.grad)
-        if not (isinstance(self.live, slice) or np.isfinite(self.grad).all()):
-            raise _nonfinite(grads)
         try:
-            new = adam_step(self.opt, [self.vec[self.live]],
-                            [self.grad[self.live]])[0]
+            new = adam_step(self.opt, [self.vec[self.live]], [self.grad])[0]
         except NumericError:
             raise _nonfinite(grads) from None
         self.vec[self.live] = new.astype(np.float32)

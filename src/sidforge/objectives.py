@@ -114,31 +114,55 @@ def _infonce(sim: np.ndarray, tau: float, pos_mask: np.ndarray):
     terms = m[..., 0] + np.log(z[..., 0]) - pos_mean
     totals = [float(t[v].sum()) for t, v in zip(terms, valid)]
     soft /= z
-    soft -= pos_mask / k[..., None]
+    # the bits of `soft -= pos_mask / k`: elsewhere that subtracts +0.0
+    np.subtract(soft, (1.0 / k)[..., None], out=soft, where=pos_mask)
     soft /= tau
     soft[~valid] = 0.0
     return totals, soft, valid.sum(axis=1)
 
 
-def _contrast_levels(z: np.ndarray, pos_masks: np.ndarray,
-                     tau: float) -> tuple[float, np.ndarray]:
-    """Cosine InfoNCE on each level of an (n, L, d) stack of vectors,
-    against (L, n, n) positive masks: each level's mean over its
-    contributing queries, averaged over the L levels (a level without
-    one adds nothing).  Returns (loss, gradient of z's shape)."""
-    n, L, d = z.shape
-    zh, norms = _normalize_rows(np.swapaxes(z, 0, 1))
-    totals, g_sim, n_valid = _infonce(zh @ np.swapaxes(zh, 1, 2), tau,
-                                      pos_masks)
-    scale = n_valid * L
-    g_sim /= np.maximum(scale, 1)[:, None, None]
-    grad = np.empty((n, L, d))
-    _cosine_backprop(g_sim, zh, norms, out=np.swapaxes(grad, 0, 1))
-    loss = 0.0
-    for total, count in zip(totals, scale.tolist()):
-        if count:
-            loss += total / count
-    return loss, grad
+def _contrast_stack(parts: list[np.ndarray], pos_masks: np.ndarray,
+                    tau: float) -> list[tuple]:
+    """Cosine InfoNCE on each level of several (n, L_p, d_p) stacks of
+    vectors, in one _infonce call over the (sum of L_p, n, n) similarity
+    stack, against positive masks in the same level order.  A part's loss
+    is each of its levels' mean over their contributing queries, averaged
+    over its L_p levels (a level without one adds nothing), as the part
+    alone would give it.  Returns per part (loss, gradient of its shape,
+    its unit vectors (L_p, n, d_p), their norms)."""
+    n = parts[0].shape[0]
+    sim = np.empty((len(pos_masks), n, n))
+    units, at = [], 0
+    for z in parts:
+        zh, norms = _normalize_rows(np.swapaxes(z, 0, 1))
+        np.matmul(zh, np.swapaxes(zh, 1, 2), out=sim[at:at + len(zh)])
+        units.append((zh, norms))
+        at += len(zh)
+    totals, g_sim, n_valid = _infonce(sim, tau, pos_masks)
+    out, at = [], 0
+    for z, (zh, norms) in zip(parts, units):
+        levels = slice(at, at + len(zh))
+        scale = n_valid[levels] * len(zh)
+        g_sim[levels] /= np.maximum(scale, 1)[:, None, None]
+        grad = np.empty(z.shape)
+        _cosine_backprop(g_sim[levels], zh, norms,
+                         out=np.swapaxes(grad, 0, 1))
+        loss = 0.0
+        for total, count in zip(totals[levels], scale.tolist()):
+            if count:
+                loss += total / count
+        out.append((loss, grad, zh, norms))
+        at = levels.stop
+    return out
+
+
+def _emb_mask(batch: ContrastBatch) -> np.ndarray:
+    """The embedding's (1, n, n) positive mask: each query's mate."""
+    n = len(batch.emb_pos)
+    has_mate = batch.emb_pos >= 0
+    mask = np.zeros((1, n, n), dtype=bool)
+    mask[0, has_mate, batch.emb_pos[has_mate]] = True
+    return mask
 
 
 def mg_contrastive_loss(level_logits: np.ndarray,
@@ -152,7 +176,9 @@ def mg_contrastive_loss(level_logits: np.ndarray,
     level_logits = np.asarray(level_logits, dtype=np.float64)
     if len(batch.level_masks) != level_logits.shape[1]:
         raise InputError("positive sets do not match level count")
-    return _contrast_levels(level_logits, batch.level_masks, batch.tau)
+    [(loss, grad, _, _)] = _contrast_stack([level_logits], batch.level_masks,
+                                           batch.tau)
+    return loss, grad
 
 
 def code_usage_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
@@ -164,9 +190,13 @@ def code_usage_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     picks one code with certainty and the batch spreads evenly over all
     K codes.  Returns (loss, gradient of the same shape).
     """
-    z = np.asarray(logits, dtype=np.float64)
-    n, K = z.shape
-    zh, norms = _normalize_rows(z)
+    return _code_usage(*_normalize_rows(np.asarray(logits, dtype=np.float64)))
+
+
+def _code_usage(zh: np.ndarray, norms: np.ndarray
+                ) -> tuple[float, np.ndarray]:
+    """code_usage_loss from the block's unit rows and their norms."""
+    n, K = zh.shape
     a = zh / USAGE_TAU
     a = a - a.max(axis=1, keepdims=True)
     logp = a - np.log(np.exp(a).sum(axis=1, keepdims=True))
@@ -188,14 +218,50 @@ def emb_contrastive_loss(embeddings: np.ndarray,
     positive.  Queries without a mate are skipped; an all-skipped batch
     is an error."""
     z = np.asarray(embeddings, dtype=np.float64)
-    n = z.shape[0]
-    has_mate = batch.emb_pos >= 0
-    if not has_mate.any():
+    if not np.any(batch.emb_pos >= 0):
         raise InputError("no query has a same-leaf mate in this batch")
-    pos_mask = np.zeros((1, n, n), dtype=bool)
-    pos_mask[0, has_mate, batch.emb_pos[has_mate]] = True
-    loss, grad = _contrast_levels(z[:, None, :], pos_mask, batch.tau)
+    [(loss, grad, _, _)] = _contrast_stack([z[:, None, :]], _emb_mask(batch),
+                                           batch.tau)
     return loss, grad[:, 0, :]
+
+
+def contrastive_terms(level_logits: np.ndarray, embeddings: np.ndarray,
+                      batch: ContrastBatch, use_sid: bool = True,
+                      use_emb: bool = True):
+    """The training step's contrastive terms from one contrast stack, the
+    L SID levels and the embedding level joined in one _infonce call:
+    (L_sid, L_use, gradient w.r.t. the (n, L, K) logits, L_emb, gradient
+    w.r.t. the embeddings).  Each term has the bits of its own function
+    (mg_contrastive_loss, code_usage_loss on the level-1 block, which
+    reuses the stack's level-1 unit vectors, and emb_contrastive_loss);
+    the logit gradient includes the usage term at USAGE_WEIGHT.  A term
+    that is off, or the embedding term of a batch where no query has a
+    mate, is 0.0 with a zero gradient."""
+    parts, masks = [], []
+    if use_sid:
+        level_logits = np.asarray(level_logits, dtype=np.float64)
+        if len(batch.level_masks) != level_logits.shape[1]:
+            raise InputError("positive sets do not match level count")
+        parts.append(level_logits)
+        masks.append(batch.level_masks)
+    use_emb = use_emb and bool(np.any(batch.emb_pos >= 0))
+    if use_emb:
+        parts.append(np.asarray(embeddings, dtype=np.float64)[:, None, :])
+        masks.append(_emb_mask(batch))
+    terms = (_contrast_stack(parts, np.concatenate(masks), batch.tau)
+             if parts else [])
+    if use_sid:
+        l_sid, g_logits, zh, norms = terms[0]
+        l_use, g_use = _code_usage(zh[0], norms[0])
+        g_logits[:, 0, :] += USAGE_WEIGHT * g_use
+    else:
+        l_sid, l_use, g_logits = 0.0, 0.0, np.zeros(np.shape(level_logits))
+    if use_emb:
+        l_emb, g_emb, _, _ = terms[-1]
+        g_emb = g_emb[:, 0, :]
+    else:
+        l_emb, g_emb = 0.0, np.zeros(np.shape(embeddings))
+    return l_sid, l_use, g_logits, l_emb, g_emb
 
 
 def total_loss(l_sid: float, l_emb: float, l_rec: float, lam: float) -> float:
@@ -276,7 +342,11 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
     float32 grid after every optimizer step.  Adam steps only the
     decoder weights that the training split's summaries reach
     (`summarizer.reached_rows`); every other decoder gradient is exactly
-    zero, so the bits are those of stepping them all.
+    zero, so the bits are those of stepping them all.  A step allocates
+    no large array: recon_loss works in one run-long set of buffers, and
+    once the decoder is frozen each batch's prefix sums are gathered by
+    leaf from one table made from the frozen weights, which has the bits
+    recon_loss would compute from each batch's targets.
     """
     config.validate()
     spec = catalog.spec
@@ -291,16 +361,22 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
     leaf_targets = np.stack([
         summarizer.summarize(catalog.tree.path(leaf), catalog.tree, vocab)
         for leaf in range(catalog.spec.n_leaves)])
-    targets = leaf_targets[catalog.labels[:, 2]]
+    leaves = catalog.labels[:, 2]
+    targets = leaf_targets[leaves]
     train_ids = np.asarray(catalog.train_ids, dtype=np.int64)
 
     base = numkit.ParamStore([model.encoder, model.sid_head, model.emb_head,
                               pipeline.recon_head], config.lr)
-    # Adam steps only the decoder weights the training summaries reach
+    # Adam steps only the decoder weights the training summaries reach,
+    # and recon_loss returns W0's gradient for those rows only
     w0_live = summarizer.reached_rows(targets[train_ids], pipeline)
     dec = numkit.ParamStore(
         [pipeline.decoder], config.lr,
         live=[w0_live[:, None]] + [True] * (len(pipeline.decoder.flat()) - 1))
+    buffers = summarizer.ReconBuffers(
+        pipeline, min(config.batch_size, len(train_ids)), w0_live)
+    # the frozen decoder's prefix sums per leaf, made when it freezes
+    prefix_table = None
     # at lam = 0 the reconstruction term's gradients are all zero, so its
     # backward pass is skipped
     rec_zeros = [np.zeros_like(p) for p in pipeline.recon_head.flat()]
@@ -312,6 +388,8 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
     for epoch in range(config.epochs):
         train_decoder = (not config.decoder_frozen_after_warmup
                          or epoch < config.warmup) and config.lam > 0
+        if not train_decoder and prefix_table is None:
+            prefix_table = summarizer.prefix_sums(leaf_targets, pipeline)
         order = train_ids[rng.permutation(len(train_ids))]
         for start in range(0, len(order), config.batch_size):
             # one index array gathers the batch's features, targets and
@@ -321,24 +399,19 @@ def train_unisid(catalog: ItemCatalog, config: TrainConfig
                 continue
             fp = unisid.forward_batch(model, features[ids])
             cb = make_contrast_batch(catalog, ids, config.tau)
-
-            if config.use_sid:
-                l_sid, g_logits = mg_contrastive_loss(fp.logits, cb)
-                l_use, g_use = code_usage_loss(fp.logits[:, 0, :])
-                g_logits[:, 0, :] += USAGE_WEIGHT * g_use
-            else:
-                l_sid, l_use = 0.0, 0.0
-                g_logits = np.zeros_like(fp.logits)
-            if config.use_emb and np.any(cb.emb_pos >= 0):
-                l_emb, g_emb = emb_contrastive_loss(fp.embedding, cb)
-            else:
-                l_emb, g_emb = 0.0, np.zeros_like(fp.embedding)
+            l_sid, l_use, g_logits, l_emb, g_emb = contrastive_terms(
+                fp.logits, fp.embedding, cb, config.use_sid, config.use_emb)
 
             h_rec, rcache = summarizer.recon_state(fp.logits, fp.embedding,
                                                    pipeline)
+            # mode="clip" (the leaves are in range) lets take write into
+            # the buffer without a buffer of its own
+            prefix = None if prefix_table is None else np.take(
+                prefix_table, leaves[ids], axis=0,
+                out=buffers.prefix[:len(ids)], mode="clip")
             l_rec, g_h, dec_grads = summarizer.recon_loss(
                 h_rec, targets[ids], pipeline, decoder_grads=train_decoder,
-                input_grad=config.lam > 0)
+                input_grad=config.lam > 0, buffers=buffers, prefix=prefix)
             l_total = total_loss(l_sid, l_emb, l_rec, config.lam)
 
             g_logits_flat = g_logits.reshape(len(ids), n_lk)

@@ -106,7 +106,7 @@ class ReconPipeline:
     as a row gather (see _first_layer) rather than to a dense one-hot."""
 
     recon_head: MlpParams
-    decoder: MlpParams   # (d_r + SUMMARY_LEN * vocab) -> hidden -> ... -> vocab
+    decoder: MlpParams   # (d_r + SUMMARY_LEN * vocab) -> hidden -> vocab
     vocab: SummaryVocab
     d_r: int
 
@@ -118,8 +118,8 @@ class ReconPipeline:
                 f"decoder input dim {self.decoder.in_dim} != {expect}")
         if self.decoder.out_dim != v:
             raise ShapeError("decoder output dim must equal vocab size")
-        if len(self.decoder.weights) < 2:
-            raise ShapeError("decoder needs at least one hidden layer")
+        if len(self.decoder.weights) != 2:
+            raise ShapeError("decoder needs exactly one hidden layer")
 
 
 def init_pipeline(L: int, K: int, d_e: int, d_r: int, vocab: SummaryVocab,
@@ -177,50 +177,143 @@ def reached_rows(targets: np.ndarray, pipeline: ReconPipeline) -> np.ndarray:
     return rows
 
 
-def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
-               pipeline: ReconPipeline, decoder_grads: bool = True,
-               input_grad: bool = True):
-    """Teacher-forced cross-entropy over all positions, averaged over the
-    batch.  Returns (loss, grad w.r.t. h_rec, flat decoder gradients);
-    with decoder_grads=False the decoder gradients are not computed and
-    the third value is None, with input_grad=False the second value is
-    None, and with both False no backward pass runs.
+class ReconBuffers:
+    """recon_loss's work arrays for batches of up to `rows` summaries, and
+    the decoder W0 rows its gradient is returned for.
 
-    Position t's first-layer pre-activation is the empty-prefix one plus
-    the exclusive cumulative sum of the prefix rows its targets pick; the
-    remaining layers run once over all n * SUMMARY_LEN positions.  The
-    prefix sums run one position at a time in place, and one bincount
-    scatters the prefix-row gradients, so every sum keeps the order of
-    np.cumsum and np.add.at."""
-    h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
+    `live_rows` masks those W0 rows (as reached_rows returns them; by
+    default every row).  recon_loss returns the W0 gradient as their
+    (n_live_rows, hidden) block, W0's live entries in storage order, which
+    is what ParamStore.step takes for a W0 stored with the live mask
+    `live_rows[:, None]`; `slots[r]` is row r's place in the block, -1
+    for a row outside it.  The conditioning rows come first in W0 and are
+    always live, so they are the block's first d_r rows.
+
+    A training loop makes one set and passes it to every step.  Each call
+    writes every buffer entry it reads before reading it, so the buffers
+    change no bit.  They exist for the allocator: several of these arrays
+    are above glibc's 128 KB mmap threshold, and made afresh in every step
+    they had glibc trim the heap and grow it again, step after step:
+    about 14,400 minor page faults in a 4-epoch (116-step) training run
+    on the default config, against about 350 with the buffers."""
+
+    def __init__(self, pipeline: ReconPipeline, rows: int,
+                 live_rows: np.ndarray | None = None):
+        w0 = pipeline.decoder.weights[0]
+        hidden, v = w0.shape[1], len(pipeline.vocab)
+        if live_rows is None:
+            live_rows = np.ones(w0.shape[0], dtype=bool)
+        live_rows = np.asarray(live_rows, dtype=bool)
+        if (live_rows.shape != w0.shape[:1]
+                or not live_rows[:pipeline.d_r].all()):
+            raise ShapeError("live rows must mask every W0 row and keep the "
+                             "conditioning rows")
+        self.rows = rows
+        self.live_rows = live_rows
+        self.slots = np.where(live_rows, np.cumsum(live_rows) - 1, -1)
+        self.n_live = int(live_rows.sum())
+        # the prefix sums, and in the backward pass the prefix rows'
+        # gradients once the sums have been read
+        self.prefix = np.empty((rows, SUMMARY_LEN - 1, hidden))
+        self.pre = np.empty((rows, SUMMARY_LEN, hidden))
+        self.logits = np.empty((rows * SUMMARY_LEN, v))
+        self.g_act = np.empty((rows * SUMMARY_LEN, hidden))
+        self.bins = np.empty((rows, SUMMARY_LEN - 1, hidden), dtype=np.int64)
+
+
+def _checked_targets(targets, v: int) -> np.ndarray:
     targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
-    v = len(pipeline.vocab)
     if targets.shape[1] != SUMMARY_LEN:
         raise InputError(f"target length must be {SUMMARY_LEN}")
     if targets.min() < 0 or targets.max() >= v:
         raise InputError("target token out of vocabulary")
-    n = h_rec.shape[0]
-    base, _, tail = _first_layer(h_rec, pipeline)
-    hidden = base.shape[1]
-    w0 = pipeline.decoder.weights[0]
-    w0_rows = _prefix_w0_rows(targets, pipeline.d_r, v)
-    picked = w0[w0_rows]                                  # (n, S-1, hidden)
-    # sum the picked rows first and add base last, as base + cumsum does;
-    # adding each row into a running pre-activation rounds differently
+    return targets
+
+
+def prefix_sums(targets: np.ndarray, pipeline: ReconPipeline,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """What each summary position after the first adds to the decoder's
+    empty-prefix pre-activation: (n, SUMMARY_LEN - 1, hidden), entry s
+    the sum of the W0 prefix rows that tokens 0..s pick, added in
+    position order (the order of np.cumsum).  Written into `out` if given.
+
+    A summary depends on its leaf only, so once the decoder is frozen one
+    table of these sums per leaf serves every batch: gathered by leaf,
+    its rows are the bits this function gives the batch."""
+    targets = _checked_targets(targets, len(pipeline.vocab))
+    rows = _prefix_w0_rows(targets, pipeline.d_r, len(pipeline.vocab))
+    # mode="clip" never clips (the rows are checked above) and lets take
+    # write into `out` without a buffer of its own
+    sums = np.take(pipeline.decoder.weights[0], rows, axis=0, out=out,
+                   mode="clip")
     for s in range(1, SUMMARY_LEN - 1):
-        picked[:, s] += picked[:, s - 1]
-    pre = np.empty((n, SUMMARY_LEN, hidden))
+        sums[:, s] += sums[:, s - 1]
+    return sums
+
+
+def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
+               pipeline: ReconPipeline, decoder_grads: bool = True,
+               input_grad: bool = True, buffers: ReconBuffers | None = None,
+               prefix: np.ndarray | None = None):
+    """Teacher-forced cross-entropy over all positions, averaged over the
+    batch.  Returns (loss, grad w.r.t. h_rec, decoder gradients); with
+    decoder_grads=False the decoder gradients are not computed and the
+    third value is None, with input_grad=False the second value is None,
+    and with both False no backward pass runs.
+
+    The decoder gradients are [W0, b0, W1, b1], W0's as the block of the
+    live rows of `buffers` (see ReconBuffers), which is the live-entry
+    gradient ParamStore.step takes: without buffers the call makes its
+    own, every row live, so the block is the whole W0 gradient.  Every W0
+    row outside reached_rows(targets) has a gradient of exactly +0.0, so
+    the block drops only zeros.  No returned array is a buffer.
+
+    `buffers` are run-long work arrays, made once by a training loop so
+    that no step allocates the large temporaries that had glibc trim and
+    regrow its heap in every step; they keep every bit, since a call
+    writes each entry it reads first.  `prefix` is prefix_sums(targets,
+    pipeline), given by a caller that has it (train_unisid gathers it by
+    leaf from one table once the decoder is frozen: the table's rows are
+    the same sums, added in the same order); by default the call
+    computes it.
+
+    Position t's first-layer pre-activation is the empty-prefix one plus
+    the prefix sum of the tokens before t; the identity output layer then
+    runs once over all n * SUMMARY_LEN positions, as the matrix products
+    mlp_apply and mlp_grad make, with mlp_apply's finite check.  The
+    backward prefix sums run one position at a time, and one bincount
+    over the live-row slots scatters the prefix-row gradients in batch
+    order, so every sum keeps the order of np.cumsum and np.add.at."""
+    h_rec = np.atleast_2d(np.asarray(h_rec, dtype=np.float64))
+    v = len(pipeline.vocab)
+    targets = _checked_targets(targets, v)
+    n = h_rec.shape[0]
+    if buffers is None:
+        buffers = ReconBuffers(pipeline, n)
+    elif n > buffers.rows:
+        raise ShapeError(f"{n} summaries exceed the {buffers.rows} rows "
+                         "of the buffers")
+    if prefix is None:
+        prefix = prefix_sums(targets, pipeline, out=buffers.prefix[:n])
+    base, _, _ = _first_layer(h_rec, pipeline)
+    w0, w1 = pipeline.decoder.weights
+    hidden = w0.shape[1]
+    pre = buffers.pre[:n]
     pre[:, 0] = base
-    np.add(base[:, None, :], picked, out=pre[:, 1:])
+    np.add(base[:, None, :], prefix, out=pre[:, 1:])
     # the ReLU in place: it is positive exactly where the pre-activation
     # is, so the backward mask `pre > 0.0` below keeps its bits
     np.maximum(pre, 0.0, out=pre)
-    logits, cache = numkit.mlp_apply(tail, pre.reshape(n * SUMMARY_LEN, -1))
+    act = pre.reshape(n * SUMMARY_LEN, hidden)
+    logits = np.matmul(act, w1, out=buffers.logits[:n * SUMMARY_LEN])
+    logits += pipeline.decoder.biases[1]
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
+        raise NumericError("non-finite MLP output")
     tok = targets.reshape(-1)
     at = np.arange(n * SUMMARY_LEN)
     target_logits = logits[at, tok]
-    # the softmax runs in the logits buffer: the backward of the tail's
-    # identity output layer does not read it
+    # the softmax runs in the logits buffer: the backward of the identity
+    # output layer does not read it
     m = logits.max(axis=1, keepdims=True)
     soft = np.subtract(logits, m, out=logits)
     np.exp(soft, out=soft)
@@ -231,22 +324,30 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     soft /= z[:, None]
     soft[at, tok] -= 1.0
     soft /= n
-    tail_grads, g_act = numkit.mlp_grad(tail, cache, soft,
-                                        param_grads=decoder_grads)
-    g_pre = g_act.reshape(pre.shape)
+    g_pre = np.matmul(soft, w1.T, out=buffers.g_act[:n * SUMMARY_LEN])
+    g_pre = g_pre.reshape(pre.shape)
     g_pre *= pre > 0.0
     g_base = g_pre.sum(axis=1)
     g_h = g_base @ w0[:pipeline.d_r].T if input_grad else None
     if not decoder_grads:
         return loss, g_h, None
-    # prefix row (s, targets[:, s]) feeds every position after s: turn
-    # g_pre[:, s + 1] into the sum over positions s + 1 .. S - 1
-    for s in range(SUMMARY_LEN - 2, 0, -1):
-        g_pre[:, s] += g_pre[:, s + 1]
-    # W0 entry (d_r + s * v + token, j) collects its rows in batch order
-    bins = (w0_rows * hidden)[:, :, None] + np.arange(hidden)
-    g_w0 = np.bincount(bins.ravel(), weights=g_pre[:, 1:].ravel(),
-                       minlength=w0.size).reshape(w0.shape)
+    tail_grads = [act.T @ soft, soft.sum(axis=0)]
+    # the prefix row token s picks feeds positions s + 1 .. S - 1: its
+    # gradient sums g_pre over them, from the last position down
+    g_prefix = buffers.prefix[:n]
+    g_prefix[:, -1] = g_pre[:, -1]
+    for s in range(SUMMARY_LEN - 3, -1, -1):
+        np.add(g_pre[:, s + 1], g_prefix[:, s + 1], out=g_prefix[:, s])
+    slots = buffers.slots[_prefix_w0_rows(targets, pipeline.d_r, v)]
+    if slots.min() < 0:
+        raise InputError("a summary token picks a W0 row outside the "
+                         "live rows")
+    # live-block entry (slot, j) collects its rows in batch order
+    bins = np.add((slots * hidden)[:, :, None], np.arange(hidden),
+                  out=buffers.bins[:n])
+    g_w0 = np.bincount(bins.ravel(), weights=g_prefix.ravel(),
+                       minlength=buffers.n_live * hidden)
+    g_w0 = g_w0.reshape(buffers.n_live, hidden)
     np.matmul(h_rec.T, g_base, out=g_w0[:pipeline.d_r])
     return loss, g_h, [g_w0, g_base.sum(axis=0)] + tail_grads
 

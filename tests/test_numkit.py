@@ -185,13 +185,14 @@ def _oracle_adam_step(state, params, grads):
 
 
 def _oracle_store_step(store, grads):
-    """ParamStore.step as it was written: a fresh concatenated gradient,
-    Adam over the whole vector with moments of its own (`oracle_opt`,
-    whatever entries the store keeps live) and a float64 copy of the
-    rounded update."""
+    """ParamStore.step as it was written before live entries: the
+    live-entry gradients scattered into a fresh whole-vector gradient,
+    zero elsewhere, Adam over the whole vector with moments of its own
+    (`oracle_opt`) and a float64 copy of the rounded update."""
     if not hasattr(store, "oracle_opt"):
         store.oracle_opt = adam_init([store.vec], lr=store.opt.lr)
-    g = np.concatenate([np.ravel(g) for g in grads])
+    g = np.zeros_like(store.vec)
+    g[store.live] = np.concatenate([np.ravel(g) for g in grads])
     store.vec[:] = numkit.quantize_f32(
         numkit.adam_step(store.oracle_opt, [store.vec], [g])[0])
 
@@ -264,7 +265,7 @@ def test_masked_param_store_matches_dense(rng):
             g[~m] = 0.0
             if step < 30:
                 g[quiet] = 0.0
-        got.step(grads)
+        got.step([g[m] for g, m in zip(grads, full)])   # live entries
         want.step(grads)
         assert got.vec.tobytes() == want.vec.tobytes()
         assert got.opt.step == want.opt.step
@@ -281,15 +282,39 @@ def test_param_store_live_masks_checked(rng):
         return numkit.ParamStore([mlp_init([3, 2], rng)], lr=0.1, live=live)
 
     assert store(None).live == slice(None)
+    assert store([True, True]).live == slice(None)
     with pytest.raises(ShapeError, match="one live mask"):
         store([True])
     with pytest.raises(ValueError):
         store([np.ones((2, 3), bool), True])   # does not broadcast
-    # the finite check covers the entries Adam does not step
-    grads = [np.zeros((3, 2)), np.zeros(2)]
-    grads[0][1, 1] = np.nan
-    with pytest.raises(NumericError, match="stored array 0"):
-        store([False, True]).step(grads)
+    masked = store([np.array([[True], [False], [True]]), True])
+    assert masked.sizes == [4, 2] and masked.grad.size == 6
+
+
+def test_param_store_takes_live_entry_gradients(rng):
+    # W0 (3, 2) with live rows 0 and 2, b0 dense: 4 + 2 live entries
+    store = numkit.ParamStore([mlp_init([3, 2], rng)], lr=0.1,
+                              live=[np.array([[True], [False], [True]]),
+                                    True])
+    dense = numkit.ParamStore([mlp_init([3, 2], rng)], lr=0.1)
+    for s, grads in ((store, [np.zeros((3, 2)), np.zeros(2)]),   # dense W0
+                     (store, [np.zeros(3), np.zeros(2)]),
+                     (store, [np.zeros(4)]),
+                     (dense, [np.zeros(5), np.zeros(2)])):
+        with pytest.raises(ShapeError, match="live entries"):
+            s.step(grads)
+    # any shape of the right size: the (live rows, hidden) block, or flat
+    store.step([np.ones((2, 2)), np.ones(2)])
+    store.step([np.ones(4), np.ones(2)])
+    for array, entry in ((0, (1, 1)), (1, (0,))):
+        before = (store.vec.copy(), store.opt.m[0].copy(),
+                  store.opt.v[0].copy(), store.opt.step)
+        grads = [np.ones((2, 2)), np.ones(2)]
+        grads[array][entry] = np.nan
+        with pytest.raises(NumericError, match=f"stored array {array}$"):
+            store.step(grads)
+        after = (store.vec, store.opt.m[0], store.opt.v[0], store.opt.step)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_param_store_checks_each_gradient_entry_once(rng, monkeypatch):
@@ -310,16 +335,15 @@ def test_param_store_checks_each_gradient_entry_once(rng, monkeypatch):
         dense.step([np.ones(s) for s in dense.shapes])
         assert checked == [dense.vec.size]
         checked.clear()
-        # a masked store checks its whole vector; Adam then checks the
-        # live entries it steps
-        masked.step([np.ones(s) for s in masked.shapes])
-        assert checked == [masked.vec.size, masked.live.size]
-    # a non-finite entry, live or not, names its array and changes nothing
-    for store, array, entry in ((dense, 3, (2, 1)), (dense, 0, (4,)),
-                                (masked, 0, (1, 0)), (masked, 1, (0,))):
+        # a masked store gets, and Adam checks, its live entries only
+        masked.step([np.ones(n) for n in masked.sizes])
+        assert checked == [masked.live.size]
+    # a non-finite entry names its array and changes nothing
+    for store, array, entry in ((dense, 3, 5), (dense, 0, 4),
+                                (masked, 0, 2), (masked, 1, 0)):
         before = (store.vec.copy(), store.opt.m[0].copy(),
                   store.opt.v[0].copy(), store.opt.step)
-        grads = [np.ones(s) for s in store.shapes]
+        grads = [np.ones(n) for n in store.sizes]
         grads[array][entry] = np.nan
         with pytest.raises(NumericError, match=f"stored array {array}$"):
             store.step(grads)

@@ -9,9 +9,10 @@ from sidforge.catalog import build_positive_sets
 from sidforge.checkpoint import UniSidBundle, save_checkpoint
 from sidforge.errors import ConfigurationError, InputError, NumericError
 from sidforge.objectives import (ContrastBatch, LossReport, TrainConfig,
-                                 code_usage_loss, emb_contrastive_loss,
-                                 make_contrast_batch, mg_contrastive_loss,
-                                 total_loss, train_unisid)
+                                 code_usage_loss, contrastive_terms,
+                                 emb_contrastive_loss, make_contrast_batch,
+                                 mg_contrastive_loss, total_loss,
+                                 train_unisid)
 from sidforge.summarizer import build_vocab, init_pipeline
 from sidforge.unisid import UniSidConfig, init_model
 from test_numkit import _oracle_adam_step, _oracle_store_step
@@ -392,10 +393,45 @@ def test_mg_loss_bits_match_per_level_oracle_with_skipped_levels(
             assert e_grad.tobytes() == o_grad.tobytes()
 
 
+@pytest.mark.parametrize("ids", [
+    list(range(24)), [0, 8, 1, 9, 2, 3, 16],
+    [0, 2, 4, 6]])   # no query has a mate: the embedding term is off
+@pytest.mark.parametrize("use_sid, use_emb", [
+    (True, True), (True, False), (False, True), (False, False)])
+def test_contrastive_terms_match_their_functions(small_catalog, rng, ids,
+                                                 use_sid, use_emb):
+    cb = _batch(small_catalog, ids)
+    logits = rng.normal(size=(len(ids), 3, 16))
+    emb = rng.normal(size=(len(ids), 8))
+    got = contrastive_terms(logits, emb, cb, use_sid, use_emb)
+    want_sid = (0.0, 0.0, np.zeros_like(logits))
+    if use_sid:
+        l_sid, g_logits = mg_contrastive_loss(logits, cb)
+        l_use, g_use = code_usage_loss(logits[:, 0, :])
+        g_logits[:, 0, :] += objectives.USAGE_WEIGHT * g_use
+        want_sid = (l_sid, l_use, g_logits)
+    want_emb = (0.0, np.zeros_like(emb))
+    if use_emb and np.any(cb.emb_pos >= 0):
+        want_emb = emb_contrastive_loss(emb, cb)
+    for a, b in zip(got, want_sid + want_emb):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def _train_bytes(catalog, tc, path):
     model, pipe, report = train_unisid(catalog, tc)
     save_checkpoint(UniSidBundle(model=model, pipeline=pipe), str(path))
     return path.read_bytes(), report.steps
+
+
+def _oracle_contrastive_terms(logits, emb, batch, use_sid, use_emb):
+    """contrastive_terms with both terms on, as train_unisid composed it
+    before the joint stack: the per-level and one-matrix oracles, and
+    code_usage_loss normalising the level-1 block itself."""
+    l_sid, g_logits = _oracle_mg_index_sets(logits, batch)
+    l_use, g_use = code_usage_loss(logits[:, 0, :])
+    g_logits[:, 0, :] += objectives.USAGE_WEIGHT * g_use
+    l_emb, g_emb = _oracle_emb_bits(emb, batch)
+    return l_sid, l_use, g_logits, l_emb, g_emb
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.0])
@@ -404,16 +440,36 @@ def test_train_step_matches_oracle_kernels(small_catalog, tmp_path,
     # a warm-up of 1 in 2 epochs runs the trained and the frozen decoder
     tc = _tiny_config(epochs=2, decoder_warmup_epochs=1, lam=lam)
     got = _train_bytes(small_catalog, tc, tmp_path / "kernel.ckpt")
-    monkeypatch.setattr(
-        summarizer, "recon_loss",
-        lambda h, t, p, **grads: _oracle_recon_scatter(h, t, p))
-    monkeypatch.setattr(numkit, "adam_step", _oracle_adam_step)
-    monkeypatch.setattr(numkit.ParamStore, "step", _oracle_store_step)
-    monkeypatch.setattr(objectives, "mg_contrastive_loss",
-                        _oracle_mg_index_sets)
+    calls = {}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return run
+
+    def oracle_recon(h, t, p, buffers, **grads):
+        # the dense oracle's W0 gradient, gathered to the live rows; it
+        # computes the prefix sums from the targets, not the frozen table
+        loss, g_h, dec = _oracle_recon_scatter(h, t, p)
+        return loss, g_h, [dec[0][buffers.live_rows]] + dec[1:]
+
+    monkeypatch.setattr(summarizer, "recon_loss",
+                        counted("recon", oracle_recon))
+    monkeypatch.setattr(numkit, "adam_step",
+                        counted("adam", _oracle_adam_step))
+    monkeypatch.setattr(numkit.ParamStore, "step",
+                        counted("store", _oracle_store_step))
+    monkeypatch.setattr(objectives, "contrastive_terms",
+                        counted("contrast", _oracle_contrastive_terms))
     want = _train_bytes(small_catalog, tc, tmp_path / "oracle.ckpt")
     assert got[0] == want[0]
     assert got[1] == want[1]
+    # every oracle ran: one base-store step per step, plus the decoder's
+    # in the warm-up epoch (half the steps) when lam > 0
+    steps = len(got[1])
+    assert calls["recon"] == calls["contrast"] == steps > 0
+    assert calls["store"] == calls["adam"] == steps + (lam > 0) * steps // 2
 
 
 def test_lam_zero_step_skips_only_zero_gradients(small_catalog, monkeypatch):

@@ -7,10 +7,11 @@ from sidforge import numkit
 from sidforge.catalog import CatalogSpec, build_tree, generate_catalog
 from sidforge.errors import CatalogError, ConfigurationError, InputError, ShapeError
 from sidforge.summarizer import (BOS_ID, EOS_ID, MAX_VOCAB, SUMMARY_LEN,
-                                 TRAIT_COUNT, ReconPipeline, _first_layer,
-                                 build_vocab, decode_summary, init_pipeline,
-                                 reached_rows, recon_loss, recon_state,
-                                 summarize, summary_text, trait_a, trait_b)
+                                 TRAIT_COUNT, ReconBuffers, ReconPipeline,
+                                 _first_layer, build_vocab, decode_summary,
+                                 init_pipeline, prefix_sums, reached_rows,
+                                 recon_loss, recon_state, summarize,
+                                 summary_text, trait_a, trait_b)
 
 
 def test_vocab_layout():
@@ -270,6 +271,110 @@ def test_decoder_gradient_zero_outside_reached_rows(branching, n_items,
         g_w0 = recon_loss(h, targets[ids], pipe)[2][0]
         assert g_w0[rows].any()
         assert not g_w0[~rows].any()   # exactly zero, the last slot included
+
+
+def _summary_setup(seed=5):
+    """A 4-4-4 catalog's summaries, a decoder, and its training split's
+    live W0 rows."""
+    cat = generate_catalog(CatalogSpec(branching=(4, 4, 4), n_items=512,
+                                       dv=4, dt=4, seed=seed))
+    vocab = build_vocab(cat.tree)
+    leaf_targets = np.stack([summarize(cat.tree.path(leaf), cat.tree, vocab)
+                             for leaf in range(cat.spec.n_leaves)])
+    pipe = init_pipeline(L=2, K=4, d_e=5, d_r=6, vocab=vocab, seed=seed,
+                         decoder_hidden=16)
+    train = np.asarray(cat.train_ids)
+    live = reached_rows(leaf_targets[cat.labels[train, 2]], pipe)
+    return cat, leaf_targets, pipe, train, live
+
+
+def _bytes(result):
+    loss, g_h, dec = result
+    return (loss, None if g_h is None else g_h.tobytes(),
+            None if dec is None else [g.tobytes() for g in dec])
+
+
+def test_reused_buffers_match_fresh_calls_and_scatter_oracle():
+    cat, leaf_targets, pipe, train, live = _summary_setup()
+    assert 0 < live.sum() < live.size
+    buffers = ReconBuffers(pipe, 64, live)
+    rng = np.random.default_rng(7)
+    # a full batch, the short last batch, a lam = 0 forward-only call and
+    # a full batch again, all through one set of buffers
+    for n, flags in ((64, {}), (51, {}),
+                     (64, dict(decoder_grads=False, input_grad=False)),
+                     (64, {}), (33, dict(decoder_grads=False))):
+        ids = rng.choice(train, size=n, replace=False)
+        targets = leaf_targets[cat.labels[ids, 2]]
+        h = rng.normal(size=(n, pipe.d_r))
+        got = _bytes(recon_loss(h, targets, pipe, buffers=buffers, **flags))
+        fresh = recon_loss(h, targets, pipe, **flags)
+        o_loss, o_g_h, o_dec = _oracle_recon_scatter(h, targets, pipe)
+        assert got[0] == fresh[0] == o_loss
+        if flags.get("input_grad", True):
+            assert got[1] == fresh[1].tobytes() == o_g_h.tobytes()
+        else:
+            assert got[1] is fresh[1] is None
+        if flags.get("decoder_grads", True):
+            # the live rows' block; every dead row of the oracle is +0.0
+            assert got[2][0] == o_dec[0][live].tobytes()
+            assert o_dec[0][~live].tobytes() == bytes(8 * o_dec[0][~live].size)
+            assert got[2][1:] == [g.tobytes() for g in o_dec[1:]]
+            # without buffers every row is live: the whole W0 gradient
+            assert ([g.tobytes() for g in fresh[2]]
+                    == [g.tobytes() for g in o_dec])
+        else:
+            assert got[2] is fresh[2] is None
+
+
+def test_recon_buffers_checked():
+    cat, leaf_targets, pipe, train, live = _summary_setup()
+    with pytest.raises(ShapeError, match="conditioning"):
+        ReconBuffers(pipe, 8, np.r_[False, live[1:]])
+    with pytest.raises(ShapeError, match="conditioning"):
+        ReconBuffers(pipe, 8, live[:-1])
+    buffers = ReconBuffers(pipe, 8, live)
+    assert buffers.n_live == live.sum()
+    assert np.array_equal(buffers.slots[live], np.arange(buffers.n_live))
+    assert (buffers.slots[~live] == -1).all()
+    h = np.ones((9, pipe.d_r))
+    targets = np.tile(leaf_targets[cat.labels[train[0], 2]], (9, 1))
+    with pytest.raises(ShapeError, match="exceed"):
+        recon_loss(h, targets, pipe, buffers=buffers)
+    # a summary that picks a dead row has no place in the live block
+    dead = int(np.flatnonzero(~live[pipe.d_r:pipe.d_r + len(pipe.vocab)])[0])
+    targets[0, 0] = dead
+    with pytest.raises(InputError, match="live rows"):
+        recon_loss(h[:8], targets[:8], pipe, buffers=buffers)
+    # the forward pass never needs a slot
+    assert recon_loss(h[:8], targets[:8], pipe, decoder_grads=False,
+                      buffers=buffers)[0] == recon_loss(
+        h[:8], targets[:8], pipe)[0]
+
+
+def test_frozen_prefix_table_matches_per_item_prefix_sums():
+    cat, leaf_targets, pipe, train, live = _summary_setup(seed=9)
+    table = prefix_sums(leaf_targets, pipe)
+    assert table.shape == (cat.spec.n_leaves, SUMMARY_LEN - 1,
+                           pipe.decoder.weights[0].shape[1])
+    _, prefix_rows, _ = _first_layer(np.zeros((1, pipe.d_r)), pipe)
+    pos = np.arange(SUMMARY_LEN - 1)
+    for item in range(0, len(cat.labels), 7):
+        t = leaf_targets[cat.labels[item, 2]]
+        want = np.cumsum(prefix_rows[pos, t[:-1]], axis=0)
+        assert table[cat.labels[item, 2]].tobytes() == want.tobytes()
+        assert prefix_sums(t, pipe)[0].tobytes() == want.tobytes()
+    # a batch's frozen-decoder loss and h_rec gradient from the table
+    buffers = ReconBuffers(pipe, 64, live)
+    rng = np.random.default_rng(3)
+    for n in (64, 40):
+        ids = rng.choice(train, size=n, replace=False)
+        leaves = cat.labels[ids, 2]
+        h = rng.normal(size=(n, pipe.d_r))
+        got = recon_loss(h, leaf_targets[leaves], pipe, decoder_grads=False,
+                         buffers=buffers, prefix=table[leaves])
+        assert _bytes(got) == _bytes(recon_loss(
+            h, leaf_targets[leaves], pipe, decoder_grads=False))
 
 
 def test_decode_summary_matches_loop_oracle():
