@@ -274,5 +274,10 @@ def load_catalog(path: str) -> ItemCatalog:
                                f"expected {n * width}")
         if not np.isfinite(block).all():
             raise CatalogError(f"non-finite value in {name}")
+        # array.array reads JSON true/false as 1.0/0.0, so only values
+        # equal to one of those can have been a boolean
+        maybe = np.flatnonzero((block == 0.0) | (block == 1.0)).tolist()
+        if any(type(doc[name][i]) is bool for i in maybe):
+            raise CatalogError(f"{name} holds a boolean, not a number")
         blocks.append(block.reshape(n, width))
     return _assemble(spec, leaf, *blocks, train.tolist(), test.tolist())

@@ -17,6 +17,8 @@ import traceback
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from . import evalsuite, numkit, objectives, rq, summarizer, unisid
 from .catalog import (LEVELS, CatalogSpec, ItemCatalog, generate_catalog,
                       load_catalog, save_catalog)
@@ -359,16 +361,14 @@ def load_sid_table(path: str) -> dict[int, tuple]:
     return _load_sid_doc(path)[0]
 
 
-def _user_sequences(cfg: Config, catalog: ItemCatalog
-                    ) -> list[evalsuite.UserSequence]:
+def _user_sequences(cfg: Config, catalog: ItemCatalog) -> np.ndarray:
     e = cfg.eval
     return evalsuite.gen_user_sequences(catalog, e.n_users, e.T,
                                         seed=e.seq_seed)
 
 
 def evaluate_scheme(cfg: Config, out: str, scheme: str, catalog: ItemCatalog,
-                    seqs: list[evalsuite.UserSequence] | None = None
-                    ) -> EvalReport:
+                    seqs: np.ndarray | None = None) -> EvalReport:
     """V-measure, collisions and recall of one scheme, and its HR@K on the
     user sequences `seqs` of `_user_sequences` if they are given."""
     table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"),

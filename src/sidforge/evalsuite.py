@@ -44,18 +44,8 @@ def _entropy(p: np.ndarray) -> float:
 
 def v_measure(clusters, labels) -> tuple[float, float, float]:
     """Homogeneity, completeness, and their harmonic mean, from
-    natural-log entropies of the contingency table.
-
-    Accepts two parallel sequences or two mappings over the same ids.
-    """
-    if isinstance(clusters, dict) or isinstance(labels, dict):
-        if not isinstance(clusters, dict) or not isinstance(labels, dict):
-            raise InputError("clusters and labels must both be mappings")
-        if set(clusters) != set(labels):
-            raise InputError("cluster/label id domains differ")
-        ids = sorted(clusters)
-        clusters = [clusters[i] for i in ids]
-        labels = [labels[i] for i in ids]
+    natural-log entropies of the contingency table of two parallel
+    sequences."""
     counts = make_contingency(clusters, labels)
     n = counts.sum()
     joint = counts / n
@@ -85,18 +75,14 @@ def sid_level_vmeasure(sid_table: dict[int, tuple], catalog: ItemCatalog,
 
 # --- synthetic user sequences ----------------------------------------------
 
-@dataclass
-class UserSequence:
-    history: list[int]
-    target: int
-
-
 def gen_user_sequences(catalog: ItemCatalog, n_users: int, T: int = 20,
                        seed: int = 0, preference: float = 0.8
-                       ) -> list[UserSequence]:
-    """Each user favors two level-2 subtrees: items are drawn from a
-    preferred subtree with probability `preference`, else uniformly.  The
-    last item is the held-out next-item target.
+                       ) -> np.ndarray:
+    """A read-only (n_users, T) int64 array of item ids, one row per
+    user: columns 0..T-2 are the history and column T-1 is the held-out
+    next-item target.  Each user favors two level-2 subtrees: items are
+    drawn from a preferred subtree with probability `preference`, else
+    uniformly.
 
     The draw is a fixed set of whole-array draws from `seed`, in this
     order: the preferred nodes (the first two columns of an argsort of
@@ -129,10 +115,8 @@ def gen_user_sequences(catalog: ItemCatalog, n_users: int, T: int = 20,
     inside = by_l2[start[node] + rng.integers(size[node])]
     uniform = rng.integers(n_items, size=(n_users, T))
     items = np.where(rng.random((n_users, T)) < preference, inside, uniform)
-    # one shared int object per item id, not one per draw
-    ids = np.array(range(n_items), dtype=object)
-    return [UserSequence(history=row[:-1], target=row[-1])
-            for row in ids[items].tolist()]
+    items.flags.writeable = False
+    return items
 
 
 # --- next-SID model ---------------------------------------------------------
@@ -143,7 +127,7 @@ class NextSidConfig:
     K: int = numkit.rule("int", ">= 1", default=16)
     d_s: int = numkit.rule("int", ">= 1", default=32)
     hidden: int = numkit.rule("int", ">= 1", default=32)
-    # history 0 would take the whole history (seq.history[-0:])
+    # history 0 would leave no item to average over
     history: int = numkit.rule("int", ">= 1", default=5)
     epochs: int = numkit.rule("int", ">= 0", default=10)
     batch_size: int = numkit.rule("int", ">= 1", default=64)
@@ -177,14 +161,12 @@ def init_next_sid(config: NextSidConfig) -> NextSidModel:
     return NextSidModel(table=table, scorers=scorers, config=config)
 
 
-def _sid_tokens(items: list[int], sid_table: dict[int, tuple],
-                L: int) -> np.ndarray:
-    """The (len(items), L) SID tokens of `items`."""
+def _sids(items: list[int], sid_table: dict[int, tuple]) -> list[tuple]:
+    """The SIDs of the item ids `items`."""
     try:
-        sids = [sid_table[item] for item in items]
+        return [sid_table[item] for item in items]
     except KeyError as e:
         raise InputError(f"item {e.args[0]} has no SID") from None
-    return np.array(sids, dtype=np.int64).reshape(len(items), L)
 
 
 @functools.cache
@@ -196,60 +178,81 @@ def _level_offsets(L: int, K: int) -> np.ndarray:
     return offsets
 
 
-# the reduceat start of a single sequence's rows
-_FIRST_ROW = np.zeros(1, dtype=np.intp)
-_FIRST_ROW.flags.writeable = False
+def _tail_rows(sequences, sid_table: dict[int, tuple],
+               config: NextSidConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, h, L) table rows of the last h = min(history, T - 1)
+    history items of each of the n sequences, and the (n, L) SID tokens
+    of their targets, from one SID lookup of the last h + 1 columns.
+
+    `sequences` is an (n, T) integer array-like, T >= 2, as
+    `gen_user_sequences` returns: each row a user's history, then the
+    target."""
+    try:
+        seqs = np.asarray(sequences)
+    except ValueError:  # rows of different lengths
+        seqs = None
+    if (seqs is None or seqs.ndim != 2 or seqs.shape[1] < 2
+            or seqs.dtype.kind not in "iu"):
+        raise InputError("sequences must be an (n, T) integer array with "
+                         "T >= 2")
+    n, T = seqs.shape
+    h = min(config.history, T - 1)
+    tokens = np.array(_sids(seqs[:, T - h - 1:].ravel().tolist(), sid_table),
+                      dtype=np.int64).reshape(n, h + 1, config.L)
+    rows = tokens[:, :h]
+    rows += _level_offsets(config.L, config.K)
+    return rows, tokens[:, h]
 
 
-def _tail_rows(sequences: list[UserSequence], sid_table: dict[int, tuple],
-               config: NextSidConfig):
-    """The (m, L) table rows of all m items in the last H history items
-    of every sequence, in sequence order, and the number of them per
-    sequence."""
-    c = config
-    tails = [seq.history[-c.history:] for seq in sequences]
-    if not all(tails):
-        raise InputError("a sequence has an empty history")
-    rows = _sid_tokens([item for t in tails for item in t], sid_table, c.L)
-    rows += _level_offsets(c.L, c.K)
-    return rows, np.array([len(t) for t in tails], dtype=np.int64)
+def _mean_rows(table: np.ndarray, rows: np.ndarray, h: int) -> np.ndarray:
+    """The mean over each run of h consecutive (m, L) `rows` of their
+    summed level-token embeddings, one row per run.
+
+    The runs are summed with `np.add.reduceat` from uniform starts: its
+    summation order is not `np.add.reduce`'s along an item axis, and off
+    the float32 grid the two round differently."""
+    items = np.add.reduce(table[rows], axis=1)
+    out = np.add.reduceat(items, np.arange(0, len(rows), h), axis=0)
+    out /= h
+    return out
 
 
-def _mean_rows(table: np.ndarray, rows: np.ndarray,
-               counts: np.ndarray) -> np.ndarray:
-    """Per sequence, the mean over its tail items of their summed
-    level-token embeddings."""
-    starts = counts.cumsum() - counts
-    return np.add.reduceat(table[rows].sum(axis=1), starts,
-                           axis=0) / counts[:, None]
+def _histories(model: NextSidModel, sequences, sid_table: dict[int, tuple]
+               ) -> tuple[np.ndarray, list[tuple]]:
+    """The (n, d_s) history vectors of the (n, T) `sequences`, each the
+    mean over the last h items of their summed level-token embeddings,
+    and the n target SIDs.
+
+    A served query, a list holding one row array, runs the same
+    arithmetic on the row alone: the (1, T) array and its 2-D slices
+    cost about 3 us, a few per cent of the query."""
+    c = model.config
+    if (type(sequences) is list and len(sequences) == 1
+            and type(sequences[0]) is np.ndarray):
+        row = sequences[0]
+        if row.ndim == 1 and len(row) >= 2 and row.dtype.kind in "iu":
+            h = min(c.history, len(row) - 1)
+            sids = _sids(row[-h - 1:].tolist(), sid_table)
+            rows = np.array(sids[:-1], dtype=np.int64).reshape(h, c.L)
+            rows += _level_offsets(c.L, c.K)
+            return _mean_rows(model.table, rows, h), [tuple(sids[-1])]
+    rows, targets = _tail_rows(sequences, sid_table, c)
+    n, h, L = rows.shape
+    return (_mean_rows(model.table, rows.reshape(n * h, L), h),
+            list(map(tuple, targets.tolist())))
 
 
-def _history_vectors(model: NextSidModel, sequences: list[UserSequence],
+def _history_vectors(model: NextSidModel, sequences,
                      sid_table: dict[int, tuple]) -> np.ndarray:
     """Mean over the last H history items of their summed level-token
-    embeddings.
-
-    One sequence, a served query, gathers its rows without the
-    per-sequence counts and offsets (its level offsets and reduceat
-    start are cached), but sums them with the same `np.add.reduceat`:
-    its summation order is not `np.add.reduce`'s, and off the float32
-    grid the two round differently."""
-    c = model.config
-    if len(sequences) != 1:
-        return _mean_rows(model.table, *_tail_rows(sequences, sid_table, c))
-    tail = sequences[0].history[-c.history:]
-    if not tail:
-        raise InputError("a sequence has an empty history")
-    rows = _sid_tokens(tail, sid_table, c.L)
-    rows += _level_offsets(c.L, c.K)
-    return np.add.reduceat(model.table[rows].sum(axis=1), _FIRST_ROW,
-                           axis=0) / len(tail)
+    embeddings, one row per sequence."""
+    return _histories(model, sequences, sid_table)[0]
 
 
-def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
-                targets: np.ndarray, loss: bool = True):
-    """`next_sid_loss_grads` on index arrays: the tail rows and counts of
-    `_tail_rows` and the (n, L) target tokens.  With loss=False the
+def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray,
+                loss: bool = True):
+    """`next_sid_loss_grads` on index arrays: the (n, h, L) tail rows and
+    (n, L) target tokens of `_tail_rows`.  With loss=False the
     log-sum-exp and the loss are skipped and the loss is None.
 
     Each sequence's scorer input is one row of a full-width buffer, as
@@ -258,10 +261,10 @@ def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
     d_s + l*K columns.  The row max's shifted exp is taken once per
     level and serves the log-sum-exp and the softmax alike."""
     c = model.config
-    n = len(counts)
+    n, h, _ = rows.shape
     at = np.arange(n)
     x = np.zeros((n, c.d_s + (c.L - 1) * c.K))
-    x[:, :c.d_s] = _mean_rows(model.table, rows, counts)
+    x[:, :c.d_s] = _mean_rows(model.table, rows.reshape(n * h, -1), h)
     x[at[:, None], c.d_s + _level_offsets(c.L - 1, c.K)
       + targets[:, :-1]] = 1.0
     total = 0.0 if loss else None
@@ -285,46 +288,39 @@ def _loss_grads(model: NextSidModel, rows: np.ndarray, counts: np.ndarray,
     # each row a sequence used gets its share of the mean, added in
     # (sequence, item, level) order: bincount starts every (row, column)
     # bin at 0.0 and adds into it in index order, as np.add.at would
-    share = np.repeat(g_hist / counts[:, None], counts * c.L, axis=0)
+    share = np.repeat(g_hist / h, h * c.L, axis=0)
     flat = rows.reshape(-1, 1) * c.d_s + np.arange(c.d_s)
     g_table = np.bincount(flat.reshape(-1), weights=share.reshape(-1),
                           minlength=model.table.size)
     return total, g_table.reshape(model.table.shape), scorer_grads
 
 
-def next_sid_loss_grads(model: NextSidModel, sequences: list[UserSequence],
+def next_sid_loss_grads(model: NextSidModel, sequences,
                         sid_table: dict[int, tuple]):
     """Teacher-forced cross-entropy over all L levels of the target SID,
-    averaged over sequences.  Returns (loss, table grad, scorer grads)."""
-    rows, counts = _tail_rows(sequences, sid_table, model.config)
-    targets = _sid_tokens([s.target for s in sequences], sid_table,
-                          model.config.L)
-    return _loss_grads(model, rows, counts, targets)
+    averaged over the (n, T) `sequences`.  Returns (loss, table grad,
+    scorer grads)."""
+    return _loss_grads(model, *_tail_rows(sequences, sid_table,
+                                          model.config))
 
 
-def train_next_sid(sequences: list[UserSequence],
-                   sid_table: dict[int, tuple],
+def train_next_sid(sequences, sid_table: dict[int, tuple],
                    config: NextSidConfig) -> NextSidModel:
-    """Adam training of the next-SID predictor; deterministic per seed.
+    """Adam training of the next-SID predictor on the (n, T) `sequences`;
+    deterministic per seed.
 
     The sequences become index arrays once; each batch indexes them."""
     model = init_next_sid(config)
     store = numkit.ParamStore(model.scorers, config.lr, extra=[model.table])
     model.table = store.extra[0]
-    rows, counts = _tail_rows(sequences, sid_table, config)
-    targets = _sid_tokens([s.target for s in sequences], sid_table, config.L)
-    starts = np.cumsum(counts) - counts
+    rows, targets = _tail_rows(sequences, sid_table, config)
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        perm = rng.permutation(len(sequences))
-        for start in range(0, len(sequences), config.batch_size):
+        perm = rng.permutation(len(rows))
+        for start in range(0, len(rows), config.batch_size):
             batch = perm[start:start + config.batch_size]
-            # the batch's tail rows, sequence by sequence
-            n_tail = counts[batch]
-            at = (np.repeat(starts[batch] - (np.cumsum(n_tail) - n_tail),
-                            n_tail) + np.arange(n_tail.sum()))
             _, g_table, scorer_grads = _loss_grads(
-                model, rows[at], n_tail, targets[batch], loss=False)
+                model, rows[batch], targets[batch], loss=False)
             store.step([g_table] + [g for gs in scorer_grads for g in gs])
     return model
 
@@ -449,20 +445,17 @@ def _checked_width(k_list: list[int], beam_width: int | None) -> int:
     return beam_width
 
 
-def hr_at_k(model: NextSidModel, test_sequences: list[UserSequence],
+def hr_at_k(model: NextSidModel, test_sequences,
             sid_table: dict[int, tuple], k_list: list[int],
             beam_width: int | None = None) -> dict[int, float]:
-    """SID-level Hit Rate: a test case is a hit at K when the target's
-    SID sequence appears among the top-K beam-decoded sequences.  The
-    beam, max(k_list) by default, must cover max(k_list)."""
+    """SID-level Hit Rate over the (n, T) `test_sequences`: a test case
+    is a hit at K when the target's SID sequence appears among the
+    top-K beam-decoded sequences.  The beam, max(k_list) by default,
+    must cover max(k_list)."""
     beam_width = _checked_width(k_list, beam_width)
-    if not test_sequences:
+    hist, truths = _histories(model, test_sequences, sid_table)
+    if not truths:
         raise InputError("no test sequences")
-    try:
-        truths = [tuple(sid_table[seq.target]) for seq in test_sequences]
-    except KeyError as e:
-        raise InputError(f"item {e.args[0]} has no SID") from None
-    hist = _history_vectors(model, test_sequences, sid_table)
     # each user's 0-based hit rank; beam_width when the target is missed
     ranks = []
     for vec, truth in zip(hist, truths):

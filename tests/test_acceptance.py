@@ -18,9 +18,8 @@ from sidforge import evalsuite, numkit, rq, summarizer, unisid
 from sidforge.catalog import CatalogSpec, generate_catalog
 from sidforge.checkpoint import load_checkpoint, save_checkpoint
 from sidforge.cli import main
-from sidforge.evalsuite import (NextSidConfig, UserSequence, _history_vectors,
-                                hr_at_k, retrieval_recall, train_next_sid,
-                                v_measure)
+from sidforge.evalsuite import (NextSidConfig, _history_vectors, hr_at_k,
+                                retrieval_recall, train_next_sid, v_measure)
 from sidforge.objectives import (TrainConfig, code_usage_loss,
                                  emb_contrastive_loss, make_contrast_batch,
                                  mg_contrastive_loss, train_unisid)
@@ -210,10 +209,7 @@ def test_criterion_1_gradient_soundness(small_catalog):
         # next-SID training loss
         sid_table = {i: (int(rng.integers(4)), int(rng.integers(4)))
                      for i in range(10)}
-        seqs = [UserSequence(history=[int(rng.integers(10))
-                                      for _ in range(4)],
-                             target=int(rng.integers(10)))
-                for _ in range(5)]
+        seqs = rng.integers(10, size=(5, 5))
         ns_model = evalsuite.init_next_sid(
             NextSidConfig(L=2, K=4, d_s=6, hidden=8, history=3, seed=seed))
         for s in ns_model.scorers:  # break the zero-init symmetry
@@ -349,8 +345,7 @@ def test_criterion_4_beam_equals_exhaustive():
     K, L = 3, 2
     sid_table = {i: (int(rng.integers(K)), int(rng.integers(K)))
                  for i in range(12)}
-    seqs = [UserSequence(history=[int(rng.integers(12)) for _ in range(4)],
-                         target=int(rng.integers(12))) for _ in range(5)]
+    seqs = rng.integers(12, size=(5, 5))
     cfg = NextSidConfig(L=L, K=K, d_s=6, hidden=8, history=3, epochs=4,
                         seed=1)
     model = train_next_sid(seqs, sid_table, cfg)
@@ -374,7 +369,7 @@ def test_criterion_4_beam_equals_exhaustive():
         scored.sort(key=lambda t: (-t[0], t[1]))
         ranked = [c for _, c in scored]
         for k in k_list:
-            if tuple(sid_table[s.target]) in ranked[:k]:
+            if tuple(sid_table[int(s[-1])]) in ranked[:k]:
                 hits[k] += 1
     want = {k: hits[k] / len(seqs) for k in k_list}
     ok = got == want

@@ -16,7 +16,7 @@ from sidforge.catalog import build_tree, load_catalog
 from sidforge.cli import (DEFAULT_CONFIG, _apply_seed_override, _merge,
                           config_digest, evaluate_scheme, load_config,
                           load_sid_table, main)
-from sidforge.errors import ConfigurationError, SidforgeError
+from sidforge.errors import CatalogError, ConfigurationError, SidforgeError
 
 import golden
 
@@ -354,6 +354,26 @@ def test_missing_checkpoint_is_a_typed_error(run_dir, tmp_path, capsys):
             f"{copy / 'unisid.ckpt'}; run train-unisid first\n")
     with pytest.raises(SidforgeError, match="run fit-rqkmeans first"):
         cli._load_bundle(str(tmp_path), "rqkmeans")
+
+
+@pytest.mark.parametrize("block, index, value", [("visual", 3, True),
+                                                 ("text", 0, False)])
+def test_boolean_feature_value_is_a_catalog_error(run_dir, tmp_path, capsys,
+                                                  block, index, value):
+    # a JSON true/false among the feature numbers once loaded as 1.0/0.0
+    out, cfg_path = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "catalog.json"
+    doc = json.loads(path.read_text())
+    doc[block][index] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match=f"{block} holds a boolean"):
+        load_catalog(str(path))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == (
+        f"error [CatalogError]: {block} holds a boolean, not a number\n")
 
 
 def _sections(section, name):

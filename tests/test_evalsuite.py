@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from sidforge import evalsuite, numkit
 from sidforge.errors import ConfigurationError, InputError, NumericError
-from sidforge.evalsuite import (EvalReport, NextSidConfig, UserSequence,
-                                _history_vectors, beam_decode,
-                                gen_user_sequences, hr_at_k, init_next_sid,
+from sidforge.evalsuite import (EvalReport, NextSidConfig, _history_vectors,
+                                beam_decode, gen_user_sequences, hr_at_k,
+                                init_next_sid,
                                 load_report, make_contingency,
                                 next_sid_loss_grads, retrieval_recall,
                                 sid_level_vmeasure, train_next_sid, v_measure)
@@ -60,16 +60,6 @@ def test_v_measure_matches_sklearn(rng):
         assert abs(h - hs) < 1e-9 and abs(c - cs) < 1e-9 and abs(v - vs) < 1e-9
 
 
-def test_v_measure_dict_inputs():
-    cl = {10: 0, 11: 0, 12: 1}
-    la = {10: "x", 11: "x", 12: "y"}
-    assert v_measure(cl, la) == v_measure([0, 0, 1], ["x", "x", "y"])
-    with pytest.raises(InputError):
-        v_measure(cl, {10: "x", 11: "x", 99: "y"})
-    with pytest.raises(InputError):
-        v_measure(cl, ["x", "x", "y"])
-
-
 def test_make_contingency_errors():
     with pytest.raises(InputError):
         make_contingency([], [])
@@ -92,33 +82,32 @@ def test_sid_level_vmeasure_label_aligned(small_catalog):
 def test_gen_user_sequences_properties(small_catalog):
     seqs = gen_user_sequences(small_catalog, n_users=20, T=10, seed=4)
     again = gen_user_sequences(small_catalog, n_users=20, T=10, seed=4)
-    assert [(s.history, s.target) for s in seqs] == \
-        [(s.history, s.target) for s in again]
+    assert np.array_equal(seqs, again)
     other = gen_user_sequences(small_catalog, n_users=20, T=10, seed=5)
-    assert [(s.history, s.target) for s in seqs] != \
-        [(s.history, s.target) for s in other]
-    assert all(len(s.history) == 9 for s in seqs)
-    assert all(type(v) is int for s in seqs for v in s.history + [s.target])
-    assert gen_user_sequences(small_catalog, n_users=0, T=10, seed=4) == []
+    assert not np.array_equal(seqs, other)
+    assert gen_user_sequences(small_catalog, n_users=0, T=10,
+                              seed=4).shape == (0, 10)
     for bad_T in (1, len(small_catalog.items)):
         with pytest.raises(ConfigurationError):
             gen_user_sequences(small_catalog, 2, T=bad_T)
     # at preference=1 every touched item lies in the user's two subtrees
     pure = gen_user_sequences(small_catalog, 10, T=10, seed=4,
                               preference=1.0)
-    for s in pure:
-        l2s = set(small_catalog.labels[s.history + [s.target], 1])
-        assert len(l2s) <= 2
+    for row in pure:
+        assert len(set(small_catalog.labels[row, 1])) <= 2
 
 
-def test_gen_user_sequences_share_item_objects(medium_catalog):
-    # one int object per item id, however often it is drawn: ids above
-    # 256 are not cached by the interpreter, and one int per draw would
-    # cost 28 bytes each
-    seqs = gen_user_sequences(medium_catalog, 200, T=20, seed=1)
-    first = {}
-    for v in (v for s in seqs for v in s.history + [s.target]):
-        assert first.setdefault(v, v) is v
+def test_gen_user_sequences_read_only_int64_array(medium_catalog):
+    # one (n_users, T) array, history columns then the target column;
+    # read-only, so a caller's slice of it cannot edit another's users
+    seqs = gen_user_sequences(medium_catalog, 50, T=7, seed=2)
+    assert type(seqs) is np.ndarray
+    assert seqs.shape == (50, 7) and seqs.dtype == np.int64
+    assert not seqs.flags.writeable
+    with pytest.raises(ValueError):
+        seqs[0, 0] = 1
+    assert seqs.tolist() == _oracle_user_sequences(medium_catalog, 50, 7,
+                                                   2, 0.8)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -158,13 +147,9 @@ def _oracle_user_sequences(catalog, n_users, T, seed, preference):
     inside = rng.integers([[len(nodes[c]) for c in row] for row in node_of])
     uniform = rng.integers(len(catalog.items), size=(n_users, T))
     coin = rng.random((n_users, T))
-    out = []
-    for u in range(n_users):
-        seq = [nodes[node_of[u][t]][inside[u, t]]
-               if coin[u, t] < preference else int(uniform[u, t])
-               for t in range(T)]
-        out.append((seq[:-1], seq[-1]))
-    return out
+    return [[nodes[node_of[u][t]][inside[u, t]]
+             if coin[u, t] < preference else int(uniform[u, t])
+             for t in range(T)] for u in range(n_users)]
 
 
 @pytest.mark.parametrize("T, seed, preference", [
@@ -174,8 +159,8 @@ def test_gen_user_sequences_matches_oracle(small_catalog, medium_catalog,
     for cat in (small_catalog, medium_catalog):
         got = gen_user_sequences(cat, 300, T=T, seed=seed,
                                  preference=preference)
-        assert [(s.history, s.target) for s in got] == \
-            _oracle_user_sequences(cat, 300, T, seed, preference)
+        assert got.tolist() == _oracle_user_sequences(cat, 300, T, seed,
+                                                      preference)
 
 
 def test_gen_user_sequences_statistics(small_catalog):
@@ -183,9 +168,7 @@ def test_gen_user_sequences_statistics(small_catalog):
     # correct draw
     cat, n, T, p = small_catalog, 20000, 10, 0.8
     n_l2 = cat.spec.branching[0] * cat.spec.branching[1]
-    items = np.array([s.history + [s.target]
-                      for s in gen_user_sequences(cat, n, T=T, seed=8,
-                                                  preference=p)])
+    items = gen_user_sequences(cat, n, T=T, seed=8, preference=p)
     prefs = _drawn_prefs(cat, n, seed=8)
     assert (prefs[:, 0] != prefs[:, 1]).all()
     node = cat.labels[items, 1]
@@ -207,9 +190,7 @@ def test_gen_user_sequences_statistics(small_catalog):
     assert np.sum((counts - expected) ** 2 / expected) < 30.66
     # at preference 0 every item is an independent uniform draw; 131.37
     # is the 1 - 1e-6 quantile of chi-square with 63 degrees of freedom
-    flat = np.array([s.history + [s.target]
-                     for s in gen_user_sequences(cat, 2000, T=T, seed=9,
-                                                 preference=0.0)]).ravel()
+    flat = gen_user_sequences(cat, 2000, T=T, seed=9, preference=0.0).ravel()
     counts = np.bincount(flat, minlength=len(cat.items))
     expected = flat.size / len(cat.items)
     assert np.sum((counts - expected) ** 2 / expected) < 131.37
@@ -219,11 +200,11 @@ CFG = NextSidConfig(L=2, K=4, d_s=6, hidden=8, history=3, seed=2)
 
 
 def _toy_setup(rng):
+    """A 10-item SID table and 6 sequences of 4 history items and a
+    target: more history than CFG's window of 3."""
     table = {i: (int(rng.integers(4)), int(rng.integers(4)))
              for i in range(10)}
-    seqs = [UserSequence(history=[int(rng.integers(10)) for _ in range(4)],
-                         target=int(rng.integers(10))) for _ in range(6)]
-    return table, seqs
+    return table, rng.integers(10, size=(6, 5))
 
 
 def _oracle_history_vectors(model, sequences, sid_table):
@@ -232,7 +213,7 @@ def _oracle_history_vectors(model, sequences, sid_table):
     hist_vecs = np.empty((len(sequences), c.d_s))
     used_rows = []
     for i, seq in enumerate(sequences):
-        tail = seq.history[-c.history:]
+        tail = [int(v) for v in seq[:-1]][-c.history:]
         rows = []
         for item in tail:
             if item not in sid_table:
@@ -249,7 +230,7 @@ def _oracle_next_sid_loss_grads(model, sequences, sid_table):
     c = model.config
     n = len(sequences)
     hist, used_rows = _oracle_history_vectors(model, sequences, sid_table)
-    targets = np.array([sid_table[s.target] for s in sequences],
+    targets = np.array([sid_table[int(s[-1])] for s in sequences],
                        dtype=np.int64)
     loss = 0.0
     g_hist = np.zeros_like(hist)
@@ -294,17 +275,19 @@ def _oracle_beam_decode(model, hist_vec, beam_width):
     return beams
 
 
-def _ragged_setup(seed, L, K, n_items=30, n_seqs=40):
-    """A random SID table and sequences whose histories are shorter than,
-    equal to and longer than the model's history window."""
+def _sequence_setup(seed, L, K, T, n_items=30, n_seqs=40):
+    """A random SID table and an (n_seqs, T) array of sequences: T - 1
+    history items, then the target."""
     r = np.random.default_rng(seed)
     table = {i: tuple(int(t) for t in r.integers(K, size=L))
              for i in range(n_items)}
-    seqs = [UserSequence(history=[int(v) for v in
-                                  r.integers(n_items, size=r.integers(1, 8))],
-                         target=int(r.integers(n_items)))
-            for _ in range(n_seqs)]
-    return table, seqs
+    return table, r.integers(n_items, size=(n_seqs, T))
+
+
+def _lengths_around(H):
+    """Sequence lengths T whose T - 1 history items fall below, at and
+    above a history window of H items."""
+    return (H, H + 1, H + 3)
 
 
 def test_untrained_next_sid_loss_is_log_k(rng):
@@ -318,16 +301,10 @@ def test_history_vectors_mean_of_sums(rng):
     sid_table, seqs = _toy_setup(rng)
     model = init_next_sid(CFG)
     hist = _history_vectors(model, seqs, sid_table)
-    tail = seqs[0].history[-CFG.history:]
+    tail = seqs[0, -1 - CFG.history:-1].tolist()
     want = np.mean([sum(model.table[lvl * CFG.K + sid_table[i][lvl]]
                         for lvl in range(CFG.L)) for i in tail], axis=0)
     np.testing.assert_allclose(hist[0], want)
-    with pytest.raises(InputError):
-        _history_vectors(model, [UserSequence(history=[99], target=0)],
-                         sid_table)
-    with pytest.raises(InputError):
-        _history_vectors(model, [UserSequence(history=[], target=0)],
-                         sid_table)
 
 
 def test_next_sid_grads_finite_difference(rng):
@@ -390,9 +367,9 @@ def test_beam_ties_lexicographic(rng):
 
 
 def test_history_vectors_and_grads_match_loop():
-    for seed in range(3):
+    for seed, T in enumerate(_lengths_around(4)):
         cfg = NextSidConfig(L=3, K=5, d_s=6, hidden=8, history=4, seed=seed)
-        sid_table, seqs = _ragged_setup(seed, cfg.L, cfg.K)
+        sid_table, seqs = _sequence_setup(seed, cfg.L, cfg.K, T)
         model = init_next_sid(cfg)
         r = np.random.default_rng(seed)
         for s in model.scorers:  # generic, nonzero gradients
@@ -419,8 +396,7 @@ def _oracle_train_next_sid(sequences, sid_table, config):
     for _ in range(config.epochs):
         perm = rng.permutation(len(sequences))
         for start in range(0, len(sequences), config.batch_size):
-            batch = [sequences[i]
-                     for i in perm[start:start + config.batch_size]]
+            batch = sequences[perm[start:start + config.batch_size]]
             _, g_table, scorer_grads = _oracle_next_sid_loss_grads(
                 model, batch, sid_table)
             store.step([g_table] + [g for gs in scorer_grads for g in gs])
@@ -429,10 +405,12 @@ def _oracle_train_next_sid(sequences, sid_table, config):
 
 def _trained_next_sid_digest(L, K):
     """SHA-256 of a seeded model's trained table and scorer bytes; 25
-    sequences in batches of 8 leave a last batch of one sequence."""
+    sequences in batches of 8 leave a last batch of one sequence.  Their
+    L + 2 history items fall below (L = 1), at (L = 2) and above the
+    window of 4."""
     cfg = NextSidConfig(L=L, K=K, d_s=6, hidden=8, history=4, epochs=3,
                         batch_size=8, seed=L + K)
-    sid_table, seqs = _ragged_setup(10 * L + K, L, K, n_seqs=25)
+    sid_table, seqs = _sequence_setup(10 * L + K, L, K, L + 3, n_seqs=25)
     model = train_next_sid(seqs, sid_table, cfg)
     h = hashlib.sha256(model.table.astype("<f8").tobytes())
     for s in model.scorers:
@@ -441,22 +419,24 @@ def _trained_next_sid_digest(L, K):
     return h.hexdigest()
 
 
-# recorded from the step that built a zeroed prefix and concatenated it
-# to the history vector at every level, with two exps per level: the
-# one-buffer step must train the same bits
+# recorded from the per-sequence list code (`UserSequence` histories,
+# per-sequence tail counts) on these fixed-length inputs; its digests on
+# ragged histories had been checked against the step that built a zeroed
+# prefix and concatenated it to the history vector at every level, with
+# two exps per level: the array form must train the same bits
 GOLDEN_NEXT_SID_SHA256 = {
     (1, 1): "6c8410e19ce62b49be04905f0b6b1948d8b838f767ff84ccab8a362454744afd",
-    (1, 5): "7919d6de595353e7be68a39810bcdb6536f124e1518423c29886b29be20291ff",
-    (1, 16): "b4280a3fb73c6b6c3b5f727a15c0afff754a5ed67f501d3ad833274f7d9ecddf",
+    (1, 5): "b05602bb523495a3ee411480fd493ebc84522bf7684eaa584b25af0cb499bffe",
+    (1, 16): "24a60049e29fa33a2e9815596c1678a1b88b4ad212629f38757018a39bd72370",
     (2, 1): "7b074af94da6616a32dd3dbb99db4339c61272ac488e7c183974ecf05ec7c2a4",
-    (2, 5): "cba07062def87ea8db073c51415dd3014710f059fd81143b797ad7c805fce238",
-    (2, 16): "36d0cb8fdcd54e4ee182726d4a399b7b051962c3484f62b0ac9d2325ba599413",
+    (2, 5): "adf71de70cd995833bde7cfe77eb803f7e757b961f136346355217ed95552755",
+    (2, 16): "6ab09ebea300a4ca0e524785e490f4ff9823353eae818973c90d8060420c970b",
     (3, 1): "6ac43d6e75565095f833b2bd427b23a502f240b37df68abddaf0ab7036efeb91",
-    (3, 5): "498fc24395cea7b591e65fcd9691ca5eceaa4fa20d6b9ed6debcc7386973dd06",
-    (3, 16): "5e8474834a350887d6f401f192c89b1635d0ccc7000b13382ee7760ebf3dbe6f",
+    (3, 5): "8d6564d71cc95877630824f2208e66d2087c22c3e29a761d1b5df2af8437c362",
+    (3, 16): "409d1725b0322822935f977f9cf2e43cdc92f0d117c1cf53d31567cc18a3df3a",
     (4, 1): "1f2dc4d2e2ab456b00e9a5b846bd8f41c0c1fbaf36cf5e79ceb1f2d7b7a2f0b8",
-    (4, 5): "ca73b8fd63314fe43608e44603bbd72c828743a80ab75aa917543fc18dd100f5",
-    (4, 16): "7eb6681c303f18f30c6ada468da21af26628d6ec353da644d1299e88e4140a8b",
+    (4, 5): "07f2f4a1b9bcdf72a19dfbb49eb110dcdde176f362eea4549a7e696ae864c349",
+    (4, 16): "1720b4b972ae9ed879531e2c39c2d5433c7223023ecf6643a54b8045fdde6ca5",
 }
 
 
@@ -477,11 +457,12 @@ def test_train_next_sid_matches_batch_loop(monkeypatch):
         return step(self, grads)
 
     monkeypatch.setattr(numkit.ParamStore, "step", recorded)
-    # ragged tails, and batches that do not divide the sequence count
-    for seed in range(3):
+    # tails of each length, and batches that do not divide the sequence
+    # count
+    for seed, T in enumerate(_lengths_around(4)):
         cfg = NextSidConfig(L=3, K=5, d_s=6, hidden=8, history=4, epochs=3,
                             batch_size=7, seed=seed)
-        sid_table, seqs = _ragged_setup(seed, cfg.L, cfg.K)
+        sid_table, seqs = _sequence_setup(seed, cfg.L, cfg.K, T)
         got = train_next_sid(seqs, sid_table, cfg)
         got_steps, steps[:] = steps[:], []
         want = _oracle_train_next_sid(seqs, sid_table, cfg)
@@ -500,8 +481,7 @@ def test_table_scatter_with_shared_rows():
     cfg = NextSidConfig(L=2, K=2, d_s=5, hidden=6, history=6, seed=1)
     sid_table = {i: (i % 2, 0) for i in range(6)}
     r = np.random.default_rng(3)
-    seqs = [UserSequence(history=[int(v) for v in r.integers(6, size=9)],
-                         target=int(r.integers(6))) for _ in range(50)]
+    seqs = r.integers(6, size=(50, 10))
     model = init_next_sid(cfg)
     for s in model.scorers:  # generic, nonzero gradients
         s.weights[-1] = 0.1 * r.normal(size=s.weights[-1].shape)
@@ -509,9 +489,6 @@ def test_table_scatter_with_shared_rows():
     want = _oracle_next_sid_loss_grads(model, seqs, sid_table)[1]
     assert np.array_equal(g_table, want)
     assert np.count_nonzero(np.abs(g_table).sum(axis=1)) == 3
-    with pytest.raises(InputError):
-        next_sid_loss_grads(model, [UserSequence(history=[0], target=99)],
-                            sid_table)
 
 
 def _oracle_batched_beam_decode(model, hist_vec, beam_width):
@@ -545,7 +522,7 @@ def _oracle_hr_at_k(model, test_sequences, sid_table, k_list, beam_width):
     hits = {k: 0 for k in k_list}
     hist = _history_vectors(model, test_sequences, sid_table)
     for i, seq in enumerate(test_sequences):
-        truth = tuple(sid_table[seq.target])
+        truth = tuple(sid_table[int(seq[-1])])
         decoded = [s for _, s in _oracle_batched_beam_decode(
             model, hist[i], beam_width)]
         for k in k_list:
@@ -566,8 +543,8 @@ def test_beam_decode_matches_loop():
     for L, K in ((2, 4), (3, 4), (2, 16), (3, 16)):
         cfg = NextSidConfig(L=L, K=K, d_s=8, hidden=16, history=3,
                             epochs=3, batch_size=16)
-        for seed in range(3):
-            sid_table, seqs = _ragged_setup(seed, L, K)
+        for seed, T in enumerate(_lengths_around(3)):
+            sid_table, seqs = _sequence_setup(seed, L, K, T)
             for model in _next_sid_models(cfg, seqs, sid_table, seed):
                 hist = _history_vectors(model, seqs[:6], sid_table)
                 for h in hist:
@@ -591,8 +568,8 @@ def test_beam_decode_matches_loop():
 def test_hr_at_k_matches_slice_counting(L, K):
     cfg = NextSidConfig(L=L, K=K, d_s=8, hidden=16, history=3, epochs=3,
                         batch_size=16)
-    for seed in range(3):
-        sid_table, seqs = _ragged_setup(seed, L, K)
+    for seed, T in enumerate(_lengths_around(3)):
+        sid_table, seqs = _sequence_setup(seed, L, K, T)
         for model in _next_sid_models(cfg, seqs, sid_table, seed):
             for width in (K, K + 3, K ** L):
                 k_list = sorted({1, min(5, width), width})
@@ -600,18 +577,6 @@ def test_hr_at_k_matches_slice_counting(L, K):
                               beam_width=width)
                 assert got == _oracle_hr_at_k(model, seqs[:12], sid_table,
                                               k_list, width)
-
-
-def _long_history_setup(seed, L, K, n_items=30, n_seqs=24, longest=14):
-    """Like `_ragged_setup`, with histories of 1 to `longest` items."""
-    r = np.random.default_rng(seed)
-    table = {i: tuple(int(t) for t in r.integers(K, size=L))
-             for i in range(n_items)}
-    seqs = [UserSequence(history=[int(v) for v in r.integers(
-                n_items, size=r.integers(1, longest + 1))],
-                         target=int(r.integers(n_items)))
-            for _ in range(n_seqs)]
-    return table, seqs
 
 
 @pytest.mark.parametrize("L, K, history", [(1, 4, 3), (1, 16, 9),
@@ -622,10 +587,8 @@ def test_beam_decode_matches_loop_edge_shapes(L, K, history):
     # equal to and longer than the window
     cfg = NextSidConfig(L=L, K=K, d_s=8, hidden=16, history=history,
                         epochs=3, batch_size=8)
-    for seed in range(2):
-        sid_table, seqs = _long_history_setup(seed, L, K)
-        lengths = {len(s.history) for s in seqs}
-        assert min(lengths) < history < max(lengths)
+    for seed, T in enumerate(_lengths_around(history)):
+        sid_table, seqs = _sequence_setup(seed, L, K, T, n_seqs=24)
         for model in _next_sid_models(cfg, seqs, sid_table, seed):
             want_hist, _ = _oracle_history_vectors(model, seqs, sid_table)
             assert np.array_equal(
@@ -650,8 +613,8 @@ def test_single_query_history_bits_off_the_float32_grid():
     # batch hr_at_k over the same users
     cfg = NextSidConfig(L=3, K=16, d_s=8, hidden=16, history=6, epochs=2,
                         batch_size=16, seed=4)
-    sid_table, seqs = _long_history_setup(4, cfg.L, cfg.K, n_items=60,
-                                          n_seqs=200, longest=10)
+    sid_table, seqs = _sequence_setup(4, cfg.L, cfg.K, 11, n_items=60,
+                                      n_seqs=200)
     model = train_next_sid(seqs, sid_table, cfg)
     r = np.random.default_rng(4)
     model.table = model.table * (1.0 + 1e-3 * r.random(model.table.shape))
@@ -772,17 +735,19 @@ def test_beam_decode_matches_argsort_on_integer_models():
             assert [t for _, t in got] == [t for _, t in want]
 
 
-# recorded from the decoder that sorted every level with one stable
-# argsort: any change to beam_decode must keep each beam's score bits
-# and tokens
+# recorded from the per-sequence list code on these fixed-length inputs;
+# its digest on ragged histories had been recorded from the decoder that
+# sorted every level with one stable argsort: any change to beam_decode
+# must keep each beam's score bits and tokens
 GOLDEN_BEAMS_SHA256 = (
-    "34e00d257f3dbd14904f5ee4f7da97c55b3a3039e628890f6358edd251c52a3c")
+    "59d2ed0c127864b9abfbf9e6f124a080b8a0782bf75ed5a7c1d0add4fbe52048")
 
 
 def test_beam_decode_golden_bits():
     cfg = NextSidConfig(L=3, K=16, d_s=8, hidden=16, history=3, epochs=3,
                         batch_size=16, seed=7)
-    sid_table, seqs = _ragged_setup(7, cfg.L, cfg.K, n_items=60, n_seqs=200)
+    sid_table, seqs = _sequence_setup(7, cfg.L, cfg.K, 6, n_items=60,
+                                      n_seqs=200)
     model = train_next_sid(seqs, sid_table, cfg)
     h = hashlib.sha256()
     for vec in _history_vectors(model, seqs, sid_table):
@@ -798,7 +763,7 @@ def test_beam_decode_call_structure(monkeypatch):
     # one beam_decode per user and one scorer call per level: the
     # benchmark's per-query clock and call ratio rely on both
     cfg = NextSidConfig(L=3, K=4, d_s=6, hidden=8, history=3, seed=1)
-    sid_table, seqs = _ragged_setup(0, cfg.L, cfg.K)
+    sid_table, seqs = _sequence_setup(0, cfg.L, cfg.K, 5)
     model = init_next_sid(cfg)
     calls = {"decode": 0, "mlp": 0}
     decode, apply = evalsuite.beam_decode, numkit.mlp_apply
@@ -843,7 +808,7 @@ def test_hr_at_k_degenerate_table(rng):
 
 def test_hr_at_k_target_without_sid(rng):
     sid_table, seqs = _toy_setup(rng)
-    seqs.append(UserSequence(history=[0, 1], target=99))
+    seqs = np.vstack([seqs, [0, 1, 2, 3, 99]])
     with pytest.raises(InputError, match="item 99 has no SID"):
         hr_at_k(init_next_sid(CFG), seqs, sid_table, [1, 3])
 
@@ -851,7 +816,37 @@ def test_hr_at_k_target_without_sid(rng):
 def test_hr_at_k_no_test_sequences(rng):
     sid_table, _ = _toy_setup(rng)
     with pytest.raises(InputError, match="no test sequences"):
-        hr_at_k(init_next_sid(CFG), [], sid_table, [1, 3])
+        hr_at_k(init_next_sid(CFG), np.empty((0, 5), dtype=np.int64),
+                sid_table, [1, 3])
+
+
+_NOT_AN_ARRAY = r"sequences must be an \(n, T\) integer array with T >= 2"
+
+
+@pytest.mark.parametrize("seqs, message", [
+    ([0, 1, 2], _NOT_AN_ARRAY),                     # 1-D
+    ([[0], [1]], _NOT_AN_ARRAY),                    # T < 2
+    ([[0.0, 1.0], [2.0, 3.0]], _NOT_AN_ARRAY),      # float
+    ([[0, 1, 2], [3, 4]], _NOT_AN_ARRAY),           # rows of two lengths
+    ([], _NOT_AN_ARRAY),
+    ([[0, 1, 2], [99, 0, 1]], "item 99 has no SID"),  # a history item
+    ([[0, 1, 2], [0, 1, 99]], "item 99 has no SID"),  # a target
+    # a list holding one row array takes the served-query path
+    ([np.array([0])], _NOT_AN_ARRAY),
+    ([np.array([0.0, 1.0])], _NOT_AN_ARRAY),
+    ([np.array([99, 0, 1])], "item 99 has no SID"),
+    ([np.array([0, 1, 99])], "item 99 has no SID"),
+])
+def test_next_sid_rejects_bad_sequences(rng, seqs, message):
+    sid_table, _ = _toy_setup(rng)
+    model = init_next_sid(CFG)
+    calls = [lambda s: train_next_sid(s, sid_table, CFG),
+             lambda s: next_sid_loss_grads(model, s, sid_table),
+             lambda s: _history_vectors(model, s, sid_table),
+             lambda s: hr_at_k(model, s, sid_table, [1, 3])]
+    for call in calls:
+        with pytest.raises(InputError, match=message):
+            call(seqs)
 
 
 @pytest.mark.parametrize("beam_width", [2.5, 3.0, True, 0, -1, "4"])
@@ -894,7 +889,7 @@ def test_hr_at_k_checks_as_require(k_list, beam_width):
     # exactly what require does, with require's exception and message
     model = init_next_sid(NextSidConfig(L=2, K=2, d_s=2, hidden=2))
     table = {0: (0, 1), 1: (1, 0)}
-    seqs = [UserSequence(history=[0], target=1)]
+    seqs = [[0, 1]]
     want = _require_outcome(k_list, beam_width)
     try:
         hr = hr_at_k(model, seqs, table, k_list, beam_width)
