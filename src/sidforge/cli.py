@@ -167,6 +167,11 @@ class Config(NamedTuple):
     case_study: CaseStudy
 
 
+# eval trains one next-SID model per scheme, which takes 64-68 bytes
+# of memory per parameter at its peak; its size grows as hidden*K*L^2/2
+MAX_NEXT_SID_SIZE = 10_000_000
+
+
 def check_config(cfg: dict) -> Config:
     """Builds and checks every section of the resolved config `cfg`."""
     e = cfg["eval"]
@@ -200,6 +205,13 @@ def check_config(cfg: dict) -> Config:
                 "each level clusters")
     if sections["eval"].T >= spec.n_items:
         raise ConfigurationError("eval.T must be below catalog.n_items")
+    for name in ("train", "rq", "rqvae"):
+        size = evalsuite.next_sid_size(replace(
+            sections["eval"].next_sid, L=sections[name].L, K=sections[name].K))
+        if size > MAX_NEXT_SID_SIZE:
+            raise ConfigurationError(
+                f"{name}.L and {name}.K must give a next-SID model of at "
+                f"most {MAX_NEXT_SID_SIZE:,} parameters, not {size:,}")
     if train.use_sid and train.L != LEVELS:
         raise ConfigurationError(
             f"train.L must be {LEVELS}, the taxonomy depth, while "

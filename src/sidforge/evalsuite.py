@@ -161,12 +161,28 @@ def init_next_sid(config: NextSidConfig) -> NextSidModel:
     return NextSidModel(table=table, scorers=scorers, config=config)
 
 
+def next_sid_size(config: NextSidConfig) -> int:
+    """The parameter count of `init_next_sid(config)`: the (L*K, d_s)
+    table, and per level l a scorer d_s + l*K -> hidden -> K."""
+    L, K, d_s, hidden = config.L, config.K, config.d_s, config.hidden
+    return (L * (K * d_s + d_s * hidden + hidden + hidden * K + K)
+            + hidden * K * L * (L - 1) // 2)
+
+
 def _sids(items: list[int], sid_table: dict[int, tuple]) -> list[tuple]:
     """The SIDs of the item ids `items`."""
     try:
         return [sid_table[item] for item in items]
     except KeyError as e:
         raise InputError(f"item {e.args[0]} has no SID") from None
+
+
+def _tokens(sids: list[tuple], L: int) -> np.ndarray:
+    """The (len(sids), L) int64 array of `sids`, each L tokens long."""
+    try:
+        return np.array(sids, dtype=np.int64).reshape(len(sids), L)
+    except ValueError:  # SIDs of another length, or of mixed lengths
+        raise InputError(f"every SID must be L = {L} tokens long") from None
 
 
 @functools.cache
@@ -197,8 +213,8 @@ def _tail_rows(sequences, sid_table: dict[int, tuple],
                          "T >= 2")
     n, T = seqs.shape
     h = min(config.history, T - 1)
-    tokens = np.array(_sids(seqs[:, T - h - 1:].ravel().tolist(), sid_table),
-                      dtype=np.int64).reshape(n, h + 1, config.L)
+    tokens = _tokens(_sids(seqs[:, T - h - 1:].ravel().tolist(), sid_table),
+                     config.L).reshape(n, h + 1, config.L)
     rows = tokens[:, :h]
     rows += _level_offsets(config.L, config.K)
     return rows, tokens[:, h]
@@ -233,7 +249,7 @@ def _histories(model: NextSidModel, sequences, sid_table: dict[int, tuple]
         if row.ndim == 1 and len(row) >= 2 and row.dtype.kind in "iu":
             h = min(c.history, len(row) - 1)
             sids = _sids(row[-h - 1:].tolist(), sid_table)
-            rows = np.array(sids[:-1], dtype=np.int64).reshape(h, c.L)
+            rows = _tokens(sids, c.L)[:-1]  # checks the target's too
             rows += _level_offsets(c.L, c.K)
             return _mean_rows(model.table, rows, h), [tuple(sids[-1])]
     rows, targets = _tail_rows(sequences, sid_table, c)
@@ -242,18 +258,13 @@ def _histories(model: NextSidModel, sequences, sid_table: dict[int, tuple]
             list(map(tuple, targets.tolist())))
 
 
-def _history_vectors(model: NextSidModel, sequences,
-                     sid_table: dict[int, tuple]) -> np.ndarray:
-    """Mean over the last H history items of their summed level-token
-    embeddings, one row per sequence."""
-    return _histories(model, sequences, sid_table)[0]
-
-
 def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray,
                 loss: bool = True):
-    """`next_sid_loss_grads` on index arrays: the (n, h, L) tail rows and
-    (n, L) target tokens of `_tail_rows`.  With loss=False the
-    log-sum-exp and the loss are skipped and the loss is None.
+    """Teacher-forced cross-entropy over all L levels of the target SID,
+    averaged over the sequences, from their (n, h, L) tail rows and
+    (n, L) target tokens (`_tail_rows`).  Returns (loss, table grad,
+    scorer grads); with loss=False the log-sum-exp and the loss are
+    skipped and the loss is None.
 
     Each sequence's scorer input is one row of a full-width buffer, as
     in `beam_decode`: the history vector, then the one-hot blocks of the
@@ -293,15 +304,6 @@ def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray,
     g_table = np.bincount(flat.reshape(-1), weights=share.reshape(-1),
                           minlength=model.table.size)
     return total, g_table.reshape(model.table.shape), scorer_grads
-
-
-def next_sid_loss_grads(model: NextSidModel, sequences,
-                        sid_table: dict[int, tuple]):
-    """Teacher-forced cross-entropy over all L levels of the target SID,
-    averaged over the (n, T) `sequences`.  Returns (loss, table grad,
-    scorer grads)."""
-    return _loss_grads(model, *_tail_rows(sequences, sid_table,
-                                          model.config))
 
 
 def train_next_sid(sequences, sid_table: dict[int, tuple],

@@ -118,13 +118,12 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
-             param_grads: bool = True, input_grad: bool = True
-             ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
+             input_grad: bool = True
+             ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backward pass.  Returns (flat parameter gradients matching
     params.flat() order, gradient w.r.t. the input batch); with
-    param_grads=False only the input gradient is computed and the first
-    value is None, and with input_grad=False the first layer's `g @ w.T`
-    is skipped and the second value is None.
+    input_grad=False the first layer's `g @ w.T` is skipped and the
+    second value is None.
 
     The final layer is identity, so `upstream` is never masked; every
     gradient masked is one made here (`g @ w.T`).  A ReLU output is
@@ -139,67 +138,50 @@ def mlp_grad(params: MlpParams, cache: list, upstream: np.ndarray,
         inp, out = cache[i]
         if i < last:
             g *= out > 0.0
-        if param_grads:
-            grads[2 * i] = inp.T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+        grads[2 * i] = inp.T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
         if i or input_grad:
             g = g @ params.weights[i].T
-    return (grads if param_grads else None), (g if input_grad else None)
+    return grads, (g if input_grad else None)
 
 
-@dataclass
-class AdamState:
-    """Per-array first/second moments plus the shared step counter."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Adam's decay rates and denominator offset (Kingma & Ba 2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def adam_init(params: list[np.ndarray], lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params],
-                     step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-
-def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One bias-corrected update.  Returns new parameter arrays; the
-    moment arrays in `state` are updated in place.  Each in-place step
+def adam_step(store: ParamStore) -> None:
+    """One bias-corrected Adam update of `store`'s live entries from
+    `store.grad`, in place, rounded to the float32 grid.  The moments and
+    every term live in the store's work vectors.  Each in-place step
     keeps the operands and association of the textbook expressions
-    (beta1 * m + (1 - beta1) * g, ..., p - lr * mhat / (sqrt(vhat) + eps)),
-    so the bits match them."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ShapeError("parameter / gradient count mismatch")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {i}")
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    out = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        tmp = (1 - b1) * g
-        m += tmp
-        v *= b2
-        np.multiply(1 - b2, g, out=tmp)
-        tmp *= g
-        v += tmp
-        step = np.divide(m, 1 - b1 ** t, out=tmp)
-        step *= state.lr
-        den = v / (1 - b2 ** t)
-        np.sqrt(den, out=den)
-        den += state.eps
-        step /= den
-        out.append(np.subtract(p, step, out=den))
-    return out
+    (BETA1 * m + (1 - BETA1) * g, ..., p - lr * mhat / (sqrt(vhat) + EPS)),
+    so the bits match them.  A non-finite gradient entry raises
+    NumericError before any moment changes."""
+    g, m, v, tmp, den = store.grad, store.m, store.v, store.tmp, store.den
+    if not np.logical_and.reduce(np.isfinite(g, out=store.finite), axis=None):
+        raise NumericError("non-finite gradient")
+    store.t += 1
+    t = store.t
+    m *= BETA1
+    np.multiply(1 - BETA1, g, out=tmp)
+    m += tmp
+    v *= BETA2
+    np.multiply(1 - BETA2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, 1 - BETA1 ** t, out=tmp)
+    tmp *= store.lr
+    np.divide(v, 1 - BETA2 ** t, out=den)
+    np.sqrt(den, out=den)
+    den += EPS
+    tmp /= den
+    # the gather by live; mode="raise" would buffer `out`
+    p = (store.vec if store.dense
+         else np.take(store.vec, store.live, out=den, mode="clip"))
+    np.subtract(p, tmp, out=den)
+    np.copyto(store.f32, den, casting="same_kind")  # rounds to float32
+    np.copyto(den, store.f32)  # a float64 scatter needs no cast buffer
+    store.vec[store.live] = den
 
 
 class ParamStore:
@@ -217,6 +199,11 @@ class ParamStore:
     Adam keeps moments for them only.  An entry whose gradient is exactly
     zero at every step would keep +0 moments, so the whole-vector update
     would leave it at p - 0 = p: skipping it gives the same bits.
+
+    The store holds Adam's state for the run: the live entries' moments
+    `m` and `v`, the step count `t`, the rate `lr`, and the work vectors
+    `adam_step` computes in (`grad`, `tmp`, `den`, the float32 `f32` and
+    the boolean `finite`).
 
     `step` takes each array's gradient as its live entries only, in
     row-major order: `sizes[i]` values for stored array i, in any shape
@@ -243,28 +230,30 @@ class ParamStore:
             raise ShapeError("need one live mask per stored array")
         masks = [np.broadcast_to(m, a.shape) for m, a in zip(live, arrays)]
         self.sizes = [int(np.count_nonzero(m)) for m in masks]
-        if sum(self.sizes) == self.vec.size:
-            self.live = slice(None)
-        else:
-            self.live = np.flatnonzero(np.concatenate(
-                [m.ravel() for m in masks]))
-        self.grad = np.empty(sum(self.sizes))
-        self.opt = adam_init([self.vec[self.live]], lr=lr)
+        n = sum(self.sizes)
+        self.dense = n == self.vec.size
+        self.live = slice(None) if self.dense else np.flatnonzero(
+            np.concatenate([m.ravel() for m in masks]))
+        self.lr, self.t = lr, 0
+        # np.full, not np.zeros: a calloc'd vector was faulted in afresh
+        # on every run (about 220 minor faults per 4-epoch train_unisid)
+        self.m, self.v = np.full(n, 0.0), np.full(n, 0.0)
+        self.grad, self.tmp, self.den = np.empty(n), np.empty(n), np.empty(n)
+        self.f32 = np.empty(n, dtype=np.float32)
+        self.finite = np.empty(n, dtype=bool)
 
     def step(self, grads: list[np.ndarray]) -> None:
-        """One Adam update of the live entries from the live-entry
-        gradients of each stored array, rounded to the float32 grid in
-        place.  adam_step checks every gradient entry for non-finite
-        values, once, before it changes a moment."""
+        """One `adam_step` of the live entries from the live-entry
+        gradients of each stored array."""
         if [g.size for g in grads] != self.sizes:
             raise ShapeError("gradients do not match the live entries of "
                              "the stored arrays")
-        np.concatenate([np.ravel(g) for g in grads], out=self.grad)
+        np.concatenate(grads, axis=None, out=self.grad)
         try:
-            new = adam_step(self.opt, [self.vec[self.live]], [self.grad])[0]
+            # through the module global, which benchmarks/ wraps per step
+            adam_step(self)
         except NumericError:
             raise _nonfinite(grads) from None
-        self.vec[self.live] = new.astype(np.float32)
 
 
 def _nonfinite(grads: list[np.ndarray]) -> NumericError:

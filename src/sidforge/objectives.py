@@ -181,21 +181,17 @@ def mg_contrastive_loss(level_logits: np.ndarray,
     return loss, grad
 
 
-def code_usage_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Code-usage term over one (n, K) logit block, after IIC (Ji et al.,
-    Invariant Information Clustering, ICCV 2019).
+def _code_usage(zh: np.ndarray, norms: np.ndarray
+                ) -> tuple[float, np.ndarray]:
+    """Code-usage term over one (n, K) logit block, from its unit rows
+    `zh` and their norms, after IIC (Ji et al., Invariant Information
+    Clustering, ICCV 2019).
 
     With p_i = softmax(cosine-normalised logits_i / USAGE_TAU), the term is
     KL(mean_i p_i || uniform) + mean_i H(p_i): it is zero when each item
     picks one code with certainty and the batch spreads evenly over all
-    K codes.  Returns (loss, gradient of the same shape).
+    K codes.  Returns (loss, gradient w.r.t. the logits).
     """
-    return _code_usage(*_normalize_rows(np.asarray(logits, dtype=np.float64)))
-
-
-def _code_usage(zh: np.ndarray, norms: np.ndarray
-                ) -> tuple[float, np.ndarray]:
-    """code_usage_loss from the block's unit rows and their norms."""
     n, K = zh.shape
     a = zh / USAGE_TAU
     a = a - a.max(axis=1, keepdims=True)
@@ -232,8 +228,9 @@ def contrastive_terms(level_logits: np.ndarray, embeddings: np.ndarray,
     L SID levels and the embedding level joined in one _infonce call:
     (L_sid, L_use, gradient w.r.t. the (n, L, K) logits, L_emb, gradient
     w.r.t. the embeddings).  Each term has the bits of its own function
-    (mg_contrastive_loss, code_usage_loss on the level-1 block, which
-    reuses the stack's level-1 unit vectors, and emb_contrastive_loss);
+    (mg_contrastive_loss, the code-usage term of the level-1 block,
+    which reuses the stack's level-1 unit vectors, and
+    emb_contrastive_loss);
     the logit gradient includes the usage term at USAGE_WEIGHT.  A term
     that is off, or the embedding term of a batch where no query has a
     mate, is 0.0 with a zero gradient."""

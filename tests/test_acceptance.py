@@ -18,12 +18,13 @@ from sidforge import evalsuite, numkit, rq, summarizer, unisid
 from sidforge.catalog import CatalogSpec, generate_catalog
 from sidforge.checkpoint import load_checkpoint, save_checkpoint
 from sidforge.cli import main
-from sidforge.evalsuite import (NextSidConfig, _history_vectors, hr_at_k,
-                                retrieval_recall, train_next_sid, v_measure)
-from sidforge.objectives import (TrainConfig, code_usage_loss,
-                                 emb_contrastive_loss, make_contrast_batch,
-                                 mg_contrastive_loss, train_unisid)
-from testkit import finite_diff_check, log_softmax, prefix_onehot
+from sidforge.evalsuite import (NextSidConfig, hr_at_k, retrieval_recall,
+                                train_next_sid, v_measure)
+from sidforge.objectives import (TrainConfig, emb_contrastive_loss,
+                                 make_contrast_batch, mg_contrastive_loss,
+                                 train_unisid)
+from testkit import (code_usage_loss, finite_diff_check, history_vectors,
+                     log_softmax, next_sid_loss_grads, prefix_onehot)
 
 SMALL_CFG = {
     "catalog": {"branching": [2, 2, 2], "n_items": 64, "dv": 4, "dt": 4,
@@ -222,7 +223,7 @@ def test_criterion_1_gradient_soundness(small_catalog):
                 cnt = len(s.flat())
                 s.set_flat(params[k:k + cnt])
                 k += cnt
-            loss, g_t, gs = evalsuite.next_sid_loss_grads(ns_model, seqs,
+            loss, g_t, gs = next_sid_loss_grads(ns_model, seqs,
                                                           sid_table)
             return loss, [g_t] + [g for grp in gs for g in grp]
 
@@ -353,7 +354,7 @@ def test_criterion_4_beam_equals_exhaustive():
     got = hr_at_k(model, seqs, sid_table, k_list, beam_width=K ** L)
 
     # independent exhaustive scoring of all K^L sequences
-    hist = _history_vectors(model, seqs, sid_table)
+    hist = history_vectors(model, seqs, sid_table)
     hits = {k: 0 for k in k_list}
     for i, s in enumerate(seqs):
         scored = []

@@ -108,3 +108,31 @@ def test_train_joint_report_and_batch(small_catalog, trained):
     for pos in batch.level_pos:
         assert len(pos) == len(ids)
         assert sum(len(p) > 0 for p in pos) <= len(ids)
+
+
+def test_one_adam_step_per_store_step(small_catalog, monkeypatch):
+    # benchmarks/reference.py ticks its clock once per training step on
+    # the module-level numkit.adam_step, which ParamStore.step must call
+    # through the module once per step: a step that updated in a method
+    # of its own would silently stop the ticks
+    from sidforge import numkit, rq
+    calls = {"adam": 0, "store": 0}
+    adam_step, store_step = numkit.adam_step, numkit.ParamStore.step
+
+    def counted_adam(*args, **kwargs):
+        calls["adam"] += 1
+        return adam_step(*args, **kwargs)
+
+    def counted_store(*args, **kwargs):
+        calls["store"] += 1
+        return store_step(*args, **kwargs)
+
+    monkeypatch.setattr(numkit, "adam_step", counted_adam)
+    monkeypatch.setattr(numkit.ParamStore, "step", counted_store)
+    objectives.train_unisid(small_catalog, TrainConfig(
+        epochs=2, batch_size=32, d_h=16, d_e=8, d_r=8, seed=1))
+    assert calls["adam"] == calls["store"] > 0
+    trained = calls["store"]
+    rq.rq_vae_fit(small_catalog.features_matrix(), rq.RqVaeConfig(
+        L=3, K=4, d=8, epochs=2, batch_size=16, hidden=8))
+    assert calls["adam"] == calls["store"] > trained

@@ -278,7 +278,12 @@ def test_rq_config_errors(catalog_file, tmp_path, capsys, command, field,
     # without --out these ended in a bare runtime error (exit 1)
     ("gen-data", "paths.out_dir", 5), ("gen-data", "paths.out_dir", ""),
     ("train-unisid", "paths.out_dir", None),
-    ("gen-data", "paths.out_dir", ["a"])])
+    ("gen-data", "paths.out_dir", ["a"]),
+    # a next-SID model past cli.MAX_NEXT_SID_SIZE: at rq.L = 5000 eval
+    # ran out of memory
+    ("gen-data", "rq.L", 5000), ("fit-rqkmeans", "rq.L", 5000),
+    ("gen-data", "rqvae.L", 5000), ("train-rqvae", "rqvae.L", 5000),
+    ("eval", "rq.L", 5000)])
 def test_config_errors(catalog_file, tmp_path, capsys, command, field,
                        value):
     _assert_config_error(catalog_file, tmp_path, capsys, command, field,
@@ -309,6 +314,30 @@ def test_cross_field_rules_accept(tmp_path, command, edits):
         assert main(["gen-data", "--config", str(cfg_path),
                      "--out", out]) == 0
     assert main([command, "--config", str(cfg_path), "--out", out]) == 0
+
+
+@pytest.mark.parametrize("section", ["train", "rq", "rqvae"])
+def test_next_sid_size_rule_boundary(section):
+    # each scheme's L and K, with eval.next_sid's widths, give the size
+    # of the next-SID model eval trains; check_config takes the largest
+    # L within the bound and rejects the next
+    cfg = _merge(DEFAULT_CONFIG, SMALL)
+    cfg["train"]["use_sid"] = False   # so train.L is free
+
+    def size(L):
+        return evalsuite.next_sid_size(dataclasses.replace(
+            evalsuite.NextSidConfig(**cfg["eval"]["next_sid"]), L=L,
+            K=cfg[section]["K"]))
+
+    top = max(L for L in range(1, 2000) if size(L) <= cli.MAX_NEXT_SID_SIZE)
+    cfg[section]["L"] = top
+    cli.check_config(cfg)
+    cfg[section]["L"] = top + 1
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{section}\.L and {section}\.K must give "
+                             rf"a next-SID model of at most 10,000,000 "
+                             rf"parameters, not {size(top + 1):,}$"):
+        cli.check_config(cfg)
 
 
 def test_eval_without_recall_keeps_any_n_neg(run_dir, tmp_path):

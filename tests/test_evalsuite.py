@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from sidforge import evalsuite, numkit
 from sidforge.errors import ConfigurationError, InputError, NumericError
-from sidforge.evalsuite import (EvalReport, NextSidConfig, _history_vectors,
-                                beam_decode, gen_user_sequences, hr_at_k,
-                                init_next_sid,
+from sidforge.evalsuite import (EvalReport, NextSidConfig, beam_decode,
+                                gen_user_sequences, hr_at_k, init_next_sid,
                                 load_report, make_contingency,
-                                next_sid_loss_grads, retrieval_recall,
-                                sid_level_vmeasure, train_next_sid, v_measure)
-from testkit import finite_diff_check, log_softmax, prefix_onehot
+                                retrieval_recall, sid_level_vmeasure,
+                                train_next_sid, v_measure)
+from testkit import (finite_diff_check, history_vectors, log_softmax,
+                     next_sid_loss_grads, prefix_onehot)
 
 
 def test_v_measure_identities():
@@ -300,7 +300,7 @@ def test_untrained_next_sid_loss_is_log_k(rng):
 def test_history_vectors_mean_of_sums(rng):
     sid_table, seqs = _toy_setup(rng)
     model = init_next_sid(CFG)
-    hist = _history_vectors(model, seqs, sid_table)
+    hist = history_vectors(model, seqs, sid_table)
     tail = seqs[0, -1 - CFG.history:-1].tolist()
     want = np.mean([sum(model.table[lvl * CFG.K + sid_table[i][lvl]]
                         for lvl in range(CFG.L)) for i in tail], axis=0)
@@ -339,7 +339,7 @@ def test_beam_decode_matches_exhaustive(rng):
     model = train_next_sid(seqs, sid_table,
                            NextSidConfig(L=2, K=4, d_s=6, hidden=8,
                                          history=3, epochs=5, seed=2))
-    hist = _history_vectors(model, seqs, sid_table)
+    hist = history_vectors(model, seqs, sid_table)
     beams = beam_decode(model, hist[0], beam_width=16)
     # independent exhaustive scorer over all K^L sequences
     from itertools import product
@@ -361,7 +361,7 @@ def test_beam_decode_matches_exhaustive(rng):
 def test_beam_ties_lexicographic(rng):
     sid_table, seqs = _toy_setup(rng)
     model = init_next_sid(CFG)  # zero-init scorers: all scores tie
-    hist = _history_vectors(model, seqs, sid_table)
+    hist = history_vectors(model, seqs, sid_table)
     beams = beam_decode(model, hist[0], beam_width=5)
     assert [s for _, s in beams] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
 
@@ -374,7 +374,7 @@ def test_history_vectors_and_grads_match_loop():
         r = np.random.default_rng(seed)
         for s in model.scorers:  # generic, nonzero gradients
             s.weights[-1] = 0.1 * r.normal(size=s.weights[-1].shape)
-        hist = _history_vectors(model, seqs, sid_table)
+        hist = history_vectors(model, seqs, sid_table)
         want_hist, _ = _oracle_history_vectors(model, seqs, sid_table)
         assert np.array_equal(hist, want_hist)
         loss, g_table, scorer_grads = next_sid_loss_grads(model, seqs,
@@ -520,7 +520,7 @@ def _oracle_batched_beam_decode(model, hist_vec, beam_width):
 def _oracle_hr_at_k(model, test_sequences, sid_table, k_list, beam_width):
     """One slice scan of the decoded list per user and K."""
     hits = {k: 0 for k in k_list}
-    hist = _history_vectors(model, test_sequences, sid_table)
+    hist = history_vectors(model, test_sequences, sid_table)
     for i, seq in enumerate(test_sequences):
         truth = tuple(sid_table[int(seq[-1])])
         decoded = [s for _, s in _oracle_batched_beam_decode(
@@ -546,7 +546,7 @@ def test_beam_decode_matches_loop():
         for seed, T in enumerate(_lengths_around(3)):
             sid_table, seqs = _sequence_setup(seed, L, K, T)
             for model in _next_sid_models(cfg, seqs, sid_table, seed):
-                hist = _history_vectors(model, seqs[:6], sid_table)
+                hist = history_vectors(model, seqs[:6], sid_table)
                 for h in hist:
                     for width in (1, K - 1, K, K + 3, K ** L, K ** L + 5):
                         got = beam_decode(model, h, width)
@@ -592,9 +592,9 @@ def test_beam_decode_matches_loop_edge_shapes(L, K, history):
         for model in _next_sid_models(cfg, seqs, sid_table, seed):
             want_hist, _ = _oracle_history_vectors(model, seqs, sid_table)
             assert np.array_equal(
-                _history_vectors(model, seqs, sid_table), want_hist)
+                history_vectors(model, seqs, sid_table), want_hist)
             for seq, want_h in zip(seqs[:8], want_hist):
-                h = _history_vectors(model, [seq], sid_table)
+                h = history_vectors(model, [seq], sid_table)
                 assert np.array_equal(h, want_h[None, :])
                 for width in sorted({1, K - 1, K, K + 3, K ** L,
                                      K ** L + 5} - {0}):
@@ -619,9 +619,9 @@ def test_single_query_history_bits_off_the_float32_grid():
     r = np.random.default_rng(4)
     model.table = model.table * (1.0 + 1e-3 * r.random(model.table.shape))
     assert not np.array_equal(model.table, numkit.quantize_f32(model.table))
-    batched = _history_vectors(model, seqs, sid_table)
+    batched = history_vectors(model, seqs, sid_table)
     for seq, row in zip(seqs, batched):
-        assert np.array_equal(_history_vectors(model, [seq], sid_table)[0],
+        assert np.array_equal(history_vectors(model, [seq], sid_table)[0],
                               row)
     k_list = [1, 5, 10, 20]
     batch = hr_at_k(model, seqs, sid_table, k_list, beam_width=20)
@@ -750,7 +750,7 @@ def test_beam_decode_golden_bits():
                                       n_seqs=200)
     model = train_next_sid(seqs, sid_table, cfg)
     h = hashlib.sha256()
-    for vec in _history_vectors(model, seqs, sid_table):
+    for vec in history_vectors(model, seqs, sid_table):
         for width in (1, cfg.K - 1, cfg.K, cfg.K + 3, 20, cfg.K ** 2 + 1):
             beams = beam_decode(model, vec, width)
             h.update(np.array([width, len(beams)], dtype="<i8").tobytes())
@@ -842,11 +842,38 @@ def test_next_sid_rejects_bad_sequences(rng, seqs, message):
     model = init_next_sid(CFG)
     calls = [lambda s: train_next_sid(s, sid_table, CFG),
              lambda s: next_sid_loss_grads(model, s, sid_table),
-             lambda s: _history_vectors(model, s, sid_table),
+             lambda s: history_vectors(model, s, sid_table),
              lambda s: hr_at_k(model, s, sid_table, [1, 3])]
     for call in calls:
         with pytest.raises(InputError, match=message):
             call(seqs)
+
+
+@pytest.mark.parametrize("length", [3, 1])
+def test_next_sid_rejects_sids_of_another_length(rng, length):
+    # CFG.L = 2.  Every SID of another length, or only the target's: a
+    # served query's wrong-length target is an error too, not a miss
+    sid_table, seqs = _toy_setup(rng)
+    model = init_next_sid(CFG)
+    row = np.array([1, 2, 3, 4, 9])   # history 2, 3, 4 and target 9
+    for table in ({i: (0,) * length for i in sid_table},
+                  sid_table | {9: (0,) * length}):
+        for call in (lambda: train_next_sid(seqs, table, CFG),
+                     lambda: train_next_sid([row], table, CFG),
+                     lambda: hr_at_k(model, seqs, table, [1, 3]),
+                     lambda: hr_at_k(model, row[None], table, [1, 3]),
+                     lambda: hr_at_k(model, [row], table, [1, 3])):
+            with pytest.raises(InputError,
+                               match="^every SID must be L = 2 tokens long$"):
+                call()
+
+
+def test_next_sid_size_counts_the_model():
+    for config in (CFG, NextSidConfig(L=1, K=1, d_s=1, hidden=1),
+                   NextSidConfig(L=5, K=7, d_s=3, hidden=4)):
+        model = init_next_sid(config)
+        assert evalsuite.next_sid_size(config) == model.table.size + sum(
+            p.size for m in model.scorers for p in m.flat())
 
 
 @pytest.mark.parametrize("beam_width", [2.5, 3.0, True, 0, -1, "4"])

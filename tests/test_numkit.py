@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 
 from sidforge import numkit
 from sidforge.errors import ConfigurationError, NumericError, ShapeError
-from sidforge.numkit import (AdamState, MlpParams, adam_init, adam_step,
-                             kmeans_fit, kmeans_objective, mlp_apply,
-                             mlp_grad, mlp_init)
+from sidforge.numkit import (MlpParams, kmeans_fit, kmeans_objective,
+                             mlp_apply, mlp_grad, mlp_init)
 from testkit import finite_diff_check, near_float32_ties, nearest_centroid
 
 
@@ -136,65 +136,64 @@ def test_in_place_layers_match_textbook_bits(rng, dims):
 
 # --- adam -------------------------------------------------------------------
 
+def _store(arrays, lr=0.1, live=None):
+    """A parameter store of `arrays` alone, no MLP."""
+    return numkit.ParamStore([], lr, extra=arrays, live=live)
+
+
 def test_adam_zero_gradient_first_step():
-    p = [np.array([1.0, 2.0])]
-    st = adam_init(p, lr=0.1)
-    new = adam_step(st, p, [np.zeros(2)])
-    assert np.array_equal(new[0], p[0])
+    store = _store([np.array([1.0, 2.0])])
+    store.step([np.zeros(2)])
+    assert np.array_equal(store.vec, [1.0, 2.0])
 
 
 def test_adam_first_step_magnitude():
-    # at t=1 with constant gradient g: update = -lr * g/(|g| + eps) ~ -lr*sign(g)
+    # at t=1 with constant gradient g: update = -lr * g/(|g| + eps), about
+    # -lr*sign(g), rounded to the float32 grid
     for g in (3.0, -0.25):
-        p = [np.array([0.0])]
-        st = adam_init(p, lr=0.01)
-        new = adam_step(st, p, [np.array([g])])
-        expect = -0.01 * g / (abs(g) + st.eps)
-        assert np.isclose(new[0][0], expect, rtol=1e-12)
-        assert np.sign(new[0][0]) == -np.sign(g)
+        store = _store([np.array([0.0])], lr=0.01)
+        store.step([np.array([g])])
+        expect = -0.01 * g / (abs(g) + numkit.EPS)
+        assert np.isclose(store.vec[0], expect, rtol=2.0 ** -24)
+        assert np.sign(store.vec[0]) == -np.sign(g)
 
 
 def test_adam_deterministic():
-    p = [np.array([1.0, -1.0])]
-    g = [np.array([0.5, 0.25])]
-    a1 = adam_step(adam_init(p, lr=0.1), list(p), g)
-    a2 = adam_step(adam_init(p, lr=0.1), list(p), g)
-    assert np.array_equal(a1[0], a2[0])
+    stores = [_store([np.array([1.0, -1.0])]) for _ in range(2)]
+    for store in stores:
+        store.step([np.array([0.5, 0.25])])
+    assert np.array_equal(stores[0].vec, stores[1].vec)
 
 
-def test_adam_rejects_nonfinite():
-    p = [np.ones(2), np.ones(3)]
-    st = adam_init(p, lr=0.1)
-    with pytest.raises(NumericError, match="parameter 1"):
-        adam_step(st, p, [np.zeros(2), np.array([1.0, np.nan, 0.0])])
-
-
-def _oracle_adam_step(state, params, grads):
-    """adam_step as it was written, with fresh arrays for the moments and
-    every term; the in-place kernel must match it bit for bit."""
-    state.step += 1
-    t = state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-        mhat = state.m[i] / (1 - state.beta1 ** t)
-        vhat = state.v[i] / (1 - state.beta2 ** t)
-        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
-    return out
+def _oracle_adam_step(store):
+    """adam_step as the textbook writes it, with fresh arrays for the
+    moments and every term, then rounded to the float32 grid: the
+    in-place kernel must match it bit for bit."""
+    g = store.grad
+    store.t += 1
+    t = store.t
+    store.m = numkit.BETA1 * store.m + (1 - numkit.BETA1) * g
+    store.v = numkit.BETA2 * store.v + (1 - numkit.BETA2) * g * g
+    mhat = store.m / (1 - numkit.BETA1 ** t)
+    vhat = store.v / (1 - numkit.BETA2 ** t)
+    store.vec[store.live] = numkit.quantize_f32(
+        store.vec[store.live]
+        - store.lr * mhat / (np.sqrt(vhat) + numkit.EPS))
 
 
 def _oracle_store_step(store, grads):
     """ParamStore.step as it was written before live entries: the
     live-entry gradients scattered into a fresh whole-vector gradient,
-    zero elsewhere, Adam over the whole vector with moments of its own
-    (`oracle_opt`) and a float64 copy of the rounded update."""
-    if not hasattr(store, "oracle_opt"):
-        store.oracle_opt = adam_init([store.vec], lr=store.opt.lr)
-    g = np.zeros_like(store.vec)
-    g[store.live] = np.concatenate([np.ravel(g) for g in grads])
-    store.vec[:] = numkit.quantize_f32(
-        numkit.adam_step(store.oracle_opt, [store.vec], [g])[0])
+    zero elsewhere, and one `numkit.adam_step` over the whole vector of
+    a dense store with moments of its own (`oracle`), copied back."""
+    if not hasattr(store, "oracle"):
+        store.oracle = _store([store.vec], store.lr)
+    oracle = store.oracle
+    oracle.vec[:] = store.vec
+    oracle.grad[:] = 0.0
+    oracle.grad[store.live] = np.concatenate(grads, axis=None)
+    numkit.adam_step(oracle)
+    store.vec[:] = oracle.vec
 
 
 def _adam_grads(rng, shapes, step):
@@ -212,17 +211,20 @@ def test_adam_bits_match_allocating_oracle(rng):
     shapes = [(4, 3), (5,), (1,)]
     params = [rng.normal(size=s) for s in shapes]
     start = [p.copy() for p in params]
-    got, want = list(params), [p.copy() for p in params]
-    st_got, st_want = adam_init(got, lr=0.01), adam_init(want, lr=0.01)
-    for step in range(50):
-        grads = _adam_grads(rng, shapes, step)
-        got = adam_step(st_got, got, grads)
-        want = _oracle_adam_step(st_want, want, grads)
-        assert st_got.step == st_want.step
-        for a, b in zip(got + st_got.m + st_got.v,
-                        want + st_want.m + st_want.v):
-            assert np.array_equal(a, b)
-    # the caller's parameter arrays are left alone
+    for live in (None, [np.array([[True], [False], [True], [True]]),
+                        rng.random(5) < 0.6, True]):
+        got, want = _store(params, 0.01, live), _store(params, 0.01, live)
+        assert got.dense == (live is None)
+        for step in range(50):   # every 7th step is all zero
+            [want.grad] = _adam_grads(rng, [got.grad.shape], step)
+            got.grad[:] = want.grad
+            numkit.adam_step(got)
+            _oracle_adam_step(want)
+            assert got.t == want.t == step + 1
+            for a, b in ((got.vec, want.vec), (got.m, want.m),
+                         (got.v, want.v)):
+                assert a.tobytes() == b.tobytes()
+    # the caller's arrays are left alone: the store holds a copy
     for p, p0 in zip(params, start):
         assert np.array_equal(p, p0)
 
@@ -238,11 +240,31 @@ def test_param_store_step_matches_oracle(rng):
         got.step(grads)
         _oracle_store_step(want, grads)
         assert np.array_equal(got.vec, want.vec)
-        assert np.array_equal(got.opt.m[0], want.oracle_opt.m[0])
-        assert np.array_equal(got.opt.v[0], want.oracle_opt.v[0])
+        assert np.array_equal(got.m, want.oracle.m)
+        assert np.array_equal(got.v, want.oracle.v)
     # the MLP arrays are still views of the stored vector
     assert np.array_equal(a.weights[1], b.weights[1])
     assert np.shares_memory(a.weights[1], got.vec)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_param_store_step_allocates_no_live_size_array(rng, masked):
+    # Adam's moments, its terms and the float32 rounding live in the
+    # store's work vectors: repeated steps allocate less than one byte
+    # per live entry, so not even a boolean mask of them
+    live = [rng.random((400, 1)) < 0.5, True] if masked else None
+    store = _store([np.ones((400, 256)), np.ones(256)], 1e-3, live)
+    grads = [rng.normal(size=n) for n in store.sizes]
+    store.step(grads)
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            store.step(grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.t == 6 and store.dense != masked
+    assert peak < store.grad.size
 
 
 def test_masked_param_store_matches_dense(rng):
@@ -268,9 +290,8 @@ def test_masked_param_store_matches_dense(rng):
         got.step([g[m] for g, m in zip(grads, full)])   # live entries
         want.step(grads)
         assert got.vec.tobytes() == want.vec.tobytes()
-        assert got.opt.step == want.opt.step
-        for mine, dense in ((got.opt.m[0], want.opt.m[0]),
-                            (got.opt.v[0], want.opt.v[0])):
+        assert got.t == want.t
+        for mine, dense in ((got.m, want.m), (got.v, want.v)):
             assert mine.tobytes() == dense[got.live].tobytes()
             assert dense[dead].tobytes() == bytes(8 * dead.sum())  # +0.0
     assert np.array_equal(got.vec[dead], start[dead])
@@ -307,13 +328,12 @@ def test_param_store_takes_live_entry_gradients(rng):
     store.step([np.ones((2, 2)), np.ones(2)])
     store.step([np.ones(4), np.ones(2)])
     for array, entry in ((0, (1, 1)), (1, (0,))):
-        before = (store.vec.copy(), store.opt.m[0].copy(),
-                  store.opt.v[0].copy(), store.opt.step)
+        before = (store.vec.copy(), store.m.copy(), store.v.copy(), store.t)
         grads = [np.ones((2, 2)), np.ones(2)]
         grads[array][entry] = np.nan
         with pytest.raises(NumericError, match=f"stored array {array}$"):
             store.step(grads)
-        after = (store.vec, store.opt.m[0], store.opt.v[0], store.opt.step)
+        after = (store.vec, store.m, store.v, store.t)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
@@ -341,24 +361,13 @@ def test_param_store_checks_each_gradient_entry_once(rng, monkeypatch):
     # a non-finite entry names its array and changes nothing
     for store, array, entry in ((dense, 3, 5), (dense, 0, 4),
                                 (masked, 0, 2), (masked, 1, 0)):
-        before = (store.vec.copy(), store.opt.m[0].copy(),
-                  store.opt.v[0].copy(), store.opt.step)
+        before = (store.vec.copy(), store.m.copy(), store.v.copy(), store.t)
         grads = [np.ones(n) for n in store.sizes]
         grads[array][entry] = np.nan
         with pytest.raises(NumericError, match=f"stored array {array}$"):
             store.step(grads)
-        after = (store.vec, store.opt.m[0], store.opt.v[0], store.opt.step)
+        after = (store.vec, store.m, store.v, store.t)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
-
-
-def test_mlp_grad_input_only(rng):
-    m = _random_mlp([4, 6, 5, 3], rng)
-    x = rng.normal(size=(7, 4))
-    _, cache = mlp_apply(m, x)
-    up = rng.normal(size=(7, 3))
-    grads, g_in = mlp_grad(m, cache, up)
-    none, g_only = mlp_grad(m, cache, up, param_grads=False)
-    assert none is None and np.array_equal(g_only, g_in)
 
 
 @pytest.mark.parametrize("dims", [[4, 3], [4, 6, 5, 3]])

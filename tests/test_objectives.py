@@ -9,14 +9,14 @@ from sidforge.catalog import build_positive_sets
 from sidforge.checkpoint import UniSidBundle, save_checkpoint
 from sidforge.errors import ConfigurationError, InputError, NumericError
 from sidforge.objectives import (ContrastBatch, LossReport, TrainConfig,
-                                 code_usage_loss, contrastive_terms,
-                                 emb_contrastive_loss, make_contrast_batch,
-                                 mg_contrastive_loss, total_loss,
-                                 train_unisid)
+                                 contrastive_terms, emb_contrastive_loss,
+                                 make_contrast_batch, mg_contrastive_loss,
+                                 total_loss, train_unisid)
 from sidforge.summarizer import build_vocab, init_pipeline
 from sidforge.unisid import UniSidConfig, init_model
 from test_numkit import _oracle_adam_step, _oracle_store_step
 from test_summarizer import _oracle_recon_scatter
+from testkit import code_usage_loss
 
 
 def _batch(catalog, ids, tau=0.07):

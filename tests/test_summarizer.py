@@ -515,10 +515,8 @@ def test_decoder_memorizes_single_summary(small_catalog, rng):
     target = summarize(small_catalog.labels[0], tree,
                        build_vocab(tree))[None, :]
     h = rng.normal(size=(1, 6))
-    params = pipe.decoder.flat()
-    opt = numkit.adam_init(params, lr=0.05)
+    store = numkit.ParamStore([pipe.decoder], lr=0.05)
     for _ in range(150):
         loss, _, dec = recon_loss(h, target, pipe)
-        params = numkit.adam_step(opt, params, dec)
-        pipe.decoder.set_flat(params)
+        store.step(dec)
     np.testing.assert_array_equal(decode_summary(h, pipe)[0], target[0])

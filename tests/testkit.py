@@ -1,7 +1,10 @@
 """Helpers used only by the tests: a finite-difference gradient checker
 that steps around kinks, the one-hot prefix vector of a partial SID, a
 row-wise log-softmax, the per-SID collision counter, points at float32
-near ties, and the nearest centroid of each point.
+near ties, the nearest centroid of each point, and the library's
+private kernels behind one-call forms: the code-usage loss of a logit
+block, and the next-SID history vectors and loss gradients of a
+sequence array.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sidforge import evalsuite, objectives
 from sidforge.numkit import CentroidScreen
 
 
@@ -163,3 +167,25 @@ def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     `argmin(np.sum((x - c) ** 2, axis=-1))` gives it, from a one-call
     screen of both sets."""
     return CentroidScreen(points, centroids).nearest(centroids)
+
+
+def code_usage_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """The code-usage term of one (n, K) logit block and its gradient,
+    as `objectives.contrastive_terms` adds it for SID level 1."""
+    return objectives._code_usage(*objectives._normalize_rows(
+        np.asarray(logits, dtype=np.float64)))
+
+
+def history_vectors(model, sequences, sid_table: dict[int, tuple]
+                    ) -> np.ndarray:
+    """Mean over the last H history items of their summed level-token
+    embeddings, one row per sequence."""
+    return evalsuite._histories(model, sequences, sid_table)[0]
+
+
+def next_sid_loss_grads(model, sequences, sid_table: dict[int, tuple]):
+    """Teacher-forced cross-entropy over all L levels of the target SID,
+    averaged over the (n, T) `sequences`.  Returns (loss, table grad,
+    scorer grads)."""
+    return evalsuite._loss_grads(model, *evalsuite._tail_rows(
+        sequences, sid_table, model.config))
