@@ -177,12 +177,21 @@ def _sids(items: list[int], sid_table: dict[int, tuple]) -> list[tuple]:
         raise InputError(f"item {e.args[0]} has no SID") from None
 
 
-def _tokens(sids: list[tuple], L: int) -> np.ndarray:
-    """The (len(sids), L) int64 array of `sids`, each L tokens long."""
+def _tokens(sids: list[tuple], L: int, K: int) -> np.ndarray:
+    """The (len(sids), L) int64 array of `sids`, each L integer tokens in
+    [0, K)."""
     try:
-        return np.array(sids, dtype=np.int64).reshape(len(sids), L)
+        tokens = np.array(sids).reshape(len(sids), L)
     except ValueError:  # SIDs of another length, or of mixed lengths
         raise InputError(f"every SID must be L = {L} tokens long") from None
+    if tokens.dtype.kind in "iu" or not tokens.size:
+        tokens = tokens.astype(np.int64, copy=False)
+        # one reduction for both ends: a negative token's unsigned view
+        # is at least 2**63
+        if np.maximum.reduce(tokens.view(np.uint64), axis=None,
+                             initial=0) < K:
+            return tokens
+    raise InputError(f"SID tokens must be integers in [0, K = {K})")
 
 
 @functools.cache
@@ -214,7 +223,7 @@ def _tail_rows(sequences, sid_table: dict[int, tuple],
     n, T = seqs.shape
     h = min(config.history, T - 1)
     tokens = _tokens(_sids(seqs[:, T - h - 1:].ravel().tolist(), sid_table),
-                     config.L).reshape(n, h + 1, config.L)
+                     config.L, config.K).reshape(n, h + 1, config.L)
     rows = tokens[:, :h]
     rows += _level_offsets(config.L, config.K)
     return rows, tokens[:, h]
@@ -249,7 +258,7 @@ def _histories(model: NextSidModel, sequences, sid_table: dict[int, tuple]
         if row.ndim == 1 and len(row) >= 2 and row.dtype.kind in "iu":
             h = min(c.history, len(row) - 1)
             sids = _sids(row[-h - 1:].tolist(), sid_table)
-            rows = _tokens(sids, c.L)[:-1]  # checks the target's too
+            rows = _tokens(sids, c.L, c.K)[:-1]  # checks the target's too
             rows += _level_offsets(c.L, c.K)
             return _mean_rows(model.table, rows, h), [tuple(sids[-1])]
     rows, targets = _tail_rows(sequences, sid_table, c)
@@ -258,19 +267,16 @@ def _histories(model: NextSidModel, sequences, sid_table: dict[int, tuple]
             list(map(tuple, targets.tolist())))
 
 
-def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray,
-                loss: bool = True):
-    """Teacher-forced cross-entropy over all L levels of the target SID,
-    averaged over the sequences, from their (n, h, L) tail rows and
-    (n, L) target tokens (`_tail_rows`).  Returns (loss, table grad,
-    scorer grads); with loss=False the log-sum-exp and the loss are
-    skipped and the loss is None.
+def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray):
+    """Gradients of the teacher-forced cross-entropy over all L levels of
+    the target SID, averaged over the sequences, from their (n, h, L)
+    tail rows and (n, L) target tokens (`_tail_rows`).  Returns (table
+    grad, scorer grads).
 
     Each sequence's scorer input is one row of a full-width buffer, as
     in `beam_decode`: the history vector, then the one-hot blocks of the
     target's first L - 1 tokens; level l's scorer reads the first
-    d_s + l*K columns.  The row max's shifted exp is taken once per
-    level and serves the log-sum-exp and the softmax alike."""
+    d_s + l*K columns."""
     c = model.config
     n, h, _ = rows.shape
     at = np.arange(n)
@@ -278,21 +284,14 @@ def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray,
     x[:, :c.d_s] = _mean_rows(model.table, rows.reshape(n * h, -1), h)
     x[at[:, None], c.d_s + _level_offsets(c.L - 1, c.K)
       + targets[:, :-1]] = 1.0
-    total = 0.0 if loss else None
     g_hist = np.zeros((n, c.d_s))
     scorer_grads = []
     for lvl in range(c.L):
         logits, cache = numkit.mlp_apply(model.scorers[lvl],
                                          x[:, :c.d_s + lvl * c.K])
-        m = logits.max(axis=1, keepdims=True)
-        soft = np.exp(logits - m)
-        norm = soft.sum(axis=1, keepdims=True)
-        tok = targets[:, lvl]
-        if loss:
-            lse = m[:, 0] + np.log(norm[:, 0])
-            total += float(np.mean(lse - logits[at, tok]))
-        soft /= norm
-        soft[at, tok] -= 1.0
+        soft = np.exp(logits - logits.max(axis=1, keepdims=True))
+        soft /= soft.sum(axis=1, keepdims=True)
+        soft[at, targets[:, lvl]] -= 1.0
         grads, gx = numkit.mlp_grad(model.scorers[lvl], cache, soft / n)
         scorer_grads.append(grads)
         g_hist += gx[:, :c.d_s]
@@ -303,7 +302,7 @@ def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray,
     flat = rows.reshape(-1, 1) * c.d_s + np.arange(c.d_s)
     g_table = np.bincount(flat.reshape(-1), weights=share.reshape(-1),
                           minlength=model.table.size)
-    return total, g_table.reshape(model.table.shape), scorer_grads
+    return g_table.reshape(model.table.shape), scorer_grads
 
 
 def train_next_sid(sequences, sid_table: dict[int, tuple],
@@ -321,8 +320,8 @@ def train_next_sid(sequences, sid_table: dict[int, tuple],
         perm = rng.permutation(len(rows))
         for start in range(0, len(rows), config.batch_size):
             batch = perm[start:start + config.batch_size]
-            _, g_table, scorer_grads = _loss_grads(
-                model, rows[batch], targets[batch], loss=False)
+            g_table, scorer_grads = _loss_grads(model, rows[batch],
+                                                targets[batch])
             store.step([g_table] + [g for gs in scorer_grads for g in gs])
     return model
 
@@ -472,11 +471,9 @@ def hr_at_k(model: NextSidModel, test_sequences,
 # --- retrieval recall -------------------------------------------------------
 
 def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
-                     n_neg: int = 99, seed: int = 0,
-                     query_ids: list[int] | None = None) -> dict[int, float]:
-    """Sampled-negative retrieval over the test split, or over
-    `query_ids`, a nonempty list of item ids; `k_list` follows `hr_at_k`'s
-    rule.
+                     n_neg: int = 99, seed: int = 0) -> dict[int, float]:
+    """Sampled-negative retrieval over the test split; `k_list` follows
+    `hr_at_k`'s rule.
 
     The query view of an item zeroes its attribute block and re-noises
     its text block (seeded); candidates are the unperturbed embeddings of
@@ -489,11 +486,7 @@ def retrieval_recall(embed_fn, catalog: ItemCatalog, k_list: list[int],
     n_items = len(catalog.items)
     if n_neg >= n_items:
         raise ConfigurationError("n_neg must be smaller than the catalog")
-    if query_ids is None:
-        query_ids = catalog.test_ids
-    else:
-        numkit.require("query_ids", query_ids, "int", ">= 0",
-                       f"< {n_items}", items="+")
+    query_ids = catalog.test_ids
     rng = np.random.default_rng(seed)
     spec = catalog.spec
     queries = catalog.features_matrix(query_ids)

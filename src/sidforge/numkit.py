@@ -96,11 +96,10 @@ def mlp_apply(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     pre-activation, so a hidden layer is held once, activated; the
     output layer is identity, so its entry is its pre-activation."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        x = x.reshape(1, -1)
     weights, biases = params.weights, params.biases
-    if x.shape[1] != weights[0].shape[0]:
-        raise ShapeError(f"input dim {x.shape[1]} != {weights[0].shape[0]}")
+    if x.ndim != 2 or x.shape[1] != weights[0].shape[0]:
+        raise ShapeError(f"input shape {x.shape} != (n, "
+                         f"{weights[0].shape[0]})")
     cache = []
     h = x
     last = len(weights) - 1
@@ -353,9 +352,13 @@ def check(section, name: str) -> None:
                 **opts)
 
 
+# seeded restarts of every k-means fit
+N_INIT = 8
+
+
 def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
-               seed: int = 0, n_init: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm with k-means++ seeding and `n_init` seeded
+               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm with k-means++ seeding and N_INIT seeded
     restarts (best objective wins, first winner kept on ties).
 
     Each assignment is exactly `argmin(np.sum((x - c) ** 2, axis=-1))`,
@@ -374,7 +377,6 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     require("K", k, "int", ">= 1")
     require("iterations", iterations, "int", ">= 0")
     require("seed", seed, "int", ">= 0")
-    require("n_init", n_init, "int", ">= 1")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
         raise ShapeError(f"points must be an (n, d >= 1) array, "
@@ -387,7 +389,7 @@ def kmeans_fit(points: np.ndarray, k: int, iterations: int = 50,
     screen = CentroidScreen(points)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         centroids, assign = _kmeans_single(points, screen, k, iterations, rng)
         obj = kmeans_objective(points, centroids, assign)
         if best is None or obj < best[0] - 1e-12:

@@ -198,8 +198,6 @@ def rq_vae_fit(features: np.ndarray, config: RqVaeConfig
         perm = rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], config.batch_size):
             batch = x[perm[start:start + config.batch_size]]
-            if batch.shape[0] == 0:
-                continue
             loss, enc_g, dec_g, z, tokens = rq_vae_loss_grads(model, batch)
             if not np.isfinite(loss):
                 raise NumericError(

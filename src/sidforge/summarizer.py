@@ -23,6 +23,7 @@ TRAIT_COUNT = 16
 BOS_ID = 0
 EOS_ID = 1
 MAX_VOCAB = 128
+DECODER_HIDDEN = 64      # width of the decoder's one hidden layer
 
 _GLUE = ["for", "shoppers"]
 _INDUSTRY = "industry:general-ecommerce"
@@ -72,13 +73,10 @@ def trait_b(l2: int) -> int:
     return (l2 * 7 + 1) % TRAIT_COUNT
 
 
-def summarize(labels, tree: CategoryTree,
-              vocab: SummaryVocab | None = None) -> np.ndarray:
+def summarize(labels, tree: CategoryTree, vocab: SummaryVocab) -> np.ndarray:
     """Template for the category path `labels` = (c1, c2, c3):
     content(c3), industry, level-1 name(c1), trait-A(c3), trait-B(c2),
     two glue tokens, end marker.  Length SUMMARY_LEN."""
-    if vocab is None:
-        vocab = build_vocab(tree)
     c1, c2, c3 = labels
     if not (0 <= c3 < len(tree.names[3]) and 0 <= c1 < len(tree.names[1])
             and 0 <= c2 < len(tree.names[2])):
@@ -123,11 +121,11 @@ class ReconPipeline:
 
 
 def init_pipeline(L: int, K: int, d_e: int, d_r: int, vocab: SummaryVocab,
-                  seed: int, decoder_hidden: int = 64) -> ReconPipeline:
+                  seed: int) -> ReconPipeline:
     rng = np.random.default_rng(seed)
     v = len(vocab)
     recon_head = numkit.mlp_init([L * K + d_e, d_r], rng)
-    decoder = numkit.mlp_init([d_r + SUMMARY_LEN * v, decoder_hidden, v], rng)
+    decoder = numkit.mlp_init([d_r + SUMMARY_LEN * v, DECODER_HIDDEN, v], rng)
     return ReconPipeline(recon_head=recon_head, decoder=decoder,
                          vocab=vocab, d_r=d_r)
 
@@ -181,8 +179,8 @@ class ReconBuffers:
     """recon_loss's work arrays for batches of up to `rows` summaries, and
     the decoder W0 rows its gradient is returned for.
 
-    `live_rows` masks those W0 rows (as reached_rows returns them; by
-    default every row).  recon_loss returns the W0 gradient as their
+    `live_rows` masks those W0 rows, as reached_rows returns them.
+    recon_loss returns the W0 gradient as their
     (n_live_rows, hidden) block, W0's live entries in storage order, which
     is what ParamStore.step takes for a W0 stored with the live mask
     `live_rows[:, None]`; `slots[r]` is row r's place in the block, -1
@@ -198,11 +196,9 @@ class ReconBuffers:
     on the default config, against about 350 with the buffers."""
 
     def __init__(self, pipeline: ReconPipeline, rows: int,
-                 live_rows: np.ndarray | None = None):
+                 live_rows: np.ndarray):
         w0 = pipeline.decoder.weights[0]
         hidden, v = w0.shape[1], len(pipeline.vocab)
-        if live_rows is None:
-            live_rows = np.ones(w0.shape[0], dtype=bool)
         live_rows = np.asarray(live_rows, dtype=bool)
         if (live_rows.shape != w0.shape[:1]
                 or not live_rows[:pipeline.d_r].all()):
@@ -252,8 +248,8 @@ def prefix_sums(targets: np.ndarray, pipeline: ReconPipeline,
 
 
 def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
-               pipeline: ReconPipeline, decoder_grads: bool = True,
-               input_grad: bool = True, buffers: ReconBuffers | None = None,
+               pipeline: ReconPipeline, buffers: ReconBuffers,
+               decoder_grads: bool = True, input_grad: bool = True,
                prefix: np.ndarray | None = None):
     """Teacher-forced cross-entropy over all positions, averaged over the
     batch.  Returns (loss, grad w.r.t. h_rec, decoder gradients); with
@@ -263,10 +259,9 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
 
     The decoder gradients are [W0, b0, W1, b1], W0's as the block of the
     live rows of `buffers` (see ReconBuffers), which is the live-entry
-    gradient ParamStore.step takes: without buffers the call makes its
-    own, every row live, so the block is the whole W0 gradient.  Every W0
-    row outside reached_rows(targets) has a gradient of exactly +0.0, so
-    the block drops only zeros.  No returned array is a buffer.
+    gradient ParamStore.step takes.  Every W0 row outside
+    reached_rows(targets) has a gradient of exactly +0.0, so the block
+    drops only zeros.  No returned array is a buffer.
 
     `buffers` are run-long work arrays, made once by a training loop so
     that no step allocates the large temporaries that had glibc trim and
@@ -288,9 +283,7 @@ def recon_loss(h_rec: np.ndarray, targets: np.ndarray,
     v = len(pipeline.vocab)
     targets = _checked_targets(targets, v)
     n = h_rec.shape[0]
-    if buffers is None:
-        buffers = ReconBuffers(pipeline, n)
-    elif n > buffers.rows:
+    if n > buffers.rows:
         raise ShapeError(f"{n} summaries exceed the {buffers.rows} rows "
                          "of the buffers")
     if prefix is None:

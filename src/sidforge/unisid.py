@@ -136,19 +136,8 @@ def token_stats(tokens: np.ndarray) -> dict:
 
 def _prefix_changes(tokens: np.ndarray) -> np.ndarray:
     """(n - 1, L) bool over the lexicographically sorted rows: entry
-    (i, l) is whether row i + 1 starts a new level-l prefix.  Tokens in
-    [0, b) for a b with b ** L within int64 pack into one key per row,
-    base-b digits in level order, whose numeric order is the rows'
-    lexicographic order; one np.sort of the keys is much cheaper than
-    np.lexsort over the L columns, which serves every other table."""
-    L = tokens.shape[1]
-    b = int(tokens.max()) + 1 if L else 0
-    if L and tokens.min() >= 0 and b ** L <= 2 ** 63:
-        powers = np.array([b ** (L - 1 - l) for l in range(L)],
-                          dtype=np.int64)
-        prefixes = np.sort(tokens @ powers)[:, None] // powers
-        return prefixes[1:] != prefixes[:-1]
-    rows = tokens[np.lexsort(tokens.T[::-1])] if L else tokens
+    (i, l) is whether row i + 1 starts a new level-l prefix."""
+    rows = tokens[np.lexsort(tokens.T[::-1])] if tokens.shape[1] else tokens
     return np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1)
 
 

@@ -24,7 +24,8 @@ from sidforge.objectives import (TrainConfig, emb_contrastive_loss,
                                  make_contrast_batch, mg_contrastive_loss,
                                  train_unisid)
 from testkit import (code_usage_loss, finite_diff_check, history_vectors,
-                     log_softmax, next_sid_loss_grads, prefix_onehot)
+                     init_pipeline, log_softmax, next_sid_loss_grads,
+                     prefix_onehot, recon_loss)
 
 SMALL_CFG = {
     "catalog": {"branching": [2, 2, 2], "n_items": 64, "dv": 4, "dt": 4,
@@ -160,14 +161,13 @@ def test_criterion_1_gradient_soundness(small_catalog):
 
         # reconstruction loss (conditioning state + decoder parameters)
         vocab = summarizer.build_vocab(small_catalog.tree)
-        pipe = summarizer.init_pipeline(2, 4, 5, 6, vocab, seed,
-                                        decoder_hidden=8)
+        pipe = init_pipeline(2, 4, 5, 6, vocab, seed, hidden=8)
         targets = rng.integers(0, len(vocab), size=(3, summarizer.SUMMARY_LEN))
         h0 = rng.normal(size=(3, 6))
 
         def rec_lg(params):
             pipe.decoder.set_flat(params[1:])
-            loss, g_h, dec = summarizer.recon_loss(params[0], targets, pipe)
+            loss, g_h, dec = recon_loss(params[0], targets, pipe)
             return loss, [g_h] + dec
 
         rep = finite_diff_check(
@@ -429,7 +429,8 @@ def _content_accuracy(cat, model, pipe):
     fp = unisid.forward_batch(model, cat.features_matrix(ids))
     h, _ = summarizer.recon_state(fp.logits, fp.embedding, pipe)
     decoded = summarizer.decode_summary(h, pipe)
-    targets = np.stack([summarizer.summarize(cat.labels[i], cat.tree)
+    vocab = summarizer.build_vocab(cat.tree)
+    targets = np.stack([summarizer.summarize(cat.labels[i], cat.tree, vocab)
                         for i in ids])
     return float(np.mean(decoded[:, 0] == targets[:, 0]))
 

@@ -15,8 +15,9 @@ from sidforge.errors import (CheckpointCorruptionError,
                              CheckpointFormatError)
 from sidforge.catalog import build_tree
 from sidforge.rq import Codebook, RqVaeModel
-from sidforge.summarizer import build_vocab, init_pipeline
+from sidforge.summarizer import build_vocab
 from sidforge.unisid import UniSidConfig, init_model
+from testkit import init_pipeline
 
 
 def _f32(model):
@@ -29,7 +30,7 @@ def _unisid_bundle(seed=0):
     cfg = UniSidConfig(L=2, K=4, d_h=8, d_e=6)
     model = _f32(init_model(10, cfg, seed))
     vocab = build_vocab(build_tree((2, 2, 2)))
-    pipe = init_pipeline(2, 4, 6, 5, vocab, seed + 1, decoder_hidden=8)
+    pipe = init_pipeline(2, 4, 6, 5, vocab, seed + 1, hidden=8)
     for m in (pipe.recon_head, pipe.decoder):
         m.set_flat([numkit.quantize_f32(p) for p in m.flat()])
     return UniSidBundle(model=model, pipeline=pipe, digest="d1" * 8)

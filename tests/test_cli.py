@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import copy
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidforge import cli, evalsuite, numkit, summarizer
 from sidforge.catalog import build_tree, load_catalog
@@ -441,6 +445,126 @@ def test_every_config_field_declares_a_rule():
                                    match=rf"^{name}\.{f.name} must be "):
                     numkit.check(
                         dataclasses.replace(section, **{f.name: value}), name)
+
+
+# --- every config the rules accept runs or fails typed -----------------------
+
+def _rule_fields():
+    """(dotted name, rule) of every config field, from the rule metadata
+    of the checked sections; eval.next_sid's L and K come from each SID
+    table, not from the config, and eval.next_sid is a section."""
+    config = cli.check_config(load_config(None))
+    for name, value in config._asdict().items():
+        if dataclasses.is_dataclass(value):
+            for path, section in _sections(value, name):
+                for f in dataclasses.fields(section):
+                    rule = f.metadata["rule"]
+                    where = f"{path}.{f.name}"
+                    if isinstance(rule[0], str) and where not in (
+                            "eval.next_sid.L", "eval.next_sid.K"):
+                        yield where, rule
+
+
+def _values(rule):
+    """A strategy of one field's values: small values and edges within
+    the rule's bounds, values just outside a bound, and other types."""
+    kind, bounds, opts = rule
+    lo = hi = None
+    for bound in bounds:
+        op, limit = bound.split()
+        if op[0] == ">":
+            lo, lo_in = float(limit), op == ">="
+        else:
+            hi, hi_in = float(limit), op == "<="
+    if kind == "bool":
+        inside, outside = st.booleans(), st.sampled_from([0, 1, "true"])
+    elif kind == "int":  # every int rule is a lower bound
+        first = int(lo) + (not lo_in)
+        inside, outside = st.integers(first, first + 3), st.just(first - 1)
+    else:
+        inside = st.floats(lo, lo + 4 if hi is None else hi,
+                           exclude_min=not lo_in,
+                           exclude_max=hi is not None and not hi_in)
+        edges = [lo if not lo_in else math.nextafter(lo, -math.inf)]
+        if hi is not None:
+            edges.append(hi if not hi_in else math.nextafter(hi, math.inf))
+        outside = st.sampled_from(edges)
+    swaps = ["x", [1]] + [1.5, True] * (kind == "int") + [True] * (
+        kind == "number")
+    if opts.get("null"):
+        inside = st.one_of(inside, st.none())
+    else:
+        swaps.append(None)
+    items = opts.get("items")
+    if items is not None:
+        size = (dict(min_size=1, max_size=3) if items == "+"
+                else dict(min_size=items, max_size=items))
+        one = inside
+        inside = st.lists(one, **size)
+        outside = st.one_of(st.lists(outside, **size),
+                            st.just([]) if items == "+"
+                            else st.lists(one, min_size=2, max_size=2))
+        swaps = st.one_of(st.sampled_from(["x", None]), one)
+    else:
+        swaps = st.sampled_from(swaps)
+    return st.one_of(inside, inside, outside, swaps)
+
+
+_RULES = dict(_rule_fields())
+# each: 1-3 fields of SMALL set to values drawn from their rules
+_EDITS = st.lists(st.sampled_from(sorted(_RULES)), min_size=1, max_size=3,
+                  unique=True).flatmap(lambda names: st.fixed_dictionaries(
+                      {name: _values(_RULES[name]) for name in names}))
+_STAGES = ("gen-data", "train-unisid", "fit-rqkmeans", "train-rqvae",
+           "assign", "eval", "report")
+# the child caps its own address space, so an allocation past the cap is
+# a MemoryError in the child, not a host out of memory
+_CHILD_AS = 2 ** 31
+_CHILD = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({_CHILD_AS}, {_CHILD_AS}))
+from sidforge.cli import main
+for command in {_STAGES!r}:
+    code = main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+    if code:
+        sys.exit(code)
+"""
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(edits=_EDITS)
+def test_every_config_the_rules_accept_runs_or_fails_typed(edits):
+    # either check_config rejects the config, or the seven stages run in
+    # one child process and end in exit 0, a typed error (exit 1) or a
+    # config error (exit 3, from a rule only some commands check)
+    cfg = copy.deepcopy(SMALL)
+    for name, value in edits.items():
+        *path, key = name.split(".")
+        section = cfg
+        for part in path:
+            section = section.setdefault(part, {})
+        section[key] = value
+    try:
+        cli.check_config(_merge(DEFAULT_CONFIG, cfg))
+    except ConfigurationError:
+        return
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "config.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        # on a timeout, run kills the child before it raises
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, path, os.path.join(root, "run")],
+            env=env, capture_output=True, text=True, timeout=120)
+    last = proc.stderr.strip().splitlines()[-1:]
+    assert "runtime error:" not in proc.stderr, (edits, proc.stderr)
+    assert proc.returncode in (0, 1, 3), (edits, proc.stderr)
+    if proc.returncode == 1:
+        assert re.match(r"error \[\w+\]: ", last[0]), (edits, proc.stderr)
+    if proc.returncode == 3:
+        assert last[0].startswith("config error: "), (edits, proc.stderr)
 
 
 def _leaf_fields(section, path=""):

@@ -868,6 +868,25 @@ def test_next_sid_rejects_sids_of_another_length(rng, length):
                 call()
 
 
+@pytest.mark.parametrize("token", [4, 7, -1, 2 ** 63, 2 ** 64, 1.5, 1.0])
+def test_next_sid_rejects_tokens_outside_the_codebook(rng, token):
+    # CFG.K = 4.  A token of K or more once ended in a bare IndexError,
+    # and a float token was truncated; in every SID, or only the target's
+    sid_table, seqs = _toy_setup(rng)
+    model = init_next_sid(CFG)
+    row = np.array([1, 2, 3, 4, 9])   # history 2, 3, 4 and target 9
+    for table in ({i: (0, token) for i in sid_table},
+                  sid_table | {9: (token, 0)}):
+        for call in (lambda: train_next_sid(seqs, table, CFG),
+                     lambda: train_next_sid([row], table, CFG),
+                     lambda: hr_at_k(model, seqs, table, [1, 3]),
+                     lambda: hr_at_k(model, row[None], table, [1, 3]),
+                     lambda: hr_at_k(model, [row], table, [1, 3])):
+            with pytest.raises(InputError, match=r"^SID tokens must be "
+                                                 r"integers in \[0, K = 4\)$"):
+                call()
+
+
 def test_next_sid_size_counts_the_model():
     for config in (CFG, NextSidConfig(L=1, K=1, d_s=1, hidden=1),
                    NextSidConfig(L=5, K=7, d_s=3, hidden=4)):
@@ -925,20 +944,6 @@ def test_hr_at_k_checks_as_require(k_list, beam_width):
     else:
         assert want is None
         assert set(hr) == set(k_list)
-
-
-def test_retrieval_recall_rejects_bad_query_ids(small_catalog):
-    # an id past the catalog or a float once ended in IndexError, -1
-    # scored the last item and [] divided by zero
-    dv = small_catalog.spec.dv
-    for query_ids in ([999], [64], [0.5], [-1], [], [True], "0"):
-        with pytest.raises(ConfigurationError,
-                           match="query_ids must be a nonempty list of "
-                                 "integers >= 0 and < 64"):
-            retrieval_recall(lambda x: x[:, :dv], small_catalog, [1],
-                             n_neg=5, query_ids=query_ids)
-    assert retrieval_recall(lambda x: x[:, :dv], small_catalog, [1],
-                            n_neg=5, query_ids=[0, 63]) == {1: 1.0}
 
 
 @pytest.mark.parametrize("k_list", [[], [0], [1, -5], [2.0], [True], (),

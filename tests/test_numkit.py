@@ -581,10 +581,10 @@ def _oracle_kmeans_single(points, k, iterations, rng, reseeds):
     return centroids, np.argmin(d2, axis=1)
 
 
-def _oracle_kmeans_fit(points, k, seed, reseeds, iterations=50, n_init=8):
+def _oracle_kmeans_fit(points, k, seed, reseeds, iterations=50):
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(8):  # kmeans_fit's eight seeded restarts
         centroids, assign = _oracle_kmeans_single(points, k, iterations, rng,
                                                   reseeds)
         obj = kmeans_objective(points, centroids, assign)
@@ -632,7 +632,7 @@ def test_kmeans_converging_right_after_reseed(monkeypatch, d):
     init[:, 0] = [1.0, 100.0, 20.0]
     monkeypatch.setattr(numkit, "_kmeans_pp_init",
                         lambda screen, k, rng: init.copy())
-    centroids, assign = kmeans_fit(x, 3, n_init=1)
+    centroids, assign = kmeans_fit(x, 3)
     want = np.zeros((3, d))
     want[:, 0] = [0.0, 4.0, 20.5]
     _assert_same_bits(centroids, want)
@@ -706,7 +706,7 @@ def test_kmeans_k_too_large():
 
 @pytest.mark.parametrize("args", [
     {"k": 0}, {"k": 2.5}, {"k": "2"}, {"iterations": -1},
-    {"iterations": 1.5}, {"n_init": 0}, {"seed": -1}])
+    {"iterations": 1.5}, {"seed": -1}])
 def test_kmeans_rejects_bad_arguments(args):
     with pytest.raises(ConfigurationError):
         kmeans_fit(np.zeros((3, 2)), **{"k": 2, **args})

@@ -480,8 +480,8 @@ def test_lam_zero_step_skips_only_zero_gradients(small_catalog, monkeypatch):
     model, pipe, report = train_unisid(small_catalog, tc)
     recon_loss = summarizer.recon_loss
 
-    def zero_gradient(h, t, p, **grads):
-        loss, g_h, _ = recon_loss(h, t, p, decoder_grads=False)
+    def zero_gradient(h, t, p, buffers, **grads):
+        loss, g_h, _ = recon_loss(h, t, p, buffers, decoder_grads=False)
         return loss, np.zeros_like(g_h), None
 
     monkeypatch.setattr(summarizer, "recon_loss", zero_gradient)

@@ -9,9 +9,9 @@ from sidforge.errors import CatalogError, ConfigurationError, InputError, ShapeE
 from sidforge.summarizer import (BOS_ID, EOS_ID, MAX_VOCAB, SUMMARY_LEN,
                                  TRAIT_COUNT, ReconBuffers, ReconPipeline,
                                  _first_layer, build_vocab, decode_summary,
-                                 init_pipeline, prefix_sums, reached_rows,
-                                 recon_loss, recon_state, summarize,
-                                 summary_text, trait_a, trait_b)
+                                 prefix_sums, reached_rows, recon_state,
+                                 summarize, summary_text, trait_a, trait_b)
+from testkit import init_pipeline, recon_loss
 
 
 def test_vocab_layout():
@@ -60,14 +60,16 @@ def test_sibling_leaves_get_distinct_summaries(small_catalog):
     a = small_catalog.labels[0]   # leaf 0
     b = small_catalog.labels[1]   # leaf 1
     assert (a[:2] == b[:2]).all()
-    sa, sb = summarize(a, tree), summarize(b, tree)
+    vocab = build_vocab(tree)
+    sa, sb = summarize(a, tree, vocab), summarize(b, tree, vocab)
     assert sa[0] != sb[0] and sa[3] != sb[3]   # content and trait-A differ
     assert sa[4] == sb[4]                      # shared trait-B
 
 
 def test_summarize_rejects_bad_labels(small_catalog):
     with pytest.raises(CatalogError):
-        summarize((0, 0, 99), small_catalog.tree)
+        summarize((0, 0, 99), small_catalog.tree,
+                  build_vocab(small_catalog.tree))
 
 
 def _oracle_prefix_encoding(prefix, v):
@@ -163,7 +165,7 @@ def _oracle_recon_scatter(h_rec, targets, pipeline):
 def _pipeline(seed=0, d_r=6):
     vocab = build_vocab(build_tree((2, 2, 2)))
     return init_pipeline(L=2, K=4, d_e=5, d_r=d_r, vocab=vocab, seed=seed,
-                         decoder_hidden=16), vocab
+                         hidden=16), vocab
 
 
 def test_pipeline_shape_validation(rng):
@@ -250,7 +252,7 @@ def test_decoder_gradient_zero_outside_reached_rows(branching, n_items,
                         for lab in cat.labels])
     train = np.asarray(cat.train_ids)
     pipe = init_pipeline(L=2, K=4, d_e=5, d_r=6, vocab=vocab, seed=1,
-                         decoder_hidden=16)
+                         hidden=16)
     rows = reached_rows(targets[train], pipe)
     want = np.zeros(pipe.decoder.in_dim, dtype=bool)
     want[:pipe.d_r] = True
@@ -282,7 +284,7 @@ def _summary_setup(seed=5):
     leaf_targets = np.stack([summarize(cat.tree.path(leaf), cat.tree, vocab)
                              for leaf in range(cat.spec.n_leaves)])
     pipe = init_pipeline(L=2, K=4, d_e=5, d_r=6, vocab=vocab, seed=seed,
-                         decoder_hidden=16)
+                         hidden=16)
     train = np.asarray(cat.train_ids)
     live = reached_rows(leaf_targets[cat.labels[train, 2]], pipe)
     return cat, leaf_targets, pipe, train, live

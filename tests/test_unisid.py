@@ -182,49 +182,31 @@ def _random_tokens(seed):
 
 
 def test_collision_stats_matches_counter():
+    # shifting or scaling every token keeps the rows' order and ties: wide
+    # tokens, which would overflow a sort key packing a row into L
+    # base-(max + 1) digits of one int64 from L = 2 on, and negative ones
+    tables = []
     for seed in range(20):
         for tokens in _random_tokens(seed):
-            table = token_table(tokens)
-            want = collision_stats_oracle(table)
-            got = collision_stats(table)
-            assert got == want == token_stats(tokens)
-            assert type(got["collision_rate"]) is float
-            assert all(type(d) is int for d in got["distinct_prefixes"])
-
-
-def test_token_stats_packed_key_matches_lexsort_fallback(monkeypatch):
-    # one packed int64 key per row when its range fits, np.lexsort else;
-    # scaling or shifting every token keeps the tables' order and ties
-    sorts = []
-    lexsort = np.lexsort
-    monkeypatch.setattr(np, "lexsort",
-                        lambda keys: sorts.append(1) or lexsort(keys))
-
-    def stats(tokens, packed):
-        sorts.clear()
-        got = token_stats(tokens)
-        assert sorts == ([] if packed else [1])
-        return got
-
-    for seed in range(20):
-        for tokens in _random_tokens(seed):
-            if not len(tokens):
-                continue
-            L = tokens.shape[1]
-            want = collision_stats_oracle(token_table(tokens))
-            assert stats(tokens, packed=True) == want
-            # wide tokens: (max + 1) ** L leaves int64 from L = 2 on
-            assert stats((tokens + 1) * 2 ** 40, packed=L == 1) == want
-            assert stats(tokens - tokens.max() - 1, packed=False) == want
-    # the edge of the int64 range: (max + 1) ** 3 == 2 ** 63 still packs
+            tables += [tokens, (tokens + 1) * 2 ** 40,
+                       tokens - tokens.max(initial=0) - 1]
+    # such a key's edge, (max + 1) ** 3 == 2 ** 63, and one past it, with
+    # duplicate rows
     r = np.random.default_rng(0)
-    for top, packed in ((2 ** 21 - 1, True), (2 ** 21, False)):
+    for top in (2 ** 21 - 1, 2 ** 21):
         tokens = r.integers(top - 2, top + 1, size=(60, 3))
         tokens[0] = top
-        tokens[1:4] = tokens[4]   # duplicate rows
-        want = collision_stats_oracle(token_table(tokens))
-        assert stats(tokens, packed=packed) == want
-        assert want["collision_rate"] > 0
+        tokens[1:4] = tokens[4]
+        tables.append(tokens)
+    for tokens in tables:
+        table = token_table(tokens)
+        want = collision_stats_oracle(table)
+        got = collision_stats(table)
+        assert got == want == token_stats(tokens)
+        assert type(got["collision_rate"]) is float
+        assert all(type(d) is int for d in got["distinct_prefixes"])
+    assert all(collision_stats_oracle(token_table(t))["collision_rate"] > 0
+               for t in tables[-2:])
 
 
 def test_assign_catalog_runs_encoder_and_sid_head_only(small_catalog,

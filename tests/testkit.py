@@ -3,17 +3,19 @@ that steps around kinks, the one-hot prefix vector of a partial SID, a
 row-wise log-softmax, the per-SID collision counter, points at float32
 near ties, the nearest centroid of each point, and the library's
 private kernels behind one-call forms: the code-usage loss of a logit
-block, and the next-SID history vectors and loss gradients of a
-sequence array.
+block, the next-SID history vectors and loss gradients of a sequence
+array, a reconstruction pipeline with a narrow decoder, and the
+reconstruction loss with fresh buffers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
-from sidforge import evalsuite, objectives
+from sidforge import evalsuite, numkit, objectives, summarizer
 from sidforge.numkit import CentroidScreen
 
 
@@ -186,6 +188,42 @@ def history_vectors(model, sequences, sid_table: dict[int, tuple]
 def next_sid_loss_grads(model, sequences, sid_table: dict[int, tuple]):
     """Teacher-forced cross-entropy over all L levels of the target SID,
     averaged over the (n, T) `sequences`.  Returns (loss, table grad,
-    scorer grads)."""
-    return evalsuite._loss_grads(model, *evalsuite._tail_rows(
-        sequences, sid_table, model.config))
+    scorer grads): the loss from each level's log-sum-exp over the
+    scorer inputs `evalsuite._loss_grads` builds, the gradients from
+    `_loss_grads` itself."""
+    c = model.config
+    rows, targets = evalsuite._tail_rows(sequences, sid_table, c)
+    n, h, _ = rows.shape
+    at = np.arange(n)
+    x = np.zeros((n, c.d_s + (c.L - 1) * c.K))
+    x[:, :c.d_s] = evalsuite._mean_rows(model.table, rows.reshape(n * h, -1),
+                                        h)
+    for lvl in range(c.L - 1):
+        x[at, c.d_s + lvl * c.K + targets[:, lvl]] = 1.0
+    loss = 0.0
+    for lvl in range(c.L):
+        logits = numkit.mlp_apply(model.scorers[lvl],
+                                  x[:, :c.d_s + lvl * c.K])[0]
+        m = logits.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+        loss += float(np.mean(lse - logits[at, targets[:, lvl]]))
+    return (loss, *evalsuite._loss_grads(model, rows, targets))
+
+
+def init_pipeline(L: int, K: int, d_e: int, d_r: int, vocab, seed: int,
+                  hidden: int) -> summarizer.ReconPipeline:
+    """`summarizer.init_pipeline` with a decoder `hidden` wide in place of
+    DECODER_HIDDEN, for tests that need a small one."""
+    with mock.patch.object(summarizer, "DECODER_HIDDEN", hidden):
+        return summarizer.init_pipeline(L, K, d_e, d_r, vocab, seed)
+
+
+def recon_loss(h_rec, targets, pipeline, buffers=None, **flags):
+    """`summarizer.recon_loss`, by default with fresh buffers for the
+    batch and every W0 row live, so that W0's gradient is the whole
+    array's."""
+    if buffers is None:
+        buffers = summarizer.ReconBuffers(
+            pipeline, len(np.atleast_2d(h_rec)),
+            np.ones(pipeline.decoder.in_dim, dtype=bool))
+    return summarizer.recon_loss(h_rec, targets, pipeline, buffers, **flags)
