@@ -706,7 +706,7 @@ def test_kmeans_k_too_large():
 
 @pytest.mark.parametrize("args", [
     {"k": 0}, {"k": 2.5}, {"k": "2"}, {"iterations": -1},
-    {"iterations": 1.5}, {"seed": -1}])
+    {"iterations": 1.5}, {"seed": 1.5}, {"seed": -1}])
 def test_kmeans_rejects_bad_arguments(args):
     with pytest.raises(ConfigurationError):
         kmeans_fit(np.zeros((3, 2)), **{"k": 2, **args})
