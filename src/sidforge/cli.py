@@ -33,21 +33,20 @@ def _rqvae_embed(bundle, x):
     return numkit.mlp_apply(bundle.model.encoder, x)[0]
 
 
-# scheme -> (SID table of a catalog, embeddings of a feature matrix,
-# codebook size K), each from the scheme's loaded checkpoint bundle
+# scheme -> (SidTable of a catalog, embeddings of a feature matrix),
+# each from the scheme's loaded checkpoint bundle
 SCHEME_TABLE = {
     "unisid": (lambda b, cat: unisid.assign_catalog(b.model, cat)[0],
-               lambda b, x: unisid.embed_batch(b.model, x),
-               lambda b: b.model.config.K),
-    "rqkmeans": (lambda b, cat: unisid.token_table(rq.rq_assign_batch(
+               lambda b, x: unisid.embed_batch(b.model, x)),
+    "rqkmeans": (lambda b, cat: unisid.SidTable(rq.rq_assign_batch(
                      b.codebook, unisid.embed_batch(b.embed_model,
-                                                    cat.features_matrix()))),
-                 lambda b, x: unisid.embed_batch(b.embed_model, x),
-                 lambda b: b.codebook.K),
-    "rqvae": (lambda b, cat: unisid.token_table(rq.rq_assign_batch(
-                  b.model.codebook, _rqvae_embed(b, cat.features_matrix()))),
-              _rqvae_embed,
-              lambda b: b.model.codebook.K),
+                                                    cat.features_matrix())),
+                     b.codebook.K),
+                 lambda b, x: unisid.embed_batch(b.embed_model, x)),
+    "rqvae": (lambda b, cat: unisid.SidTable(rq.rq_assign_batch(
+                  b.model.codebook, _rqvae_embed(b, cat.features_matrix())),
+                  b.model.codebook.K),
+              _rqvae_embed),
 }
 SCHEMES = tuple(SCHEME_TABLE)
 
@@ -318,27 +317,23 @@ def cmd_assign(cfg: Config, out: str, schemes=None,
         raise SidforgeError("no checkpoints found; train a model first")
     for scheme in schemes:
         bundle = _load_bundle(out, scheme)
-        sid_table, _, k_of = SCHEME_TABLE[scheme]
-        table = sid_table(bundle, catalog)
-        L = len(next(iter(table.values())))
-        doc = {"L": L, "K": k_of(bundle),
-               "config_digest": cfg.digest,
-               "sids": {str(i): list(t) for i, t in sorted(table.items())}}
+        table = SCHEME_TABLE[scheme][0](bundle, catalog)
+        doc = {"L": table.L, "K": table.K, "config_digest": cfg.digest,
+               "sids": {str(i): t for i, t in
+                        enumerate(table.tokens.tolist())}}
         path = os.path.join(out, f"sids_{scheme}.json")
         with open(path, "w", encoding="utf-8") as f:
             f.write(json.dumps(doc, separators=(",", ":"), sort_keys=True))
         print(f"wrote {path}")
 
 
-def _load_sid_doc(path: str, n_items: int | None = None
-                  ) -> tuple[dict[int, tuple], int]:
-    """The SID table of a sids_*.json file and its codebook size K.
-
-    The file must hold an object with integers `L` >= 1 and `K` >= 1 and a
-    nonempty `sids` object whose ids are exactly "0" .. "n-1" (n is
-    `n_items` when given, else the number of ids), each mapped to a list
-    of L integers in [0, K).  Any other file raises InputError naming the
-    file and the broken rule."""
+def _load_sid_doc(path: str, n_items: int | None = None) -> unisid.SidTable:
+    """The SidTable of a sids_*.json file: an object with integers `L`
+    and `K` >= 1 and a nonempty `sids` object whose ids are exactly "0" ..
+    "n-1" (n is `n_items` when given, else the number of ids), each
+    mapped to a list of L integers in [0, K), checked one by one, as an
+    int64 array cannot tell a JSON boolean from 0 or 1.  Any other file
+    raises InputError naming the file and the broken rule."""
     def broken(rule: str) -> InputError:
         return InputError(f"{path}: {rule}")
 
@@ -366,11 +361,15 @@ def _load_sid_doc(path: str, n_items: int | None = None
                 and all(type(v) is int and 0 <= v < K for v in t)):
             raise broken(f"the SID of item {i} must be a list of {L} "
                          f"integers in [0, {K})")
-    return {int(i): tuple(t) for i, t in sids.items()}, K
+    try:  # tokens past int64 pass the checks above
+        return unisid.SidTable([sids[str(i)] for i in range(n)], K)
+    except InputError as e:
+        raise broken(str(e)) from None
 
 
-def load_sid_table(path: str) -> dict[int, tuple]:
-    return _load_sid_doc(path)[0]
+def load_sid_table(path: str) -> np.ndarray:
+    """The (n_items, L) SID tokens of a sids_*.json file."""
+    return _load_sid_doc(path).tokens
 
 
 def _user_sequences(cfg: Config, catalog: ItemCatalog) -> np.ndarray:
@@ -383,14 +382,13 @@ def evaluate_scheme(cfg: Config, out: str, scheme: str, catalog: ItemCatalog,
                     seqs: np.ndarray | None = None) -> EvalReport:
     """V-measure, collisions and recall of one scheme, and its HR@K on the
     user sequences `seqs` of `_user_sequences` if they are given."""
-    table, K = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"),
-                             len(catalog.items))
+    table = _load_sid_doc(os.path.join(out, f"sids_{scheme}.json"),
+                          len(catalog.items))
     e = cfg.eval
-    # each scheme has its own depth; the table's codes give it
-    depth = len(next(iter(table.values())))
+    # each scheme has its own depth and K; the table gives them
     vs = [evalsuite.sid_level_vmeasure(table, catalog, lvl)
-          for lvl in range(1, depth + 1)]
-    stats = unisid.collision_stats(table)
+          for lvl in range(1, table.L + 1)]
+    stats = unisid.token_stats(table.tokens)
     report = EvalReport(scheme=scheme, seed=e.seed,
                         config_digest=cfg.digest, v_measure=vs,
                         collision=stats["collision_rate"],
@@ -398,12 +396,12 @@ def evaluate_scheme(cfg: Config, out: str, scheme: str, catalog: ItemCatalog,
     if seqs is not None:
         n_test = max(1, len(seqs) // 5)
         train_seqs, test_seqs = seqs[:-n_test], seqs[-n_test:]
-        nsc = replace(e.next_sid, L=depth, K=K)
+        nsc = replace(e.next_sid, L=table.L, K=table.K)
         model = evalsuite.train_next_sid(train_seqs, table, nsc)
         report.hr = evalsuite.hr_at_k(model, test_seqs, table, e.k_list)
     if e.include_recall:
         bundle = _load_bundle(out, scheme)
-        _, embed, _ = SCHEME_TABLE[scheme]
+        embed = SCHEME_TABLE[scheme][1]
         report.recall = evalsuite.retrieval_recall(
             lambda x: embed(bundle, x), catalog, e.k_list,
             n_neg=e.n_neg, seed=e.seed)
@@ -491,30 +489,34 @@ def cmd_case_study(cfg: Config, out: str) -> None:
 
 
 def cmd_report(cfg: Config, out: str) -> None:
-    rows = [evalsuite.load_report(os.path.join(out, f"eval_{s}.json"))
-            for s in _present_schemes(out, "eval_{}.json")]
-    if not rows:
+    paths = [os.path.join(out, f"eval_{s}.json")
+             for s in _present_schemes(out, "eval_{}.json")]
+    if not paths:
         raise SidforgeError("no eval reports found; run eval first")
+    rows = list(map(evalsuite.load_report, paths))
+    for path, r in zip(paths, rows):  # each K a column of report.csv
+        for name, m in (("hr", r.hr), ("recall", r.recall)):
+            if m and set(m) != set(cfg.eval.k_list):
+                raise InputError(f"{path}: {name} has K = {sorted(m)}, "
+                                 f"not eval.k_list = {cfg.eval.k_list}")
     path = os.path.join(out, "report.csv")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         # a shallower scheme leaves its missing levels empty
         depth = max(len(r.v_measure or []) for r in rows)
-        header = (["scheme"]
-                  + [f"v_measure_l{i}" for i in range(1, depth + 1)]
-                  + [f"hr@{k}" for k in cfg.eval.k_list]
-                  + [f"recall@{k}" for k in cfg.eval.k_list]
-                  + ["collision"])
-        w.writerow(header)
+        k_list = cfg.eval.k_list
+        w.writerow(["scheme"]
+                   + [f"v_measure_l{i}" for i in range(1, depth + 1)]
+                   + [f"{m}@{k}" for m in ("hr", "recall") for k in k_list]
+                   + ["collision"])
         for r in rows:
-            row = [r.scheme]
             vs = r.v_measure or []
-            row += [f"{v:.4f}" for v in vs] + [""] * (depth - len(vs))
-            row += [f"{r.hr[k]:.4f}" if r.hr else "" for k in cfg.eval.k_list]
-            row += [f"{r.recall[k]:.4f}" if r.recall else ""
-                    for k in cfg.eval.k_list]
-            row.append(f"{r.collision:.4f}" if r.collision is not None else "")
-            w.writerow(row)
+            w.writerow([r.scheme] + [f"{v:.4f}" for v in vs]
+                       + [""] * (depth - len(vs))
+                       + [f"{m[k]:.4f}" if m else ""
+                          for m in (r.hr, r.recall) for k in k_list]
+                       + ["" if r.collision is None
+                          else f"{r.collision:.4f}"])
     print(f"wrote {path}")
     for r in rows:
         print(f"{r.scheme}: V={r.v_measure} HR={r.hr} R={r.recall} "

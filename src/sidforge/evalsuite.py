@@ -9,7 +9,7 @@ import bisect
 import csv
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from . import numkit
 from .catalog import ItemCatalog
 from .errors import ConfigurationError, InputError
 from .numkit import MlpParams
+from .unisid import SidTable
 
 
 # --- V-measure --------------------------------------------------------------
@@ -60,15 +61,16 @@ def v_measure(clusters, labels) -> tuple[float, float, float]:
     return h, c, v
 
 
-def sid_level_vmeasure(sid_table: dict[int, tuple], catalog: ItemCatalog,
+def sid_level_vmeasure(table: SidTable, catalog: ItemCatalog,
                        level: int) -> float:
     """V-measure of the level-(1..level) SID prefix clustering of the test
-    split against leaf category labels."""
+    split against leaf category labels; the table needs one SID per
+    catalog item."""
+    if len(table.tokens) != len(catalog.items):
+        raise InputError(f"{len(table.tokens)} SIDs for "
+                         f"{len(catalog.items)} catalog items")
     ids = catalog.test_ids
-    for i in ids:
-        if i not in sid_table:
-            raise InputError(f"item {i} missing from SID table")
-    clusters = [tuple(sid_table[i][:level]) for i in ids]
+    clusters = list(map(tuple, table.tokens[ids, :level].tolist()))
     labels = catalog.labels[ids, 2].tolist()
     return v_measure(clusters, labels)[2]
 
@@ -169,31 +171,6 @@ def next_sid_size(config: NextSidConfig) -> int:
             + hidden * K * L * (L - 1) // 2)
 
 
-def _sids(items: list[int], sid_table: dict[int, tuple]) -> list[tuple]:
-    """The SIDs of the item ids `items`."""
-    try:
-        return [sid_table[item] for item in items]
-    except KeyError as e:
-        raise InputError(f"item {e.args[0]} has no SID") from None
-
-
-def _tokens(sids: list[tuple], L: int, K: int) -> np.ndarray:
-    """The (len(sids), L) int64 array of `sids`, each L integer tokens in
-    [0, K)."""
-    try:
-        tokens = np.array(sids).reshape(len(sids), L)
-    except ValueError:  # SIDs of another length, or of mixed lengths
-        raise InputError(f"every SID must be L = {L} tokens long") from None
-    if tokens.dtype.kind in "iu" or not tokens.size:
-        tokens = tokens.astype(np.int64, copy=False)
-        # one reduction for both ends: a negative token's unsigned view
-        # is at least 2**63
-        if np.maximum.reduce(tokens.view(np.uint64), axis=None,
-                             initial=0) < K:
-            return tokens
-    raise InputError(f"SID tokens must be integers in [0, K = {K})")
-
-
 @functools.cache
 def _level_offsets(L: int, K: int) -> np.ndarray:
     """Level l's table rows start at l*K; shared by every call, so never
@@ -203,15 +180,15 @@ def _level_offsets(L: int, K: int) -> np.ndarray:
     return offsets
 
 
-def _tail_rows(sequences, sid_table: dict[int, tuple],
+def _tail_rows(sequences, sid_table: SidTable,
                config: NextSidConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (n, h, L) table rows of the last h = min(history, T - 1)
     history items of each of the n sequences, and the (n, L) SID tokens
-    of their targets, from one SID lookup of the last h + 1 columns.
+    of their targets, from one gather of the last h + 1 columns' SIDs.
 
     `sequences` is an (n, T) integer array-like, T >= 2, as
-    `gen_user_sequences` returns: each row a user's history, then the
-    target."""
+    `gen_user_sequences` returns, or a served query's one-row list: each
+    row a user's history, then the target."""
     try:
         seqs = np.asarray(sequences)
     except ValueError:  # rows of different lengths
@@ -220,10 +197,21 @@ def _tail_rows(sequences, sid_table: dict[int, tuple],
             or seqs.dtype.kind not in "iu"):
         raise InputError("sequences must be an (n, T) integer array with "
                          "T >= 2")
-    n, T = seqs.shape
+    if (sid_table.L, sid_table.K) != (config.L, config.K):
+        raise InputError(
+            f"the SID table's (L, K) = ({sid_table.L}, {sid_table.K}) must "
+            f"be the model's ({config.L}, {config.K})")
+    T = seqs.shape[1]
     h = min(config.history, T - 1)
-    tokens = _tokens(_sids(seqs[:, T - h - 1:].ravel().tolist(), sid_table),
-                     config.L, config.K).reshape(n, h + 1, config.L)
+    tail = seqs[:, T - h - 1:]
+    ids = tail.astype(np.int64, copy=False)
+    # one reduction for both ends: a negative id's unsigned view is at
+    # least 2**63
+    unsigned = ids.view(np.uint64)
+    n_items = len(sid_table.tokens)
+    if int(np.maximum.reduce(unsigned, axis=None, initial=0)) >= n_items:
+        raise InputError(f"item {tail[unsigned >= n_items][0]} has no SID")
+    tokens = sid_table.tokens.take(ids, axis=0)
     rows = tokens[:, :h]
     rows += _level_offsets(config.L, config.K)
     return rows, tokens[:, h]
@@ -242,26 +230,12 @@ def _mean_rows(table: np.ndarray, rows: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _histories(model: NextSidModel, sequences, sid_table: dict[int, tuple]
+def _histories(model: NextSidModel, sequences, sid_table: SidTable
                ) -> tuple[np.ndarray, list[tuple]]:
     """The (n, d_s) history vectors of the (n, T) `sequences`, each the
     mean over the last h items of their summed level-token embeddings,
-    and the n target SIDs.
-
-    A served query, a list holding one row array, runs the same
-    arithmetic on the row alone: the (1, T) array and its 2-D slices
-    cost about 3 us, a few per cent of the query."""
-    c = model.config
-    if (type(sequences) is list and len(sequences) == 1
-            and type(sequences[0]) is np.ndarray):
-        row = sequences[0]
-        if row.ndim == 1 and len(row) >= 2 and row.dtype.kind in "iu":
-            h = min(c.history, len(row) - 1)
-            sids = _sids(row[-h - 1:].tolist(), sid_table)
-            rows = _tokens(sids, c.L, c.K)[:-1]  # checks the target's too
-            rows += _level_offsets(c.L, c.K)
-            return _mean_rows(model.table, rows, h), [tuple(sids[-1])]
-    rows, targets = _tail_rows(sequences, sid_table, c)
+    and the n target SIDs."""
+    rows, targets = _tail_rows(sequences, sid_table, model.config)
     n, h, L = rows.shape
     return (_mean_rows(model.table, rows.reshape(n * h, L), h),
             list(map(tuple, targets.tolist())))
@@ -305,7 +279,7 @@ def _loss_grads(model: NextSidModel, rows: np.ndarray, targets: np.ndarray):
     return g_table.reshape(model.table.shape), scorer_grads
 
 
-def train_next_sid(sequences, sid_table: dict[int, tuple],
+def train_next_sid(sequences, sid_table: SidTable,
                    config: NextSidConfig) -> NextSidModel:
     """Adam training of the next-SID predictor on the (n, T) `sequences`;
     deterministic per seed.
@@ -447,7 +421,7 @@ def _checked_width(k_list: list[int], beam_width: int | None) -> int:
 
 
 def hr_at_k(model: NextSidModel, test_sequences,
-            sid_table: dict[int, tuple], k_list: list[int],
+            sid_table: SidTable, k_list: list[int],
             beam_width: int | None = None) -> dict[int, float]:
     """SID-level Hit Rate over the (n, T) `test_sequences`: a test case
     is a hit at K when the target's SID sequence appears among the
@@ -532,31 +506,20 @@ class EvalReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme, "seed": self.seed,
-            "config_digest": self.config_digest,
-            "v_measure": self.v_measure,
-            "hr": {str(k): v for k, v in self.hr.items()} if self.hr else None,
-            "recall": ({str(k): v for k, v in self.recall.items()}
-                       if self.recall else None),
-            "collision": self.collision,
-            "distinct_prefixes": self.distinct_prefixes,
-            "extra": self.extra,
-        }
+        d = asdict(self)
+        for name in ("hr", "recall"):
+            d[name] = {str(k): v for k, v in (d[name] or {}).items()} or None
+        return d
 
     def save_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
 
     def save_csv(self, path: str) -> None:
-        rows = []
-        if self.v_measure is not None:
-            for lvl, v in enumerate(self.v_measure, start=1):
-                rows.append((f"v_measure_l{lvl}", v))
+        rows = [(f"v_measure_l{lvl}", v)
+                for lvl, v in enumerate(self.v_measure or [], start=1)]
         for name, metrics in (("hr", self.hr), ("recall", self.recall)):
-            if metrics:
-                for k in sorted(metrics):
-                    rows.append((f"{name}@{k}", metrics[k]))
+            rows += [(f"{name}@{k}", metrics[k]) for k in sorted(metrics or {})]
         if self.collision is not None:
             rows.append(("collision_rate", self.collision))
         with open(path, "w", newline="") as f:
@@ -566,14 +529,44 @@ class EvalReport:
                 w.writerow([self.scheme, name, f"{v:.9g}"])
 
 
+_NUMBER = (int, float)  # the types of a JSON number; a bool is neither
+
+# each field of an eval_*.json file: what it must be, and its test; all
+# but the first three may be null
+_REPORT_FIELDS = {
+    "scheme": ("a string", lambda v: type(v) is str),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "config_digest": ("a string", lambda v: type(v) is str),
+    "v_measure": ("a list of numbers", lambda v: type(v) is list
+                  and all(type(x) in _NUMBER for x in v)),
+    **dict.fromkeys(("hr", "recall"), (
+        "an object from integer K to a number",
+        lambda v: type(v) is dict and all(
+            k.isdecimal() and type(x) in _NUMBER for k, x in v.items()))),
+    "collision": ("a number", lambda v: type(v) in _NUMBER),
+    "distinct_prefixes": ("a list of integers", lambda v: type(v) is list
+                          and all(type(x) is int for x in v)),
+}
+
+
 def load_report(path: str) -> EvalReport:
-    with open(path, encoding="utf-8") as f:
-        d = json.load(f)
-    return EvalReport(
-        scheme=d["scheme"], seed=d["seed"],
-        config_digest=d["config_digest"], v_measure=d["v_measure"],
-        hr={int(k): v for k, v in d["hr"].items()} if d["hr"] else None,
-        recall=({int(k): v for k, v in d["recall"].items()}
-                if d["recall"] else None),
-        collision=d["collision"],
-        distinct_prefixes=d["distinct_prefixes"], extra=d.get("extra", {}))
+    """The EvalReport of an eval_*.json file.  A file that is not JSON,
+    not an object, or lacks a field of `_REPORT_FIELDS` or holds one of
+    the wrong type raises InputError naming the file and the field."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            d = json.load(f)
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise InputError(f"{path}: not a JSON document ({e})") from None
+    if not isinstance(d, dict):
+        raise InputError(f"{path}: must hold a JSON object")
+    for i, (name, (what, ok)) in enumerate(_REPORT_FIELDS.items()):
+        if name not in d:
+            raise InputError(f"{path}: missing field {name}")
+        if not (i > 2 and d[name] is None or ok(d[name])):
+            raise InputError(f"{path}: {name} must be {what}"
+                             + (" or null" if i > 2 else ""))
+    at_k = {name: {int(k): v for k, v in (d[name] or {}).items()} or None
+            for name in ("hr", "recall")}
+    return EvalReport(**{name: d[name] for name in _REPORT_FIELDS} | at_k,
+                      extra=d.get("extra", {}))

@@ -115,51 +115,54 @@ def embed_batch(model: UniSidModel, x: np.ndarray) -> np.ndarray:
     return forward_batch(model, x, caches=False).embedding
 
 
+class SidTable:
+    """One Semantic ID per item: row i of the read-only (n, L) int64
+    `tokens` is item i's L tokens in [0, K).  A copy of the integer
+    array it is built from, checked once, here: anything else, or an
+    empty table, is an InputError.  Tables are equal when their K and
+    tokens are."""
+
+    def __init__(self, tokens, K: int):
+        try:
+            tokens = np.array(tokens)
+        except ValueError:  # rows of different lengths
+            tokens = np.array([])
+        if (type(K) is not int or K < 1 or tokens.ndim != 2
+                or not tokens.size or tokens.dtype.kind not in "iu"):
+            raise InputError("a SID table takes an integer K >= 1 and an "
+                             "(n, L) integer array, n, L >= 1")
+        tokens = tokens.astype(np.int64, copy=False)
+        # one reduction for both ends: a negative token's unsigned view
+        # is at least 2**63
+        if int(np.maximum.reduce(tokens.view(np.uint64), axis=None)) >= K:
+            raise InputError(f"SID tokens must be in [0, K = {K})")
+        tokens.flags.writeable = False
+        self.tokens, self.K, self.L = tokens, K, tokens.shape[1]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SidTable) and self.K == other.K
+                and np.array_equal(self.tokens, other.tokens))
+
+
 def token_stats(tokens: np.ndarray) -> dict:
-    """Fraction of the (n, L) token rows that share their full SID with
-    another row, plus distinct prefix counts per level.  The rows are
-    sorted lexicographically, so equal prefixes sit next to each other:
-    a row starts a new level-l prefix where it differs from the row
-    before in one of its first l + 1 tokens."""
-    n, L = tokens.shape
-    if not n:
-        return {"collision_rate": 0.0, "distinct_prefixes": []}
-    new = _prefix_changes(tokens)
-    # a new full SID is a new last-level prefix; with L = 0 all rows share
-    # the empty one
-    full = new[:, -1] if L else np.zeros(n - 1, dtype=bool)
-    starts = np.flatnonzero(np.r_[True, full])
+    """Fraction of the (n, L) token rows, n, L >= 1, that share their
+    full SID with another row, plus distinct prefix counts per level.
+    The rows are sorted lexicographically, so equal prefixes sit next to
+    each other: a row starts a new level-l prefix where it differs from
+    the row before in one of its first l + 1 tokens."""
+    n = len(tokens)
+    rows = tokens[np.lexsort(tokens.T[::-1])]
+    new = np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1)
+    # a new full SID is a new last-level prefix
+    starts = np.flatnonzero(np.r_[True, new[:, -1]])
     sizes = np.diff(np.r_[starts, n])
     return {"collision_rate": int(sizes[sizes > 1].sum()) / n,
             "distinct_prefixes": (1 + new.sum(axis=0)).tolist()}
 
 
-def _prefix_changes(tokens: np.ndarray) -> np.ndarray:
-    """(n - 1, L) bool over the lexicographically sorted rows: entry
-    (i, l) is whether row i + 1 starts a new level-l prefix."""
-    rows = tokens[np.lexsort(tokens.T[::-1])] if tokens.shape[1] else tokens
-    return np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1)
-
-
-def collision_stats(sid_table: dict[int, tuple]) -> dict:
-    """`token_stats` of a SID table; InputError unless every SID has the
-    same length."""
-    lengths = set(map(len, sid_table.values()))
-    if len(lengths) > 1:
-        raise InputError(f"SIDs differ in length: {sorted(lengths)}")
-    (L,) = lengths or {0}
-    tokens = np.array(list(sid_table.values()), dtype=np.int64)
-    return token_stats(tokens.reshape(len(sid_table), L))
-
-
-def token_table(tokens: np.ndarray) -> dict[int, tuple]:
-    """(n, L) tokens of the catalog rows -> SID table keyed by item id."""
-    return dict(enumerate(map(tuple, tokens.tolist())))
-
-
 def assign_catalog(model: UniSidModel,
-                   catalog: ItemCatalog) -> tuple[dict[int, tuple], dict]:
-    """Full-catalog SID assignment plus collision statistics.  Runs the
+                   catalog: ItemCatalog) -> tuple[SidTable, dict]:
+    """Full-catalog SID table plus collision statistics.  Runs the
     encoder and the SID head only, the two `mlp_apply` calls whose output
     `forward_batch` turns into tokens, so the tokens have its bits; the
     embedding head's output would be dropped."""
@@ -171,5 +174,5 @@ def assign_catalog(model: UniSidModel,
     c = model.config
     hidden = numkit.mlp_apply(model.encoder, x)[0]
     flat = numkit.mlp_apply(model.sid_head, hidden)[0]
-    tokens = assign_sid(flat.reshape(-1, c.L, c.K))
-    return token_table(tokens), token_stats(tokens)
+    table = SidTable(assign_sid(flat.reshape(-1, c.L, c.K)), c.K)
+    return table, token_stats(table.tokens)

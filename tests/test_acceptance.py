@@ -80,7 +80,7 @@ def trained_schemes(desk_catalog):
                                rq.RqVaeConfig(epochs=15, seed=seed + 10))
         z, _ = numkit.mlp_apply(vae.encoder, cat.features_matrix())
         tok = rq.rq_assign_batch(vae.codebook, z)
-        vtable = unisid.token_table(tok)
+        vtable = unisid.SidTable(tok, vae.codebook.K)
         out["rqvae"].append({
             "v": [evalsuite.sid_level_vmeasure(vtable, cat, l)
                   for l in (1, 2, 3)],
@@ -208,8 +208,9 @@ def test_criterion_1_gradient_soundness(small_catalog):
         redraws += rep.redraws
 
         # next-SID training loss
-        sid_table = {i: (int(rng.integers(4)), int(rng.integers(4)))
-                     for i in range(10)}
+        sid_table = unisid.SidTable(
+            [(int(rng.integers(4)), int(rng.integers(4))) for _ in range(10)],
+            4)
         seqs = rng.integers(10, size=(5, 5))
         ns_model = evalsuite.init_next_sid(
             NextSidConfig(L=2, K=4, d_s=6, hidden=8, history=3, seed=seed))
@@ -344,8 +345,8 @@ def test_criterion_3_metric_identities(small_runs, sweep_run):
 def test_criterion_4_beam_equals_exhaustive():
     rng = np.random.default_rng(3)
     K, L = 3, 2
-    sid_table = {i: (int(rng.integers(K)), int(rng.integers(K)))
-                 for i in range(12)}
+    sid_table = unisid.SidTable(
+        [(int(rng.integers(K)), int(rng.integers(K))) for _ in range(12)], K)
     seqs = rng.integers(12, size=(5, 5))
     cfg = NextSidConfig(L=L, K=K, d_s=6, hidden=8, history=3, epochs=4,
                         seed=1)
@@ -370,7 +371,7 @@ def test_criterion_4_beam_equals_exhaustive():
         scored.sort(key=lambda t: (-t[0], t[1]))
         ranked = [c for _, c in scored]
         for k in k_list:
-            if tuple(sid_table[int(s[-1])]) in ranked[:k]:
+            if tuple(sid_table.tokens[int(s[-1])].tolist()) in ranked[:k]:
                 hits[k] += 1
     want = {k: hits[k] / len(seqs) for k in k_list}
     ok = got == want
@@ -392,7 +393,7 @@ def test_criterion_5_separable_recovery():
         # K = 64 codewords so level 1 can resolve all 64 leaves
         cb = rq.rq_kmeans_fit(emb, L=3, K=64, seed=seed + 100)
         tok = rq.rq_assign_batch(cb, emb)
-        table = unisid.token_table(tok)
+        table = unisid.SidTable(tok, cb.K)
         v1s.append(evalsuite.sid_level_vmeasure(table, cat, 1))
     elapsed = time.time() - t0
     med = median(v1s)

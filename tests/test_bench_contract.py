@@ -71,7 +71,12 @@ def trained(small_catalog):
 def test_serve_decode_calls(small_catalog, trained):
     model, _, table, next_sid, users = trained
     again, _ = unisid.assign_catalog(model, small_catalog)
+    # check_pass compares two assignments with != and reads a bool
     assert (table != again) is False
+    changed = again.tokens.copy()
+    changed[5, 1] = (changed[5, 1] + 1) % again.K
+    assert (table != unisid.SidTable(changed, again.K)) is True
+    assert (table != unisid.SidTable(again.tokens, again.K + 1)) is True
     # one query per call, a row of the drawn array; then one batch call
     # over the same users must give the summed hits (final_check)
     hits = dict.fromkeys(K_LIST, 0.0)
@@ -91,11 +96,12 @@ def test_cli_pipeline_sid_file(tmp_path, trained):
     path = tmp_path / "sids_unisid.json"
     path.write_text(json.dumps({
         "L": 3, "K": 16, "config_digest": "",
-        "sids": {str(i): list(t) for i, t in table.items()}}))
-    loaded = cli.load_sid_table(str(path))
-    assert loaded == table
-    tokens = np.array([loaded[i] for i in range(len(loaded))])
-    assert tokens.shape == (len(table), 3)
+        "sids": {str(i): t for i, t in enumerate(table.tokens.tolist())}}))
+    # _sid_tokens indexes the loaded table by item id
+    t = cli.load_sid_table(str(path))
+    tokens = np.array([t[i] for i in range(len(t))])
+    assert tokens.shape == (len(table.tokens), 3)
+    assert np.array_equal(tokens, table.tokens)
 
 
 def test_train_joint_report_and_batch(small_catalog, trained):

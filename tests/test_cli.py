@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -634,11 +635,12 @@ def test_sid_tables_are_valid(run_dir):
     cfg = load_config(cfg_path)
     for scheme in ("unisid", "rqkmeans", "rqvae"):
         doc = json.load(open(os.path.join(out, f"sids_{scheme}.json")))
-        table = load_sid_table(os.path.join(out, f"sids_{scheme}.json"))
-        assert len(table) == cfg["catalog"]["n_items"]
-        K = doc["K"]
-        assert all(len(t) == doc["L"] and all(0 <= v < K for v in t)
-                   for t in table.values())
+        tokens = load_sid_table(os.path.join(out, f"sids_{scheme}.json"))
+        assert tokens.shape == (cfg["catalog"]["n_items"], doc["L"])
+        assert tokens.dtype == np.int64 and not tokens.flags.writeable
+        assert tokens.tolist() == [doc["sids"][str(i)]
+                                   for i in range(len(tokens))]
+        assert 0 <= tokens.min() and tokens.max() < doc["K"]
 
 
 def _sid_edit(change):
@@ -702,6 +704,55 @@ def test_corrupt_sid_file_rejected(run_dir, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error [InputError]: {path}: "), err
     assert words in err
+
+
+def _report_edit(change):
+    """A corruption of eval_rqvae.json that edits the parsed report."""
+    return lambda text: json.dumps(change(json.loads(text)))
+
+
+REPORT_CORRUPTIONS = {
+    # (corruption, words the error must contain); None edits the config
+    "not_json": (lambda text: text[:-1], "not a JSON document"),
+    "array": (lambda text: f"[{text}]", "must hold a JSON object"),
+    "scheme_missing": (_report_edit(
+        lambda d: {k: v for k, v in d.items() if k != "scheme"}),
+                       "missing field scheme"),
+    "hr_not_a_number": (_report_edit(lambda d: d | {"hr": d["hr"] | {
+        "5": "x"}}), "hr must be an object from integer K to a number"),
+    # the reports hold K = 1 and 5
+    "k_list_differs": (None, "hr has K = [1, 5], not eval.k_list = [1, 3]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CORRUPTIONS))
+def test_bad_eval_report_is_a_typed_error(run_dir, tmp_path, capsys, case):
+    # each once ended report in an untyped "runtime error"; report.csv
+    # is not opened before every report has passed
+    src, cfg_path = run_dir
+    out = str(tmp_path / "run")
+    shutil.copytree(src, out)
+    os.remove(os.path.join(out, "report.csv"))
+    corrupt, words = REPORT_CORRUPTIONS[case]
+    path = os.path.join(out, "eval_rqvae.json")
+    if corrupt is None:
+        cfg = copy.deepcopy(SMALL)
+        cfg["eval"]["k_list"] = [1, 3]
+        cfg_path = str(tmp_path / "config.json")
+        with open(cfg_path, "w", encoding="utf-8") as f:
+            json.dump(cfg, f)
+        path = os.path.join(out, "eval_unisid.json")  # the first read
+    else:
+        with open(path, encoding="utf-8") as f:
+            text = corrupt(f.read())
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    capsys.readouterr()
+    assert main(["report", "--config", cfg_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [InputError]: {path}: "), err
+    assert words in err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
 def test_eval_rerun_is_byte_identical(run_dir):

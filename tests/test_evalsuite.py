@@ -6,6 +6,7 @@ replaced are kept here as oracles (`_oracle_*`)."""
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sidforge.evalsuite import (EvalReport, NextSidConfig, beam_decode,
                                 load_report, make_contingency,
                                 retrieval_recall, sid_level_vmeasure,
                                 train_next_sid, v_measure)
+from sidforge.unisid import SidTable
 from testkit import (finite_diff_check, history_vectors, log_softmax,
                      next_sid_loss_grads, prefix_onehot)
 
@@ -71,12 +73,15 @@ def test_make_contingency_errors():
 
 
 def test_sid_level_vmeasure_label_aligned(small_catalog):
-    table = dict(enumerate(map(tuple, small_catalog.labels.tolist())))
+    table = SidTable(small_catalog.labels, 8)  # leaves 0..7
     assert np.isclose(sid_level_vmeasure(table, small_catalog, 3), 1.0)
     v1 = sid_level_vmeasure(table, small_catalog, 1)
     assert 0.0 < v1 < 1.0  # coarse prefix: complete but not homogeneous
-    with pytest.raises(InputError):
-        sid_level_vmeasure({0: (0, 0, 0)}, small_catalog, 1)
+    # one SID per catalog item, no fewer and no more
+    for n in (1, len(small_catalog.items) - 1, len(small_catalog.items) + 1):
+        with pytest.raises(InputError, match="SIDs for 64 catalog items"):
+            sid_level_vmeasure(SidTable(np.zeros((n, 3), dtype=int), 1),
+                               small_catalog, 1)
 
 
 def test_gen_user_sequences_properties(small_catalog):
@@ -202,9 +207,8 @@ CFG = NextSidConfig(L=2, K=4, d_s=6, hidden=8, history=3, seed=2)
 def _toy_setup(rng):
     """A 10-item SID table and 6 sequences of 4 history items and a
     target: more history than CFG's window of 3."""
-    table = {i: (int(rng.integers(4)), int(rng.integers(4)))
-             for i in range(10)}
-    return table, rng.integers(10, size=(6, 5))
+    sids = [(int(rng.integers(4)), int(rng.integers(4))) for _ in range(10)]
+    return SidTable(sids, 4), rng.integers(10, size=(6, 5))
 
 
 def _oracle_history_vectors(model, sequences, sid_table):
@@ -216,9 +220,7 @@ def _oracle_history_vectors(model, sequences, sid_table):
         tail = [int(v) for v in seq[:-1]][-c.history:]
         rows = []
         for item in tail:
-            if item not in sid_table:
-                raise InputError(f"item {item} has no SID")
-            rows.append(offsets + np.asarray(sid_table[item], dtype=np.int64))
+            rows.append(offsets + sid_table.tokens[item])
         rows = np.stack(rows)  # (h, L)
         hist_vecs[i] = model.table[rows.reshape(-1)].reshape(
             len(tail), c.L, c.d_s).sum(axis=1).mean(axis=0)
@@ -230,7 +232,7 @@ def _oracle_next_sid_loss_grads(model, sequences, sid_table):
     c = model.config
     n = len(sequences)
     hist, used_rows = _oracle_history_vectors(model, sequences, sid_table)
-    targets = np.array([sid_table[int(s[-1])] for s in sequences],
+    targets = np.array([sid_table.tokens[int(s[-1])] for s in sequences],
                        dtype=np.int64)
     loss = 0.0
     g_hist = np.zeros_like(hist)
@@ -279,9 +281,8 @@ def _sequence_setup(seed, L, K, T, n_items=30, n_seqs=40):
     """A random SID table and an (n_seqs, T) array of sequences: T - 1
     history items, then the target."""
     r = np.random.default_rng(seed)
-    table = {i: tuple(int(t) for t in r.integers(K, size=L))
-             for i in range(n_items)}
-    return table, r.integers(n_items, size=(n_seqs, T))
+    sids = [[int(t) for t in r.integers(K, size=L)] for _ in range(n_items)]
+    return SidTable(sids, K), r.integers(n_items, size=(n_seqs, T))
 
 
 def _lengths_around(H):
@@ -302,7 +303,7 @@ def test_history_vectors_mean_of_sums(rng):
     model = init_next_sid(CFG)
     hist = history_vectors(model, seqs, sid_table)
     tail = seqs[0, -1 - CFG.history:-1].tolist()
-    want = np.mean([sum(model.table[lvl * CFG.K + sid_table[i][lvl]]
+    want = np.mean([sum(model.table[lvl * CFG.K + sid_table.tokens[i, lvl]]
                         for lvl in range(CFG.L)) for i in tail], axis=0)
     np.testing.assert_allclose(hist[0], want)
 
@@ -479,7 +480,7 @@ def test_train_next_sid_matches_batch_loop(monkeypatch):
 def test_table_scatter_with_shared_rows():
     # every sequence lands on the same few table rows, many times each
     cfg = NextSidConfig(L=2, K=2, d_s=5, hidden=6, history=6, seed=1)
-    sid_table = {i: (i % 2, 0) for i in range(6)}
+    sid_table = SidTable([(i % 2, 0) for i in range(6)], 2)
     r = np.random.default_rng(3)
     seqs = r.integers(6, size=(50, 10))
     model = init_next_sid(cfg)
@@ -522,7 +523,7 @@ def _oracle_hr_at_k(model, test_sequences, sid_table, k_list, beam_width):
     hits = {k: 0 for k in k_list}
     hist = history_vectors(model, test_sequences, sid_table)
     for i, seq in enumerate(test_sequences):
-        truth = tuple(sid_table[int(seq[-1])])
+        truth = tuple(sid_table.tokens[int(seq[-1])].tolist())
         decoded = [s for _, s in _oracle_batched_beam_decode(
             model, hist[i], beam_width)]
         for k in k_list:
@@ -794,7 +795,7 @@ def test_hr_at_k_degenerate_table(rng):
     # every item maps to the same SID, so the target is always the
     # lexicographically first decode: HR = 1 at every K
     _, seqs = _toy_setup(rng)
-    sid_table = {i: (0, 0) for i in range(10)}
+    sid_table = SidTable(np.zeros((10, 2), dtype=int), 4)
     model = init_next_sid(CFG)
     hr = hr_at_k(model, seqs, sid_table, [1, 3])
     assert hr == {1: 1.0, 3: 1.0}
@@ -831,11 +832,18 @@ _NOT_AN_ARRAY = r"sequences must be an \(n, T\) integer array with T >= 2"
     ([], _NOT_AN_ARRAY),
     ([[0, 1, 2], [99, 0, 1]], "item 99 has no SID"),  # a history item
     ([[0, 1, 2], [0, 1, 99]], "item 99 has no SID"),  # a target
-    # a list holding one row array takes the served-query path
+    # a list holding one row array, as a served query passes
     ([np.array([0])], _NOT_AN_ARRAY),
     ([np.array([0.0, 1.0])], _NOT_AN_ARRAY),
     ([np.array([99, 0, 1])], "item 99 has no SID"),
     ([np.array([0, 1, 99])], "item 99 has no SID"),
+    # the table's 10 items are ids 0..9: -1 would index its last row
+    ([[0, 1, 2], [-1, 0, 1]], "item -1 has no SID"),
+    ([[0, 1, 2], [0, 1, 10]], "item 10 has no SID"),
+    ([np.array([-1, 0, 1])], "item -1 has no SID"),
+    ([np.array([0, 1, 10])], "item 10 has no SID"),
+    ([np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64)],
+     f"item {2 ** 64 - 1} has no SID"),
 ])
 def test_next_sid_rejects_bad_sequences(rng, seqs, message):
     sid_table, _ = _toy_setup(rng)
@@ -849,41 +857,49 @@ def test_next_sid_rejects_bad_sequences(rng, seqs, message):
             call(seqs)
 
 
+def _next_sid_calls(model, table, seqs):
+    """Each way a table reaches the next-SID path: training and Hit Rate
+    over the sequence array, and over one row array (history 2, 3, 4
+    and target 9)."""
+    row = np.array([1, 2, 3, 4, 9])
+    return (lambda: train_next_sid(seqs, table, CFG),
+            lambda: train_next_sid([row], table, CFG),
+            lambda: hr_at_k(model, seqs, table, [1, 3]),
+            lambda: hr_at_k(model, row[None], table, [1, 3]),
+            lambda: hr_at_k(model, [row], table, [1, 3]))
+
+
 @pytest.mark.parametrize("length", [3, 1])
 def test_next_sid_rejects_sids_of_another_length(rng, length):
-    # CFG.L = 2.  Every SID of another length, or only the target's: a
-    # served query's wrong-length target is an error too, not a miss
-    sid_table, seqs = _toy_setup(rng)
-    model = init_next_sid(CFG)
-    row = np.array([1, 2, 3, 4, 9])   # history 2, 3, 4 and target 9
-    for table in ({i: (0,) * length for i in sid_table},
-                  sid_table | {9: (0,) * length}):
-        for call in (lambda: train_next_sid(seqs, table, CFG),
-                     lambda: train_next_sid([row], table, CFG),
-                     lambda: hr_at_k(model, seqs, table, [1, 3]),
-                     lambda: hr_at_k(model, row[None], table, [1, 3]),
-                     lambda: hr_at_k(model, [row], table, [1, 3])):
-            with pytest.raises(InputError,
-                               match="^every SID must be L = 2 tokens long$"):
-                call()
+    # CFG.L = 2.  A table of another depth fails every call; a table
+    # with only the target's SID of another length cannot be built
+    # (tests/test_unisid.py)
+    _, seqs = _toy_setup(rng)
+    table = SidTable(np.zeros((10, length), dtype=np.int64), CFG.K)
+    for call in _next_sid_calls(init_next_sid(CFG), table, seqs):
+        with pytest.raises(InputError, match=re.escape(
+                f"the SID table's (L, K) = ({length}, 4) must be the "
+                "model's (2, 4)")):
+            call()
 
 
 @pytest.mark.parametrize("token", [4, 7, -1, 2 ** 63, 2 ** 64, 1.5, 1.0])
 def test_next_sid_rejects_tokens_outside_the_codebook(rng, token):
     # CFG.K = 4.  A token of K or more once ended in a bare IndexError,
-    # and a float token was truncated; in every SID, or only the target's
+    # and a float token was truncated.  No table of K = 4 holds one, in
+    # every SID or only the target's; a table of a K that does hold it
+    # fails every call
     sid_table, seqs = _toy_setup(rng)
-    model = init_next_sid(CFG)
-    row = np.array([1, 2, 3, 4, 9])   # history 2, 3, 4 and target 9
-    for table in ({i: (0, token) for i in sid_table},
-                  sid_table | {9: (token, 0)}):
-        for call in (lambda: train_next_sid(seqs, table, CFG),
-                     lambda: train_next_sid([row], table, CFG),
-                     lambda: hr_at_k(model, seqs, table, [1, 3]),
-                     lambda: hr_at_k(model, row[None], table, [1, 3]),
-                     lambda: hr_at_k(model, [row], table, [1, 3])):
-            with pytest.raises(InputError, match=r"^SID tokens must be "
-                                                 r"integers in \[0, K = 4\)$"):
+    sids = sid_table.tokens.tolist()
+    for bad in ([[0, token]] * 10, sids[:9] + [[token, 0]]):
+        with pytest.raises(InputError, match="^SID tokens must be in|^a SID "
+                                             "table takes an integer K"):
+            SidTable(bad, CFG.K)
+    if type(token) is int and 0 <= token < 2 ** 63:
+        wide = SidTable(sids[:9] + [[token, 0]], token + 1)
+        for call in _next_sid_calls(init_next_sid(CFG), wide, seqs):
+            with pytest.raises(InputError, match=re.escape(
+                    f"(L, K) = (2, {token + 1}) must be the model's (2, 4)")):
                 call()
 
 
@@ -934,7 +950,7 @@ def test_hr_at_k_checks_as_require(k_list, beam_width):
     # the cheap test for plain lists of ints must accept and reject
     # exactly what require does, with require's exception and message
     model = init_next_sid(NextSidConfig(L=2, K=2, d_s=2, hidden=2))
-    table = {0: (0, 1), 1: (1, 0)}
+    table = SidTable([(0, 1), (1, 0)], 2)
     seqs = [[0, 1]]
     want = _require_outcome(k_list, beam_width)
     try:

@@ -8,10 +8,10 @@ import pytest
 from sidforge import numkit
 from sidforge.errors import InputError, NumericError, ShapeError
 from sidforge.numkit import MlpParams, mlp_init
-from sidforge.unisid import (UniSidConfig, UniSidModel, assign_catalog,
-                             assign_sid, collision_stats, embed_batch,
+from sidforge.unisid import (SidTable, UniSidConfig, UniSidModel,
+                             assign_catalog, assign_sid, embed_batch,
                              forward_batch, init_model, token_stats,
-                             token_table, tokens_onehot)
+                             tokens_onehot)
 from testkit import collision_stats_oracle
 
 CFG = UniSidConfig(L=3, K=16, d_h=16, d_e=8)
@@ -146,35 +146,74 @@ def test_embedding_depends_on_tokens(small_catalog):
     assert not np.allclose(e_alt, fp.embedding)
 
 
+@pytest.mark.parametrize("tokens, K", [
+    (np.array([0, 1]), 4),
+    (np.zeros((2, 2, 2), dtype=np.int64), 4),
+    (np.zeros((0, 2), dtype=np.int64), 4),
+    (np.zeros((2, 0), dtype=np.int64), 4),
+    (np.array([[0.0, 1.0]]), 4),
+    (np.array([[False, True]]), 4),
+    (np.array([[0, 1]], dtype=object), 4),
+    # one short SID once counted as a distinct level-1 prefix and no more
+    ([(1, 2), (1,)], 4),
+    (np.array([[0, 4]]), 4),
+    (np.array([[-1, 0]]), 4),
+    (np.array([[0, 0]], dtype=np.uint64) + 2 ** 63, 4),
+    (np.array([[0, 1]]), 0),
+    (np.array([[0, 1]]), True),
+    (np.array([[0, 1]]), 4.0),
+], ids=["1-D", "3-D", "no_rows", "no_levels", "float", "bool", "object",
+        "ragged", "token_is_K", "token_negative", "token_2**63", "K_zero",
+        "K_true", "K_float"])
+def test_sid_table_rejects_bad_input(tokens, K):
+    with pytest.raises(InputError, match=r"^a SID table takes an integer K "
+                                         r">= 1 and an \(n, L\) integer "
+                                         r"array, n, L >= 1$|^SID tokens "
+                                         r"must be in \[0, K = 4\)$"):
+        SidTable(tokens, K)
+
+
+def test_sid_table_is_a_read_only_copy():
+    for dtype in (np.int64, np.int32, np.uint8):
+        source = np.array([[0, 1, 2], [3, 2, 1]], dtype=dtype)
+        table = SidTable(source, 4)
+        assert table.tokens.dtype == np.int64
+        assert (table.L, table.K) == (3, 4)
+        with pytest.raises(ValueError):
+            table.tokens[0, 0] = 3
+        source[0, 0] = 3
+        assert table.tokens.tolist() == [[0, 1, 2], [3, 2, 1]]
+
+
+def test_sid_table_equality_is_a_bool():
+    table = SidTable([[0, 1], [2, 3]], 4)
+    assert (table == SidTable(np.array([[0, 1], [2, 3]], np.uint8), 4)) is True
+    for other in (SidTable([[0, 1], [2, 2]], 4), SidTable([[0, 1], [2, 3]], 5),
+                  SidTable([[0, 1]], 4), SidTable([[0], [2]], 4)):
+        assert (table != other) is True and (table == other) is False
+    assert table != [[0, 1], [2, 3]]
+
+
 def test_collision_stats_oracle():
-    table = {1: (0, 0), 2: (0, 0), 3: (0, 1)}
-    stats = collision_stats(table)
+    stats = token_stats(np.array([(0, 0), (0, 0), (0, 1)]))
     assert np.isclose(stats["collision_rate"], 2.0 / 3.0)
     assert stats["distinct_prefixes"] == [1, 2]
-    empty = collision_stats({})
-    assert empty["collision_rate"] == 0.0
+    assert token_stats(np.array([[5, 1]])) == {"collision_rate": 0.0,
+                                               "distinct_prefixes": [1, 1]}
 
 
 def test_collision_stats_all_unique():
-    table = {i: (i, 0, 0) for i in range(5)}
-    stats = collision_stats(table)
+    stats = token_stats(np.array([(i, 0, 0) for i in range(5)]))
     assert stats["collision_rate"] == 0.0
     assert stats["distinct_prefixes"] == [5, 5, 5]
 
 
-def test_collision_stats_rejects_ragged_sids():
-    # one short SID once counted as a distinct level-1 prefix and no more
-    with pytest.raises(InputError, match="differ in length"):
-        collision_stats({0: (1, 2), 1: (1,)})
-
-
 def _random_tokens(seed):
     """(n, L) token arrays of depth 1-4 whose rows collide often, never,
-    or all alike, and an empty one per depth."""
+    or all alike."""
     r = np.random.default_rng(seed)
     for L in (1, 2, 3, 4):
         n = int(r.integers(1, 40))
-        yield np.zeros((0, L), dtype=np.int64)
         yield r.integers(int(r.integers(1, 4)), size=(n, L))
         yield np.repeat(r.integers(5, size=(1, L)), n, axis=0)
         yield np.column_stack(
@@ -189,7 +228,7 @@ def test_collision_stats_matches_counter():
     for seed in range(20):
         for tokens in _random_tokens(seed):
             tables += [tokens, (tokens + 1) * 2 ** 40,
-                       tokens - tokens.max(initial=0) - 1]
+                       tokens - tokens.max() - 1]
     # such a key's edge, (max + 1) ** 3 == 2 ** 63, and one past it, with
     # duplicate rows
     r = np.random.default_rng(0)
@@ -199,13 +238,11 @@ def test_collision_stats_matches_counter():
         tokens[1:4] = tokens[4]
         tables.append(tokens)
     for tokens in tables:
-        table = token_table(tokens)
-        want = collision_stats_oracle(table)
-        got = collision_stats(table)
-        assert got == want == token_stats(tokens)
+        got = token_stats(tokens)
+        assert got == collision_stats_oracle(tokens)
         assert type(got["collision_rate"]) is float
         assert all(type(d) is int for d in got["distinct_prefixes"])
-    assert all(collision_stats_oracle(token_table(t))["collision_rate"] > 0
+    assert all(collision_stats_oracle(t)["collision_rate"] > 0
                for t in tables[-2:])
 
 
@@ -214,8 +251,8 @@ def test_assign_catalog_runs_encoder_and_sid_head_only(small_catalog,
     # the same tokens as the full forward pass, from two MLP calls:
     # the embedding head's output would be dropped
     model = init_model(small_catalog.spec.feature_dim, CFG, seed=4)
-    want = token_table(forward_batch(model, small_catalog.features_matrix(),
-                                     caches=False).tokens)
+    want = SidTable(forward_batch(model, small_catalog.features_matrix(),
+                                  caches=False).tokens, CFG.K)
     calls = []
     apply = numkit.mlp_apply
 
@@ -227,20 +264,20 @@ def test_assign_catalog_runs_encoder_and_sid_head_only(small_catalog,
     table, stats = assign_catalog(model, small_catalog)
     assert table == want
     assert calls == [model.encoder, model.sid_head]
-    assert stats == collision_stats_oracle(want)
+    assert stats == collision_stats_oracle(want.tokens)
 
 
 def test_assign_catalog(small_catalog):
     model = init_model(small_catalog.spec.feature_dim, CFG, seed=9)
     table, stats = assign_catalog(model, small_catalog)
-    assert sorted(table) == list(small_catalog.items)
-    assert all(len(s) == CFG.L for s in table.values())
-    assert all(0 <= t < CFG.K for s in table.values() for t in s)
+    assert type(table) is SidTable and table.K == CFG.K
+    assert table.tokens.shape == (len(small_catalog.items), CFG.L)
     # stats agree with an independent recount
     from collections import Counter
-    counts = Counter(table.values())
+    counts = Counter(map(tuple, table.tokens.tolist()))
     colliding = sum(c for c in counts.values() if c > 1)
-    assert np.isclose(stats["collision_rate"], colliding / len(table))
+    assert np.isclose(stats["collision_rate"],
+                      colliding / len(small_catalog.items))
 
 
 def test_assign_catalog_dim_mismatch(small_catalog):

@@ -127,18 +127,17 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def collision_stats_oracle(sid_table: dict[int, tuple]) -> dict:
-    """The Python counter that `unisid.collision_stats` replaced: counts
-    each full SID in a dict and each level's prefixes in a set."""
-    if not sid_table:
-        return {"collision_rate": 0.0, "distinct_prefixes": []}
-    seqs = list(sid_table.values())
+def collision_stats_oracle(tokens: np.ndarray) -> dict:
+    """The Python counter that `unisid.token_stats` replaced: counts each
+    full SID of the (n, L) `tokens`, n, L >= 1, in a dict and each
+    level's prefixes in a set."""
+    seqs = list(map(tuple, tokens.tolist()))
     L = len(seqs[0])
     counts: dict[tuple, int] = {}
     for s in seqs:
-        counts[tuple(s)] = counts.get(tuple(s), 0) + 1
+        counts[s] = counts.get(s, 0) + 1
     colliding = sum(c for c in counts.values() if c > 1)
-    distinct = [len({tuple(s[:l + 1]) for s in seqs}) for l in range(L)]
+    distinct = [len({s[:l + 1] for s in seqs}) for l in range(L)]
     return {"collision_rate": colliding / len(seqs),
             "distinct_prefixes": distinct}
 
@@ -178,14 +177,13 @@ def code_usage_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
         np.asarray(logits, dtype=np.float64)))
 
 
-def history_vectors(model, sequences, sid_table: dict[int, tuple]
-                    ) -> np.ndarray:
+def history_vectors(model, sequences, sid_table) -> np.ndarray:
     """Mean over the last H history items of their summed level-token
     embeddings, one row per sequence."""
     return evalsuite._histories(model, sequences, sid_table)[0]
 
 
-def next_sid_loss_grads(model, sequences, sid_table: dict[int, tuple]):
+def next_sid_loss_grads(model, sequences, sid_table):
     """Teacher-forced cross-entropy over all L levels of the target SID,
     averaged over the (n, T) `sequences`.  Returns (loss, table grad,
     scorer grads): the loss from each level's log-sum-exp over the
